@@ -16,10 +16,14 @@ to antiderivative differences; the three queries evaluated on the same
 positions therefore satisfy the metric/embedding identities exactly.
 
 The same machinery integrates measures carried by straight density
-segments: per query, each segment is split at the finitely many parameter
-values where the arc endpoints cross density-support boundaries or the
-query line, graded dyadically toward the projections of the query points,
-and integrated with fixed-order Gauss-Legendre nodes per smooth span.
+segments, and this module owns their cuts and nodes for both pair and box
+queries: per query, each segment is split at the finitely many parameter
+values where the line from a query point (or box corner) along a
+density-support boundary direction crosses it, where the query line (or a
+box edge line) crosses it, graded dyadically toward the projections of the
+query points (or the box center), and integrated with SEGMENT_ORDER
+Gauss-Legendre nodes per smooth span.  Segments with no such feature take
+fixed bulk nodes.
 """
 
 from __future__ import annotations
@@ -49,15 +53,14 @@ def _wrap_pieces_to_xi(pieces: np.ndarray, p_delta: float) -> np.ndarray:
 
 
 def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
-                         on_segment: str = "error", reduce: bool = True):
+                         on_segment: str = "error"):
     """Mass, sin-alpha integral, oriented-normal integral over hits of [x, y].
 
     ``points``/``weights`` describe a weighted position cloud, ``pieces`` the
     direction density on [0, pi).  ``on_segment`` controls positions that lie
     on the closed query segment: "error" rejects them (atom semantics),
     "full" assigns the full direction circle (density-node semantics).
-    Returns (mass, transversal, embed[2], angle_masses)-totals, or the
-    per-point arrays when ``reduce`` is false.
+    Returns the weighted totals (mass, transversal, embed[2], angle_masses).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float)
@@ -69,10 +72,10 @@ def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
     dx = x - pts
     dy = y - pts
     return _pair_core(dx, dy, w, np.asarray(pieces, dtype=float), delta,
-                      taus=taus, on_segment=on_segment, reduce=reduce)
+                      taus=taus, on_segment=on_segment)
 
 
-def _pair_core(dx, dy, w, pieces, delta, *, taus=None, on_segment="error", reduce=True):
+def _pair_core(dx, dy, w, pieces, delta, *, taus=None, on_segment="error"):
     m = dx.shape[0]
     rx2 = np.einsum("ij,ij->i", dx, dx)
     ry2 = np.einsum("ij,ij->i", dy, dy)
@@ -137,41 +140,31 @@ def _pair_core(dx, dy, w, pieces, delta, *, taus=None, on_segment="error", reduc
     e0_r = s0 * rho_r * (np.sin(phi_hi) - np.sin(phi_lo))
     e1_r = s0 * rho_r * (np.cos(phi_lo) - np.cos(phi_hi))
 
-    if reduce:
-        wr = w[ii]
-        mass = float(wr @ len_r)
-        trans = float(wr @ tr_r)
-        emb = np.array([float(wr @ e0_r), float(wr @ e1_r)])
-        angle = None
-        if taus is not None:
-            t = np.asarray(taus, dtype=float)
-            blo = np.maximum(lo_r[:, None], t[None, :])
-            bhi = np.minimum(hi_r[:, None], PI - t[None, :])
-            angle = np.einsum("k,kt->t", wr * rho_r, np.clip(bhi - blo, 0.0, None))
-        return mass, trans, emb, angle
-
-    mass_i = np.bincount(ii, weights=len_r, minlength=m)
-    trans_i = np.bincount(ii, weights=tr_r, minlength=m)
-    emb_i = np.stack([np.bincount(ii, weights=e0_r, minlength=m),
-                      np.bincount(ii, weights=e1_r, minlength=m)], axis=1)
-    angle_i = None
+    wr = w[ii]
+    mass = float(wr @ len_r)
+    trans = float(wr @ tr_r)
+    emb = np.array([float(wr @ e0_r), float(wr @ e1_r)])
+    angle = None
     if taus is not None:
         t = np.asarray(taus, dtype=float)
         blo = np.maximum(lo_r[:, None], t[None, :])
         bhi = np.minimum(hi_r[:, None], PI - t[None, :])
-        vals = rho_r[:, None] * np.clip(bhi - blo, 0.0, None)
-        angle_i = np.zeros((m, len(t)))
-        np.add.at(angle_i, ii, vals)
-    return mass_i, trans_i, emb_i, angle_i
+        angle = np.einsum("k,kt->t", wr * rho_r, np.clip(bhi - blo, 0.0, None))
+    return mass, trans, emb, angle
 
 
-def box_cloud_mass(points, weights, pieces, box_lo, box_hi, *, reduce=True):
+def box_corners(lo, hi) -> np.ndarray:
+    """The four corners of a planar axis box."""
+    return np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
+
+
+def box_cloud_mass(points, weights, pieces, box_lo, box_hi):
     """Direction mass of hyperplanes through each position that hit an axis box."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float)
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
-    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
+    corners = box_corners(lo, hi)
     inside = np.all((pts >= lo) & (pts <= hi), axis=1)
 
     d = corners[None, :, :] - pts[:, None, :]
@@ -189,14 +182,14 @@ def box_cloud_mass(points, weights, pieces, box_lo, box_hi, *, reduce=True):
     ghi = np.minimum(arc_hi[:, :, None], dens[None, None, :, 1])
     ii, pp, jj = np.nonzero(ghi > glo)
     vals = dens[jj, 2] * (ghi[ii, pp, jj] - glo[ii, pp, jj])
-    if not reduce:
-        return np.bincount(ii, weights=vals, minlength=len(pts))
     return float(w[ii] @ vals)
 
 
 # ---------------------------------------------------------------------------
-# query-adaptive quadrature along density segments
+# segment cuts and Gauss nodes, shared by the pair and box paths
 # ---------------------------------------------------------------------------
+
+SEGMENT_ORDER = 8          # Gauss-Legendre nodes per smooth span of a density segment
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -205,6 +198,45 @@ def _gl(order: int):
     if order not in _GL_CACHE:
         _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
     return _GL_CACHE[order]
+
+
+def _gl_spans(edges: np.ndarray, order: int):
+    """Gauss-Legendre nodes and weights of ``order`` points on each span between edges."""
+    gx, gw = _gl(order)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    return (mids[:, None] + halves[:, None] * gx[None, :]).ravel(), \
+        (halves[:, None] * gw[None, :]).ravel()
+
+
+def boundary_angles(pieces) -> list[float]:
+    """The normal angles where the direction density's support starts or ends."""
+    return [float(v) for lo, hi, _ in pieces for v in (lo, hi)]
+
+
+def _boundary_dirs(angles) -> np.ndarray:
+    """Unit directions of the hyperplanes whose normal sits at each boundary angle.
+
+    Built with ``math`` scalars: numpy's vectorized cos/sin may differ by an
+    ulp, and the cuts must not move.
+    """
+    gammas = [(b - 0.5 * PI) % PI for b in angles]
+    return np.array([[math.cos(g), math.sin(g)] for g in gammas]).reshape(-1, 2)
+
+
+def _boundary_crossings(p0s, us, qs, dirs) -> np.ndarray:
+    """Segment parameters where the line through each point along each direction crosses.
+
+    Solves p0 + s u = q + t g for s, with shape (segments, points,
+    directions); entries are inf or nan where u is parallel to g, so a
+    caller keeping 0 < s < length drops them.
+    """
+    denom = us[:, None, 0] * dirs[None, :, 1] - us[:, None, 1] * dirs[None, :, 0]
+    rel0 = qs[None, :, 0] - p0s[:, None, 0]
+    rel1 = qs[None, :, 1] - p0s[:, None, 1]
+    num = rel0[:, :, None] * dirs[None, None, :, 1] - rel1[:, :, None] * dirs[None, None, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / denom[:, None, :]
 
 
 def _ladder(center: float, scale: float, length: float) -> list[float]:
@@ -237,7 +269,53 @@ def _merge_cuts(cuts, length: float) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def segment_query_nodes(p0, p1, dens, x, y, boundary_angles, *, order: int = 8):
+def _frame(p0, p1):
+    """(p0, unit direction, length) of a density segment."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    length = float(np.linalg.norm(p1 - p0))
+    return p0, (p1 - p0) / length, length
+
+
+def _span_nodes(p0, u, length: float, cuts, dens: float):
+    """Gauss nodes and weights along a segment split at ``cuts``."""
+    svals, wvals = _gl_spans(_merge_cuts(cuts, length), SEGMENT_ORDER)
+    return p0[None, :] + svals[:, None] * u[None, :], wvals * dens
+
+
+def segments_needing_features(segments, x, y, boundary) -> np.ndarray:
+    """Mask of density segments whose arc integrand changes regime inside them.
+
+    A segment is smooth at its own length scale unless a query point projects
+    near it, the query line crosses it, or the direction to a query point
+    passes a density-support boundary along it; only those need the
+    query-adaptive splitting of ``segment_query_nodes``, the rest take fixed
+    bulk Gauss nodes.
+    """
+    p0s = np.stack([s[0] for s in segments])
+    p1s = np.stack([s[1] for s in segments])
+    lengths = np.linalg.norm(p1s - p0s, axis=1)
+    us = (p1s - p0s) / lengths[:, None]
+    nrms = np.stack([-us[:, 1], us[:, 0]], axis=1)
+    special = np.zeros(len(segments), dtype=bool)
+    proj = []
+    for q in (x, y):
+        rel = q[None, :] - p0s
+        h = np.einsum("ij,ij->i", rel, nrms)
+        s = np.einsum("ij,ij->i", rel, us)
+        proj.append((h, s))
+        special |= (np.abs(h) < lengths) & (s > -lengths) & (s < 2.0 * lengths)
+    (hx, sx), (hy, sy) = proj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_star = sx + hx * (sy - sx) / (hx - hy)
+    valid = (hx != hy) & np.isfinite(s_star)
+    special |= valid & (s_star > 0.0) & (s_star < lengths)
+    s = _boundary_crossings(p0s, us, np.stack([x, y]), _boundary_dirs(boundary))
+    special |= np.any((s > 0.0) & (s < lengths[:, None, None]), axis=(1, 2))
+    return special
+
+
+def segment_query_nodes(p0, p1, dens, x, y, boundary_angles):
     """Gauss nodes and weights integrating a line density against a pair query.
 
     Splits the segment at the query-line crossing, at the parameters where
@@ -246,12 +324,9 @@ def segment_query_nodes(p0, p1, dens, x, y, boundary_angles, *, order: int = 8):
     When the query line coincides with the segment line the integrand is
     piecewise constant and only the projections of x and y are needed.
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
+    p0, u, length = _frame(p0, p1)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    length = float(np.linalg.norm(p1 - p0))
-    u = (p1 - p0) / length
     delta = x - y
 
     cuts = {0.0, length}
@@ -262,28 +337,17 @@ def segment_query_nodes(p0, p1, dens, x, y, boundary_angles, *, order: int = 8):
     sx = float((x - p0) @ u)
     sy = float((y - p0) @ u)
 
-    coincident = cross_u_delta == 0.0 and hx == 0.0
-    if coincident:
-        for s in (sx, sy):
-            if 0.0 < s < length:
-                cuts.add(s)
+    if cross_u_delta == 0.0 and hx == 0.0:
+        cuts.update(s for s in (sx, sy) if 0.0 < s < length)
     else:
-        if cross_u_delta != 0.0:
+        if cross_u_delta != 0.0 and hx != hy:
             # intersection of the query line with the segment line
-            s_star = sx + hx * (sy - sx) / (hx - hy) if hx != hy else None
-            if s_star is not None and 0.0 < s_star < length:
+            s_star = sx + hx * (sy - sx) / (hx - hy)
+            if 0.0 < s_star < length:
                 cuts.add(s_star)
-        # direction-boundary crossings and grading for both query endpoints
-        dirs = [((b - 0.5 * PI) % PI) for b in boundary_angles]
-        for q, s_proj, h in ((x, sx, hx), (y, sy, hy)):
-            for gamma in dirs:
-                g = np.array([math.cos(gamma), math.sin(gamma)])
-                denom = u[0] * g[1] - u[1] * g[0]
-                if denom == 0.0:
-                    continue
-                s = ((q[0] - p0[0]) * g[1] - (q[1] - p0[1]) * g[0]) / denom
-                if 0.0 < s < length:
-                    cuts.add(s)
+        s = _boundary_crossings(p0[None], u[None], np.stack([x, y]), _boundary_dirs(boundary_angles))
+        cuts.update(s[(s > 0.0) & (s < length)].tolist())
+        for s_proj, h in ((sx, hx), (sy, hy)):
             d = abs(h)
             if d == 0.0:
                 # the query point sits on the segment line: the integrand
@@ -292,25 +356,64 @@ def segment_query_nodes(p0, p1, dens, x, y, boundary_angles, *, order: int = 8):
                     cuts.add(s_proj)
             elif d < length and -length < s_proj < 2.0 * length:
                 cuts.update(_ladder(s_proj, d, length))
-
-    edges = _merge_cuts(cuts, length)
-    gx, gw = _gl(order)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    svals = (mids[:, None] + halves[:, None] * gx[None, :]).ravel()
-    wvals = (halves[:, None] * gw[None, :]).ravel() * dens
-    pts = p0[None, :] + svals[:, None] * u[None, :]
-    return pts, wvals
+    return _span_nodes(p0, u, length, cuts, dens)
 
 
-def segment_bulk_nodes(p0s, p1s, denss, *, order: int = 8):
+def segment_bulk_nodes(p0s, p1s, denss):
     """Fixed Gauss nodes for many density segments at once (no query features)."""
     p0s = np.atleast_2d(np.asarray(p0s, dtype=float))
     p1s = np.atleast_2d(np.asarray(p1s, dtype=float))
     denss = np.asarray(denss, dtype=float)
-    gx, gw = _gl(order)
+    gx, gw = _gl(SEGMENT_ORDER)
     t = 0.5 * (gx + 1.0)
     pts = p0s[:, None, :] + t[None, :, None] * (p1s - p0s)[:, None, :]
     lens = np.linalg.norm(p1s - p0s, axis=1)
     wts = 0.5 * gw[None, :] * (lens * denss)[:, None]
     return pts.reshape(-1, p0s.shape[1]), wts.ravel()
+
+
+def segment_pair_nodes(segments, pieces, x, y):
+    """Gauss nodes and weights of all density segments for a pair query.
+
+    Segments that ``segments_needing_features`` marks take query-adaptive
+    nodes, in segment order; the rest follow as one block of bulk nodes.
+    """
+    if not segments:
+        return np.zeros((0, 2)), np.zeros(0)
+    boundary = boundary_angles(pieces)
+    special = segments_needing_features(segments, x, y, boundary)
+    parts = [segment_query_nodes(*segments[k], x, y, boundary) for k in np.flatnonzero(special)]
+    bulk = [seg for seg, feat in zip(segments, special) if not feat]
+    if bulk:
+        parts.append(segment_bulk_nodes(*zip(*bulk)))
+    pts, wts = zip(*parts)
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def segment_box_nodes(segments, pieces, lo, hi):
+    """Gauss nodes and weights along each density segment for a box query, per segment.
+
+    Each segment is split where it crosses the four box edge lines (the
+    wedge's tangent corners switch there), where the line from a corner
+    along a boundary direction crosses it, and dyadically toward the
+    projection of the box center.
+    """
+    corners = box_corners(lo, hi)
+    dirs = _boundary_dirs(boundary_angles(pieces))
+    center = 0.5 * (lo + hi)
+    for p0, p1, dens in segments:
+        p0, u, length = _frame(p0, p1)
+        cuts = {0.0, length}
+        for axis, val in ((0, lo[0]), (0, hi[0]), (1, lo[1]), (1, hi[1])):
+            if u[axis] != 0.0:
+                s = (val - p0[axis]) / u[axis]
+                if 0.0 < s < length:
+                    cuts.add(s)
+        s = _boundary_crossings(p0[None], u[None], corners, dirs)
+        cuts.update(s[(s > 0.0) & (s < length)].tolist())
+        nrm = np.array([-u[1], u[0]])
+        h = abs(float((center - p0) @ nrm))
+        s_proj = float((center - p0) @ u)
+        scale = max(h, 0.25 * float(np.min(hi - lo)))
+        cuts.update(_ladder(s_proj, scale, length))
+        yield _span_nodes(p0, u, length, cuts, dens)

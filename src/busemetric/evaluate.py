@@ -38,7 +38,7 @@ from scipy import special
 from . import arcs
 from .directions import (SymmetricCap, UniformDirections, abs_moment,
                          partial_abs_moment, unit_kernel_constant)
-from .geometry import Cube, DegenerateConfigurationError
+from .geometry import Cube, DegenerateConfigurationError, as_point
 from .hyperplane_measures import (HyperplaneMeasure, OffsetDirection, PositionDirection,
                                   SamplerMeasure)
 
@@ -65,11 +65,20 @@ class PairIntegrals:
 
 
 def _as_pair_points(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("pair query needs two points of equal dimension")
+    """Two finite points of equal dimension: query endpoints or box corners."""
+    x = as_point(x)
+    y = as_point(y)
+    if x.shape != y.shape:
+        raise ValueError("query needs two points of equal dimension")
     return x, y
+
+
+def _point_support(mu):
+    """Atoms and realized cell nodes of ``mu`` as one weighted point cloud."""
+    if not mu.node_points.size:
+        return mu.atom_points, mu.atom_weights
+    return (np.concatenate([mu.atom_points, mu.node_points]),
+            np.concatenate([mu.atom_weights, mu.node_weights]))
 
 
 def _check_atoms_off_segment(mu, x, y):
@@ -205,10 +214,7 @@ class ClosedForm:
             raise UnsupportedBackendError("line densities need the exact-2d or MC backend")
         _check_atoms_off_segment(nu.mu, x, y)
         n = nu.dim
-        pts = np.concatenate([nu.mu.atom_points, nu.mu.node_points]) if nu.mu.node_points.size \
-            else nu.mu.atom_points
-        w = np.concatenate([nu.mu.atom_weights, nu.mu.node_weights]) if nu.mu.node_weights.size \
-            else nu.mu.atom_weights
+        pts, w = _point_support(nu.mu)
         dx = x - pts
         dy = y - pts
         rx = np.linalg.norm(dx, axis=1)
@@ -270,8 +276,7 @@ class ClosedForm:
     # -- region queries -----------------------------------------------------
 
     def box_mass(self, nu, lo, hi) -> float:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo, hi = _as_pair_points(lo, hi)
         sides = hi - lo
         if isinstance(nu, OffsetDirection):
             corners = np.stack([lo, hi])
@@ -331,12 +336,7 @@ def _cap_abs_moment(n: int, theta0: float, gamma: float) -> float:
     """Integral of |<u, v>| over the one-sided cap, u at angle gamma from the axis."""
     area_eq = 2.0 * PI ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
     m = n - 2
-    gx, gw = arcs._gl(8)
-    edges = np.linspace(0.0, theta0, 65)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    theta = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wq = (half[:, None] * gw[None, :]).ravel()
+    theta, wq = arcs._gl_spans(np.linspace(0.0, theta0, 65), 8)
     a = math.cos(gamma) * np.cos(theta)
     b = math.sin(gamma) * np.sin(theta)
     inner = _mean_abs_affine_sphere(m, a, b)
@@ -372,9 +372,6 @@ class Exact2D:
 
     name = "exact2d"
 
-    def __init__(self, segment_order: int = 8):
-        self.segment_order = segment_order
-
     def supports(self, nu: HyperplaneMeasure) -> bool:
         return isinstance(nu, PositionDirection) and nu.dim == 2
 
@@ -403,49 +400,20 @@ class Exact2D:
 
         accumulate(nu.mu.atom_points, nu.mu.atom_weights, "error")
         accumulate(nu.mu.node_points, nu.mu.node_weights, "full")
-        spts, swts = self._segment_nodes(nu, x, y)
-        accumulate(spts, swts, "full")
+        accumulate(*arcs.segment_pair_nodes(nu.mu.segments, pieces, x, y), "full")
         return PairIntegrals(mass, trans, emb, angle, backend=self.name)
-
-    def _segment_nodes(self, nu, x, y):
-        segs = nu.mu.segments
-        if not segs:
-            return np.zeros((0, 2)), np.zeros(0)
-        pieces = nu.omega.arc_pieces()
-        boundary = [float(v) for lo, hi, _ in pieces for v in (lo, hi)]
-        special = _segments_needing_features(segs, x, y, boundary)
-        pts_list, wts_list = [], []
-        bulk_p0, bulk_p1, bulk_d = [], [], []
-        for k, (p0, p1, dens) in enumerate(segs):
-            if special[k]:
-                p, w = arcs.segment_query_nodes(p0, p1, dens, x, y, boundary,
-                                                order=self.segment_order)
-                pts_list.append(p)
-                wts_list.append(w)
-            else:
-                bulk_p0.append(p0)
-                bulk_p1.append(p1)
-                bulk_d.append(dens)
-        if bulk_p0:
-            p, w = arcs.segment_bulk_nodes(bulk_p0, bulk_p1, bulk_d, order=self.segment_order)
-            pts_list.append(p)
-            wts_list.append(w)
-        return np.concatenate(pts_list), np.concatenate(wts_list)
 
     def box_mass(self, nu, lo, hi) -> float:
         if not self.supports(nu):
             raise UnsupportedBackendError("exact-2d serves position-direction measures with n = 2")
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo, hi = _as_pair_points(lo, hi)
         pieces = nu.omega.arc_pieces()
         total = 0.0
         if nu.mu.atom_points.size:
             total += arcs.box_cloud_mass(nu.mu.atom_points, nu.mu.atom_weights, pieces, lo, hi)
         if nu.mu.node_points.size:
             total += arcs.box_cloud_mass(nu.mu.node_points, nu.mu.node_weights, pieces, lo, hi)
-        for p0, p1, dens in nu.mu.segments:
-            pts, wts = _segment_box_nodes(p0, p1, dens, lo, hi, pieces,
-                                          order=self.segment_order)
+        for pts, wts in arcs.segment_box_nodes(nu.mu.segments, pieces, lo, hi):
             total += arcs.box_cloud_mass(pts, wts, pieces, lo, hi)
         return float(total)
 
@@ -462,12 +430,9 @@ def _position_box_mass_3d(nu, lo, hi) -> float:
     """
     if nu.mu.segments:
         raise UnsupportedBackendError("line densities are planar only")
-    pts = np.concatenate([nu.mu.atom_points, nu.mu.node_points]) if nu.mu.node_points.size \
-        else nu.mu.atom_points
-    w = np.concatenate([nu.mu.atom_weights, nu.mu.node_weights]) if nu.mu.node_weights.size \
-        else nu.mu.atom_weights
+    pts, w = _point_support(nu.mu)
     res = 96
-    ct, wt = np.polynomial.legendre.leggauss(res)          # cos(theta) on [-1, 1]
+    ct, wt = arcs._gl(res)                                 # cos(theta) on [-1, 1]
     phi = (np.arange(2 * res) + 0.5) * PI / res
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     dirs = np.stack(np.broadcast_arrays(st[:, None] * np.cos(phi)[None, :],
@@ -481,85 +446,6 @@ def _position_box_mass_3d(nu, lo, hi) -> float:
     gap = pts @ dirs.T - (dirs @ center)[None, :]
     hit = np.abs(gap) <= reach[None, :]
     return float(w @ (hit @ dw))
-
-
-def _segments_needing_features(segs, x, y, boundary) -> np.ndarray:
-    """Mask of density segments whose arc integrand changes regime inside them.
-
-    A segment is smooth at its own length scale unless a query point projects
-    near it, the query line crosses it, or the direction to a query point
-    passes a density-support boundary along it; only those need the
-    query-adaptive splitting, the rest take fixed bulk Gauss nodes.
-    """
-    p0s = np.stack([s[0] for s in segs])
-    p1s = np.stack([s[1] for s in segs])
-    lengths = np.linalg.norm(p1s - p0s, axis=1)
-    us = (p1s - p0s) / lengths[:, None]
-    nrms = np.stack([-us[:, 1], us[:, 0]], axis=1)
-    special = np.zeros(len(segs), dtype=bool)
-    svals = {}
-    for tag, q in (("x", x), ("y", y)):
-        rel = q[None, :] - p0s
-        h = np.einsum("ij,ij->i", rel, nrms)
-        s = np.einsum("ij,ij->i", rel, us)
-        svals[tag] = (h, s)
-        special |= (np.abs(h) < lengths) & (s > -lengths) & (s < 2.0 * lengths)
-    hx, sx = svals["x"]
-    hy, sy = svals["y"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_star = sx + hx * (sy - sx) / (hx - hy)
-    valid = (hx != hy) & np.isfinite(s_star)
-    special |= valid & (s_star > 0.0) & (s_star < lengths)
-    for bnd in boundary:
-        gamma = (bnd - 0.5 * PI) % PI
-        g = np.array([math.cos(gamma), math.sin(gamma)])
-        dd = us[:, 0] * g[1] - us[:, 1] * g[0]
-        for q in (x, y):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = ((q[0] - p0s[:, 0]) * g[1] - (q[1] - p0s[:, 1]) * g[0]) / dd
-            special |= (dd != 0.0) & (s > 0.0) & (s < lengths)
-    return special
-
-
-def _segment_box_nodes(p0, p1, dens, lo, hi, pieces, *, order=8):
-    """Gauss nodes along a density segment for a box wedge query."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    length = float(np.linalg.norm(p1 - p0))
-    u = (p1 - p0) / length
-    cuts = {0.0, length}
-    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
-    # crossings of the four edge lines (tangent-corner switches)
-    for axis, val in ((0, lo[0]), (0, hi[0]), (1, lo[1]), (1, hi[1])):
-        if u[axis] != 0.0:
-            s = (val - p0[axis]) / u[axis]
-            if 0.0 < s < length:
-                cuts.add(s)
-    # direction-boundary crossings seen from each corner
-    boundary = [float(v) for plo, phi, _ in np.asarray(pieces) for v in (plo, phi)]
-    for corner in corners:
-        for bnd in boundary:
-            gamma = (bnd - 0.5 * PI) % PI
-            g = np.array([math.cos(gamma), math.sin(gamma)])
-            dd = u[0] * g[1] - u[1] * g[0]
-            if dd == 0.0:
-                continue
-            s = ((corner[0] - p0[0]) * g[1] - (corner[1] - p0[1]) * g[0]) / dd
-            if 0.0 < s < length:
-                cuts.add(s)
-    center = 0.5 * (lo + hi)
-    nrm = np.array([-u[1], u[0]])
-    h = abs(float((center - p0) @ nrm))
-    s_proj = float((center - p0) @ u)
-    scale = max(h, 0.25 * float(np.min(hi - lo)))
-    cuts.update(arcs._ladder(s_proj, scale, length))
-    edges = arcs._merge_cuts(cuts, length)
-    gx, gw = arcs._gl(order)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    svals = (mids[:, None] + halves[:, None] * gx[None, :]).ravel()
-    wvals = (halves[:, None] * gw[None, :]).ravel() * dens
-    return p0[None, :] + svals[:, None] * u[None, :], wvals
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +478,14 @@ class MonteCarlo:
     # -- batch construction -------------------------------------------------
 
     def _batch(self, nu):
+        """The measure's cached batch, one of two kinds.
+
+        ``("hits", normals, offsets, weight)``: sampled hyperplanes, each
+        counted with its weight when it separates the query (positions are
+        reduced to their offsets <a, v> at build time).  ``("offset",
+        normals, base)``: sampled normals, with the offset coordinate
+        integrated analytically.
+        """
         key = id(nu)
         if key in self._batches:
             return self._batches[key][1]
@@ -600,8 +494,8 @@ class MonteCarlo:
         if isinstance(nu, PositionDirection):
             pts = _sample_positions(nu.mu, rng, m)
             normals = nu.omega.sample_normals(rng, m)
-            base = nu.mu.total_mass() * nu.omega.total_mass() / m
-            batch = ("position", pts, normals, np.einsum("ij,ij->i", pts, normals), base)
+            weight = nu.mu.total_mass() * nu.omega.total_mass() / m
+            batch = ("hits", normals, np.einsum("ij,ij->i", pts, normals), weight)
         elif isinstance(nu, OffsetDirection):
             normals = nu.omega.sample_normals(rng, m)
             base = nu.omega.total_mass() / m
@@ -610,7 +504,7 @@ class MonteCarlo:
             normals, offsets, weights = nu.sample_fn(rng, m)
             if len(np.atleast_1d(offsets)) == 0:
                 raise DegenerateConfigurationError("sampler produced zero effective samples")
-            batch = ("sampler", np.asarray(normals, dtype=float),
+            batch = ("hits", np.asarray(normals, dtype=float),
                      np.asarray(offsets, dtype=float), np.asarray(weights, dtype=float) / m)
         else:
             raise UnsupportedBackendError("monte carlo needs a recognizable measure variant")
@@ -629,30 +523,17 @@ class MonteCarlo:
         r = float(np.linalg.norm(delta))
         udelta = delta / r
         batch = self._batch(nu)
-
-        if batch[0] == "position":
-            _, pts, normals, av, base = batch
-            gx = normals @ x - av
-            gy = normals @ y - av
-            hit = (gx * gy <= 0.0).astype(float)
-            vd = normals @ udelta
-            weight = base * np.ones(len(normals))
-        elif batch[0] == "offset":
-            _, normals, base = batch
-            px = normals @ x
-            py = normals @ y
-            hit = nu.offsets.mass_many(np.minimum(px, py), np.maximum(px, py))
-            vd = normals @ udelta
-            weight = base * np.ones(len(normals))
-        else:
-            _, normals, offsets, weights = batch
+        normals = batch[1]
+        if batch[0] == "hits":
+            _, _, offsets, weight = batch
             gx = normals @ x - offsets
             gy = normals @ y - offsets
-            hit = (gx * gy <= 0.0).astype(float)
-            vd = normals @ udelta
-            weight = weights
-
-        mass_i = weight * hit
+            mass_i = weight * (gx * gy <= 0.0)
+        else:
+            px = normals @ x
+            py = normals @ y
+            mass_i = batch[2] * nu.offsets.mass_many(np.minimum(px, py), np.maximum(px, py))
+        vd = normals @ udelta
         trans_i = mass_i * np.abs(vd)
         emb_i = (mass_i * np.sign(vd))[:, None] * normals
         m = len(mass_i)
@@ -714,26 +595,18 @@ class MonteCarlo:
         return vals, ses
 
     def box_mass(self, nu, lo, hi) -> tuple[float, float]:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo, hi = _as_pair_points(lo, hi)
         center = 0.5 * (lo + hi)
         halfs = 0.5 * (hi - lo)
         batch = self._batch(nu)
-        if batch[0] == "position":
-            _, pts, normals, av, base = batch
-            reach = np.abs(normals) @ halfs
-            mid = normals @ center
-            vals = base * ((av >= mid - reach) & (av <= mid + reach)).astype(float)
-        elif batch[0] == "offset":
-            _, normals, base = batch
-            reach = np.abs(normals) @ halfs
-            mid = normals @ center
-            vals = base * nu.offsets.mass_many(mid - reach, mid + reach)
+        normals = batch[1]
+        reach = np.abs(normals) @ halfs
+        mid = normals @ center
+        if batch[0] == "hits":
+            _, _, offsets, weight = batch
+            vals = weight * ((offsets >= mid - reach) & (offsets <= mid + reach))
         else:
-            _, normals, offsets, weights = batch
-            reach = np.abs(normals) @ halfs
-            mid = normals @ center
-            vals = weights * ((offsets >= mid - reach) & (offsets <= mid + reach)).astype(float)
+            vals = batch[2] * nu.offsets.mass_many(mid - reach, mid + reach)
         m = len(vals)
         mean = float(np.sum(vals))
         se = math.sqrt(max(float(np.sum(vals * vals)) * m - mean * mean, 0.0) / max(m - 1, 1))
@@ -833,7 +706,7 @@ class EmbeddingMap:
     backend: object = field(default=None)
 
     def __init__(self, measure, basepoint, backend=None):
-        o = np.asarray(basepoint, dtype=float)
+        o = as_point(basepoint)
         backend = backend or default_backend(measure)
         if not backend.supports(measure):
             raise UnsupportedBackendError(
@@ -994,10 +867,7 @@ def embed_unit_kernel(nu: PositionDirection, o, x, constant: EmbeddingConstant |
     constant = constant or EmbeddingConstant.analytic(nu.dim)
     o = np.asarray(o, dtype=float)
     x = np.asarray(x, dtype=float)
-    pts = np.concatenate([nu.mu.atom_points, nu.mu.node_points]) if nu.mu.node_points.size \
-        else nu.mu.atom_points
-    w = np.concatenate([nu.mu.atom_weights, nu.mu.node_weights]) if nu.mu.node_weights.size \
-        else nu.mu.atom_weights
+    pts, w = _point_support(nu.mu)
     dx = x - pts
     do = o - pts
     rx = np.linalg.norm(dx, axis=1)

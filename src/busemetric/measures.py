@@ -25,14 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arcs import _gl
 from .geometry import DegenerateConfigurationError
-
-
-def gauss_legendre_nodes(lo, hi, order: int):
-    """Nodes and weights of the Gauss-Legendre rule on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
 
 
 @dataclass(frozen=True)
@@ -204,7 +198,7 @@ class BaseMeasureND:
     def _realize_cells(dim, cells, order):
         if cells.size == 0:
             return np.zeros((0, dim)), np.zeros(0)
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = _gl(order)
         pts, wts = [], []
         for row in cells:
             lo, hi, dens = row[:dim], row[dim:2 * dim], row[-1]

@@ -499,3 +499,34 @@ def test_unsupported_backend_pairings():
     narrow = OffsetDirection(UniformDirections(2), BaseMeasure1D.lebesgue(-1.0, 1.0, 1.0))
     with pytest.raises(UnsupportedBackendError):
         CF.pair(narrow, np.array([5.0, 0.0]), np.array([6.0, 0.0]))  # span not covered
+
+
+def _axis_cap():
+    mu1 = BaseMeasure1D.lebesgue(-5.0, 5.0, 1.0)
+    return PositionDirection(BaseMeasureND.from_axis_measure(mu1),
+                             SymmetricCap((1.0, 0.0), 0.4))
+
+
+NON_FINITE_CASES = {
+    "closed_form-crofton": (CF, crofton2),
+    "closed_form-atoms": (CF, lambda: atom_measure([((2.0, 0.3), 1.0)])),
+    "exact2d-axis_cap": (E2, _axis_cap),
+    "exact2d-atoms": (E2, lambda: atom_measure([((2.0, 0.3), 1.0)])),
+    "monte_carlo-axis_cap": (MonteCarlo(budget=2_000, seed=5), _axis_cap),
+}
+NON_FINITE_QUERIES = {
+    "pair": lambda b, nu, p: b.pair(nu, p, [0.2, 0.3]),
+    "eval": lambda b, nu, p: EmbeddingMap(nu, [0.1, 0.4], backend=b).eval(p),
+    "box_mass": lambda b, nu, p: b.box_mass(nu, p, [0.5, 0.6]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("query", list(NON_FINITE_QUERIES))
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_non_finite_points_rejected(case, query, bad):
+    # a non-finite coordinate is refused at the backend boundary; it used to
+    # come back as a finite wrong answer (mass 0.0 for NaN on exact2d)
+    backend, make = NON_FINITE_CASES[case]
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_QUERIES[query](backend, make(), [bad, 0.5])
