@@ -14,7 +14,7 @@ from .measures import BaseMeasure1D, BaseMeasureND, doubling_ratio, tail1_check
 from .hyperplane_measures import (OffsetDirection, PositionDirection, SamplerMeasure,
                                   ValidationReport, validate)
 from .evaluate import (ClosedForm, EmbeddingConstant, EmbeddingMap, Exact2D, MonteCarlo,
-                       PairIntegrals, UnsupportedBackendError, box_mass,
+                       PairIntegrals, RegionMass, UnsupportedBackendError, box_mass,
                        calibrate_embedding_constant, cube_mass, default_backend,
                        embed_unit_kernel, mc_estimate, pair_integrals, seg_mass,
                        transversal_integral)
@@ -26,7 +26,7 @@ __all__ = [
     "ArcDensity2D", "BaseMeasure1D", "BaseMeasureND", "ClosedForm", "Cube",
     "DegenerateConfigurationError", "DiagnosticsReport", "DimensionMismatchError",
     "EmbeddingConstant", "EmbeddingMap", "Exact2D", "GridImage", "Hyperplane",
-    "MonteCarlo", "OffsetDirection", "PairIntegrals", "PositionDirection",
+    "MonteCarlo", "OffsetDirection", "PairIntegrals", "PositionDirection", "RegionMass",
     "SamplerMeasure", "SamplingPlan", "Scenario", "UniformDirections",
     "UnsupportedBackendError", "ValidationReport", "alpha", "beurling_ahlfors",
     "box_mass", "calibrate_embedding_constant", "crofton", "cube_mass",

@@ -30,7 +30,9 @@ Backends:
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -64,13 +66,11 @@ class PairIntegrals:
     backend: str = "exact"
 
 
-def _as_pair_points(x, y):
-    """Two finite points of equal dimension: query endpoints or box corners."""
-    x = as_point(x)
-    y = as_point(y)
-    if x.shape != y.shape:
-        raise ValueError("query needs two points of equal dimension")
-    return x, y
+class RegionMass(NamedTuple):
+    """A region query's answer; ``mass_se`` is None on the exact backends."""
+
+    mass: float
+    mass_se: float | None = None
 
 
 def _point_support(mu):
@@ -101,11 +101,50 @@ def _degenerate_pair(nu, x, taus):
     return PairIntegrals(0.0, 0.0, np.zeros(x.size), t)
 
 
+class Backend:
+    """The public query boundary the three backends share: refuse a measure
+    that ``supports`` rules out, check the points (finite, bounded, of the
+    measure's dimension), answer ``x == y`` by ``_degenerate_pair``, and only
+    then call the backend's ``_pair`` or ``_box_mass``."""
+
+    name: str
+
+    def supports(self, nu: HyperplaneMeasure) -> bool:
+        raise NotImplementedError
+
+    def _points(self, nu, x, y):
+        if not self.supports(nu):
+            raise UnsupportedBackendError(
+                f"backend {self.name} does not serve this {type(nu).__name__} measure")
+        return as_point(x, nu.dim), as_point(y, nu.dim)
+
+    def pair(self, nu, x, y, taus=None) -> PairIntegrals:
+        x, y = self._points(nu, x, y)
+        if np.all(x == y):
+            return _degenerate_pair(nu, x, taus)
+        return self._pair(nu, x, y, taus)
+
+    def box_mass(self, nu, lo, hi) -> RegionMass:
+        return self._box_mass(nu, *self._points(nu, lo, hi))
+
+    def cube_mass(self, nu, q: Cube) -> RegionMass:
+        return self.box_mass(nu, q.center - 0.5 * q.edge, q.center + 0.5 * q.edge)
+
+
+def _covered_density(nu, reach: float):
+    """(density, lo, hi) of the constant offset density, which must cover norm ``reach``."""
+    rho, lo, hi = nu.constant_offset_density()
+    if reach > min(hi, -lo):
+        raise UnsupportedBackendError(
+            f"offset density span [{lo:g}, {hi:g}] does not cover queries of norm {reach:g}")
+    return rho, lo, hi
+
+
 # ---------------------------------------------------------------------------
 # closed-form backend
 # ---------------------------------------------------------------------------
 
-class ClosedForm:
+class ClosedForm(Backend):
     """Formula-based evaluation; see module docstring for the supported pairings."""
 
     name = "closed_form"
@@ -121,18 +160,14 @@ class ClosedForm:
 
     # -- pair queries -------------------------------------------------------
 
-    def pair(self, nu, x, y, taus=None) -> PairIntegrals:
-        x, y = _as_pair_points(x, y)
-        if np.all(x == y):
-            return _degenerate_pair(nu, x, taus)
+    def _pair(self, nu, x, y, taus):
         if isinstance(nu, OffsetDirection):
             return self._offset_pair(nu, x, y, taus)
-        if isinstance(nu, PositionDirection):
-            return self._position_pair(nu, x, y, taus)
-        raise UnsupportedBackendError("closed form supports offset- and position-direction measures")
+        return self._position_pair(nu, x, y, taus)
 
     def _offset_pair(self, nu, x, y, taus):
-        rho, lo, hi = self._covered_density(nu, (x, y))
+        rho, lo, hi = _covered_density(nu, max(float(np.linalg.norm(x)),
+                                               float(np.linalg.norm(y))))
         delta = x - y
         r = float(np.linalg.norm(delta))
         n = nu.dim
@@ -146,21 +181,7 @@ class ClosedForm:
             return PairIntegrals(mass, trans, emb, angle, backend=self.name)
         if n == 2:
             return self._offset_pair_2d(nu.omega.arc_pieces(), rho, x, y, taus)
-        if isinstance(nu.omega, SymmetricCap):
-            return self._offset_pair_cap(nu.omega, rho, x, y, taus)
-        raise UnsupportedBackendError("unsupported direction measure for closed-form offsets")
-
-    @staticmethod
-    def _covered_density(nu, points):
-        const = nu.constant_offset_density()
-        if const is None:
-            raise UnsupportedBackendError("closed form needs a single constant offset density")
-        rho, lo, hi = const
-        reach = max(float(np.linalg.norm(p)) for p in points)
-        if reach > min(hi, -lo):
-            raise UnsupportedBackendError(
-                f"offset density span [{lo:g}, {hi:g}] does not cover queries of norm {reach:g}")
-        return rho, lo, hi
+        return self._offset_pair_cap(nu.omega, rho, x, y, taus)
 
     def _offset_pair_2d(self, pieces, rho, x, y, taus):
         delta = x - y
@@ -210,8 +231,6 @@ class ClosedForm:
         return PairIntegrals(mass, trans, emb, None, backend=self.name)
 
     def _position_pair(self, nu, x, y, taus):
-        if nu.mu.segments:
-            raise UnsupportedBackendError("line densities need the exact-2d or MC backend")
         _check_atoms_off_segment(nu.mu, x, y)
         n = nu.dim
         pts, w = _point_support(nu.mu)
@@ -275,34 +294,26 @@ class ClosedForm:
 
     # -- region queries -----------------------------------------------------
 
-    def box_mass(self, nu, lo, hi) -> float:
-        lo, hi = _as_pair_points(lo, hi)
-        sides = hi - lo
-        if isinstance(nu, OffsetDirection):
-            corners = np.stack([lo, hi])
-            rho, _, _ = self._covered_density(nu, (lo, hi, np.abs(corners).max(axis=0)))
-            n = nu.dim
-            if isinstance(nu.omega, UniformDirections):
-                return rho * float(np.sum(sides)) * abs_moment(n)
-            if n == 2:
-                return rho * _box_width_integral_2d(nu.omega.arc_pieces(), sides)
-            if isinstance(nu.omega, SymmetricCap):
-                total = 0.0
-                for i in range(n):
-                    gamma = math.acos(np.clip(abs(float(nu.omega.axis[i])), 0.0, 1.0))
-                    total += sides[i] * _cap_abs_moment(n, nu.omega.half_angle, gamma)
-                return rho * total
-            raise UnsupportedBackendError("unsupported direction measure for closed-form offsets")
+    def _box_mass(self, nu, lo, hi) -> RegionMass:
         if isinstance(nu, PositionDirection):
             if nu.dim == 2:
-                return Exact2D().box_mass(nu, lo, hi)
-            if nu.dim == 3 and isinstance(nu.omega, UniformDirections):
-                return _position_box_mass_3d(nu, lo, hi)
+                return RegionMass(_position_box_mass_2d(nu, lo, hi))
+            if nu.dim == 3:
+                return RegionMass(_position_box_mass_3d(nu, lo, hi))
             raise UnsupportedBackendError("position-direction box mass needs n = 2 or 3")
-        raise UnsupportedBackendError("sampler measures have no closed forms")
-
-    def cube_mass(self, nu, q: Cube) -> float:
-        return self.box_mass(nu, q.center - 0.5 * q.edge, q.center + 0.5 * q.edge)
+        sides = hi - lo
+        # the far corner of the box bounds the norm of every point in it
+        rho, _, _ = _covered_density(nu, float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))))
+        n = nu.dim
+        if isinstance(nu.omega, UniformDirections):
+            return RegionMass(rho * float(np.sum(sides)) * abs_moment(n))
+        if n == 2:
+            return RegionMass(rho * _box_width_integral_2d(nu.omega.arc_pieces(), sides))
+        total = 0.0
+        for i in range(n):
+            gamma = math.acos(np.clip(abs(float(nu.omega.axis[i])), 0.0, 1.0))
+            total += sides[i] * _cap_abs_moment(n, nu.omega.half_angle, gamma)
+        return RegionMass(rho * total)
 
 
 def _box_width_integral_2d(pieces, sides) -> float:
@@ -367,7 +378,7 @@ def _mean_abs_affine_sphere(m: int, a, b):
 # exact planar backend
 # ---------------------------------------------------------------------------
 
-class Exact2D:
+class Exact2D(Backend):
     """Exact arc integration for position-direction measures in the plane."""
 
     name = "exact2d"
@@ -375,12 +386,7 @@ class Exact2D:
     def supports(self, nu: HyperplaneMeasure) -> bool:
         return isinstance(nu, PositionDirection) and nu.dim == 2
 
-    def pair(self, nu, x, y, taus=None) -> PairIntegrals:
-        if not self.supports(nu):
-            raise UnsupportedBackendError("exact-2d serves position-direction measures with n = 2")
-        x, y = _as_pair_points(x, y)
-        if np.all(x == y):
-            return _degenerate_pair(nu, x, taus)
+    def _pair(self, nu, x, y, taus):
         pieces = nu.omega.arc_pieces()
         mass, trans = 0.0, 0.0
         emb = np.zeros(2)
@@ -403,22 +409,21 @@ class Exact2D:
         accumulate(*arcs.segment_pair_nodes(nu.mu.segments, pieces, x, y), "full")
         return PairIntegrals(mass, trans, emb, angle, backend=self.name)
 
-    def box_mass(self, nu, lo, hi) -> float:
-        if not self.supports(nu):
-            raise UnsupportedBackendError("exact-2d serves position-direction measures with n = 2")
-        lo, hi = _as_pair_points(lo, hi)
-        pieces = nu.omega.arc_pieces()
-        total = 0.0
-        if nu.mu.atom_points.size:
-            total += arcs.box_cloud_mass(nu.mu.atom_points, nu.mu.atom_weights, pieces, lo, hi)
-        if nu.mu.node_points.size:
-            total += arcs.box_cloud_mass(nu.mu.node_points, nu.mu.node_weights, pieces, lo, hi)
-        for pts, wts in arcs.segment_box_nodes(nu.mu.segments, pieces, lo, hi):
-            total += arcs.box_cloud_mass(pts, wts, pieces, lo, hi)
-        return float(total)
+    def _box_mass(self, nu, lo, hi) -> RegionMass:
+        return RegionMass(_position_box_mass_2d(nu, lo, hi))
 
-    def cube_mass(self, nu, q: Cube) -> float:
-        return self.box_mass(nu, q.center - 0.5 * q.edge, q.center + 0.5 * q.edge)
+
+def _position_box_mass_2d(nu, lo, hi) -> float:
+    """Exact arc integration of the box-hitting direction mass in the plane."""
+    pieces = nu.omega.arc_pieces()
+    total = 0.0
+    if nu.mu.atom_points.size:
+        total += arcs.box_cloud_mass(nu.mu.atom_points, nu.mu.atom_weights, pieces, lo, hi)
+    if nu.mu.node_points.size:
+        total += arcs.box_cloud_mass(nu.mu.node_points, nu.mu.node_weights, pieces, lo, hi)
+    for pts, wts in arcs.segment_box_nodes(nu.mu.segments, pieces, lo, hi):
+        total += arcs.box_cloud_mass(pts, wts, pieces, lo, hi)
+    return float(total)
 
 
 def _position_box_mass_3d(nu, lo, hi) -> float:
@@ -428,8 +433,6 @@ def _position_box_mass_3d(nu, lo, hi) -> float:
     sum rather than a spectrally exact rule; cube-audit margins are orders of
     magnitude wider than its resolution error.
     """
-    if nu.mu.segments:
-        raise UnsupportedBackendError("line densities are planar only")
     pts, w = _point_support(nu.mu)
     res = 96
     ct, wt = arcs._gl(res)                                 # cos(theta) on [-1, 1]
@@ -452,7 +455,24 @@ def _position_box_mass_3d(nu, lo, hi) -> float:
 # Monte Carlo backend
 # ---------------------------------------------------------------------------
 
-class MonteCarlo:
+# batches of this many measures stay cached, least recently used dropped
+# first; a rebuilt batch draws the same samples from the same seed
+BATCH_CACHE_SIZE = 4
+
+
+def _standard_error(total, total_sq, m: int, scale):
+    """Standard error from the sums (``scale = m``) or means (``scale = 1``) of m
+    per-sample values and of their squares; of the sum or the mean, respectively."""
+    return np.sqrt(np.maximum(total_sq * scale - total * total, 0.0) / max(m - 1, 1))
+
+
+def _sum_with_se(v) -> tuple[float, float]:
+    """A Monte Carlo estimate, the sum of the per-sample values ``v``, with its standard error."""
+    total = float(np.sum(v))
+    return total, float(_standard_error(total, float(np.sum(v * v)), len(v), len(v)))
+
+
+class MonteCarlo(Backend):
     """Seeded Monte Carlo estimates with one batch shared across queries.
 
     For position-direction measures it samples (position, normal) pairs; for
@@ -470,7 +490,7 @@ class MonteCarlo:
             raise ValueError("budget must be positive")
         self.budget = int(budget)
         self.seed = int(seed)
-        self._batches: dict[int, tuple] = {}
+        self._batches: OrderedDict[int, tuple] = OrderedDict()
 
     def supports(self, nu: HyperplaneMeasure) -> bool:
         return isinstance(nu, (PositionDirection, OffsetDirection, SamplerMeasure))
@@ -484,10 +504,12 @@ class MonteCarlo:
         counted with its weight when it separates the query (positions are
         reduced to their offsets <a, v> at build time).  ``("offset",
         normals, base)``: sampled normals, with the offset coordinate
-        integrated analytically.
+        integrated analytically.  The cache holds the measure with its
+        batch, so its ``id`` stays unique while the entry lives.
         """
         key = id(nu)
         if key in self._batches:
+            self._batches.move_to_end(key)
             return self._batches[key][1]
         rng = np.random.default_rng(self.seed)
         m = self.budget
@@ -500,23 +522,20 @@ class MonteCarlo:
             normals = nu.omega.sample_normals(rng, m)
             base = nu.omega.total_mass() / m
             batch = ("offset", normals, base)
-        elif isinstance(nu, SamplerMeasure):
+        else:
             normals, offsets, weights = nu.sample_fn(rng, m)
             if len(np.atleast_1d(offsets)) == 0:
                 raise DegenerateConfigurationError("sampler produced zero effective samples")
             batch = ("hits", np.asarray(normals, dtype=float),
                      np.asarray(offsets, dtype=float), np.asarray(weights, dtype=float) / m)
-        else:
-            raise UnsupportedBackendError("monte carlo needs a recognizable measure variant")
         self._batches[key] = (nu, batch)
+        if len(self._batches) > BATCH_CACHE_SIZE:
+            self._batches.popitem(last=False)
         return batch
 
     # -- queries -------------------------------------------------------------
 
-    def pair(self, nu, x, y, taus=None) -> PairIntegrals:
-        x, y = _as_pair_points(x, y)
-        if np.all(x == y):
-            return _degenerate_pair(nu, x, taus)
+    def _pair(self, nu, x, y, taus):
         if isinstance(nu, PositionDirection):
             _check_atoms_off_segment(nu.mu, x, y)
         delta = x - y
@@ -537,25 +556,16 @@ class MonteCarlo:
         trans_i = mass_i * np.abs(vd)
         emb_i = (mass_i * np.sign(vd))[:, None] * normals
         m = len(mass_i)
-        scale = float(m)
-
-        def stats(v):
-            mean = float(np.sum(v))
-            se = math.sqrt(max(float(np.sum(v * v)) * m - mean * mean, 0.0) / max(m - 1, 1))
-            return mean, se
-
-        mass, mass_se = stats(mass_i)
-        trans, trans_se = stats(trans_i)
+        mass, mass_se = _sum_with_se(mass_i)
+        trans, trans_se = _sum_with_se(trans_i)
         emb = np.sum(emb_i, axis=0)
-        emb_sq = np.einsum("ij,ij->j", emb_i, emb_i)
-        emb_se = np.sqrt(np.clip(emb_sq * scale - emb * emb, 0.0, None) / max(m - 1, 1))
+        emb_se = _standard_error(emb, np.einsum("ij,ij->j", emb_i, emb_i), m, m)
         angle = angle_se = None
         if taus is not None:
             sel = np.abs(vd)[:, None] >= np.sin(np.asarray(taus))[None, :]
             vals = mass_i[:, None] * sel
             angle = np.sum(vals, axis=0)
-            asq = np.einsum("it,it->t", vals, vals)
-            angle_se = np.sqrt(np.clip(asq * scale - angle * angle, 0.0, None) / max(m - 1, 1))
+            angle_se = _standard_error(angle, np.einsum("it,it->t", vals, vals), m, m)
         return PairIntegrals(mass, trans, emb, angle, mass_se, trans_se, emb_se, angle_se,
                              backend=self.name)
 
@@ -564,20 +574,22 @@ class MonteCarlo:
 
         Allocation-light bulk path for the common case (offset-direction
         measures with one constant density piece); other measures fall back
-        to per-pair evaluation on the same shared batch.
+        to per-pair evaluation on the same shared batch.  The points pass the
+        same checks as ``pair``'s.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        if len(xs) != len(ys):
+            raise ValueError(f"{len(xs)} segment starts but {len(ys)} segment ends")
+        for x, y in zip(xs, ys):
+            self._points(nu, x, y)
         const = nu.constant_offset_density() if isinstance(nu, OffsetDirection) else None
         if const is None:
             out = np.array([[r.mass, r.mass_se] for r in
                             (self.pair(nu, x, y) for x, y in zip(xs, ys))])
             return out[:, 0], out[:, 1]
-        rho, olo, ohi = const
-        reach = max(float(np.max(np.linalg.norm(xs, axis=1))),
-                    float(np.max(np.linalg.norm(ys, axis=1))))
-        if reach > min(ohi, -olo):
-            raise UnsupportedBackendError("offset density span does not cover the queries")
+        rho, _, _ = _covered_density(nu, max(float(np.max(np.linalg.norm(xs, axis=1))),
+                                             float(np.max(np.linalg.norm(ys, axis=1)))))
         _, normals, base = self._batch(nu)
         m = len(normals)
         scale = base * m * rho     # omega total mass times the offset density
@@ -586,16 +598,12 @@ class MonteCarlo:
         ses = np.empty(len(xs))
         for k, delta in enumerate(xs - ys):
             np.abs(normals @ delta, out=buf)
-            s1 = float(np.einsum("i->", buf))
-            s2 = float(buf @ buf)
-            mean = s1 / m
-            var = max(s2 / m - mean * mean, 0.0)
+            mean = float(np.einsum("i->", buf)) / m
             vals[k] = scale * mean
-            ses[k] = scale * math.sqrt(var / max(m - 1, 1))
+            ses[k] = scale * _standard_error(mean, float(buf @ buf) / m, m, 1.0)
         return vals, ses
 
-    def box_mass(self, nu, lo, hi) -> tuple[float, float]:
-        lo, hi = _as_pair_points(lo, hi)
+    def _box_mass(self, nu, lo, hi) -> RegionMass:
         center = 0.5 * (lo + hi)
         halfs = 0.5 * (hi - lo)
         batch = self._batch(nu)
@@ -607,13 +615,7 @@ class MonteCarlo:
             vals = weight * ((offsets >= mid - reach) & (offsets <= mid + reach))
         else:
             vals = batch[2] * nu.offsets.mass_many(mid - reach, mid + reach)
-        m = len(vals)
-        mean = float(np.sum(vals))
-        se = math.sqrt(max(float(np.sum(vals * vals)) * m - mean * mean, 0.0) / max(m - 1, 1))
-        return mean, se
-
-    def cube_mass(self, nu, q: Cube) -> tuple[float, float]:
-        return self.box_mass(nu, q.center - 0.5 * q.edge, q.center + 0.5 * q.edge)
+        return RegionMass(*_sum_with_se(vals))
 
 
 def _sample_positions(mu, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -682,15 +684,11 @@ def transversal_integral(nu, x, y, *, backend=None) -> float:
 
 
 def cube_mass(nu, q: Cube, *, backend=None) -> float:
-    backend = backend or default_backend(nu)
-    out = backend.cube_mass(nu, q)
-    return out[0] if isinstance(out, tuple) else out
+    return (backend or default_backend(nu)).cube_mass(nu, q).mass
 
 
 def box_mass(nu, lo, hi, *, backend=None) -> float:
-    backend = backend or default_backend(nu)
-    out = backend.box_mass(nu, lo, hi)
-    return out[0] if isinstance(out, tuple) else out
+    return (backend or default_backend(nu)).box_mass(nu, lo, hi).mass
 
 
 @dataclass(frozen=True)
@@ -706,11 +704,8 @@ class EmbeddingMap:
     backend: object = field(default=None)
 
     def __init__(self, measure, basepoint, backend=None):
-        o = as_point(basepoint)
+        o = as_point(basepoint, measure.dim)
         backend = backend or default_backend(measure)
-        if not backend.supports(measure):
-            raise UnsupportedBackendError(
-                f"backend {backend.name} does not support this measure variant")
         if isinstance(measure, PositionDirection) and measure.mu.atoms_near(o).size:
             raise DegenerateConfigurationError("basepoint coincides with a mu-atom")
         o.setflags(write=False)
@@ -723,9 +718,6 @@ class EmbeddingMap:
         return self.basepoint.size
 
     def eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if np.all(x == self.basepoint):
-            return np.zeros(self.dim)
         return self.backend.pair(self.measure, x, self.basepoint).embed
 
     def eval_many(self, points) -> np.ndarray:
@@ -860,13 +852,12 @@ def embed_unit_kernel(nu: PositionDirection, o, x, constant: EmbeddingConstant |
     Alternative route to the same value as the closed-form backend; used to
     certify calibrated constants against the integral evaluators.
     """
-    if not isinstance(nu, PositionDirection) or not isinstance(nu.omega, UniformDirections):
-        raise UnsupportedBackendError("unit kernel applies to position measures with uniform directions")
-    if nu.mu.segments:
-        raise UnsupportedBackendError("unit kernel needs atom/node measures")
+    if not isinstance(nu, PositionDirection) or not _CLOSED.supports(nu):
+        raise UnsupportedBackendError(
+            "unit kernel needs a position measure with uniform directions, no line densities")
     constant = constant or EmbeddingConstant.analytic(nu.dim)
-    o = np.asarray(o, dtype=float)
-    x = np.asarray(x, dtype=float)
+    o = as_point(o, nu.dim)
+    x = as_point(x, nu.dim)
     pts, w = _point_support(nu.mu)
     dx = x - pts
     do = o - pts

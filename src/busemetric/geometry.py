@@ -9,12 +9,14 @@ pure, so they can be used concurrently without coordination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 UNIT_NORM_TOL = 1e-12
+# largest accepted coordinate magnitude: squared distances between accepted
+# points stay far inside the float64 range, which ends near 1.8e308
+MAX_COORDINATE = 1e150
 
 
 class DimensionMismatchError(ValueError):
@@ -25,15 +27,19 @@ class DegenerateConfigurationError(ValueError):
     """A query is ill-defined (zero vector, point on hyperplane, atom collision)."""
 
 
-def as_point(x) -> np.ndarray:
-    """Coerce to a finite float vector of dimension >= 2."""
+def as_point(x, dim: int | None = None) -> np.ndarray:
+    """Coerce to a float vector of dimension >= 2 (exactly ``dim`` if given) whose
+    coordinates are finite and at most ``MAX_COORDINATE`` in magnitude."""
     p = np.asarray(x, dtype=float)
+    if dim is not None and p.shape != (dim,):
+        raise DimensionMismatchError(f"point of shape {p.shape} in dimension {dim}")
     if p.ndim != 1 or p.size < 2:
         raise ValueError(f"point must be a vector of dimension >= 2, got shape {p.shape}")
     # scalar test: every query passes here, and for a handful of coordinates
-    # numpy's per-call overhead is several times the work
-    if not all(map(math.isfinite, p.tolist())):
-        raise ValueError("point coordinates must be finite")
+    # numpy's per-call overhead is several times the work; NaN fails it too
+    if not all(-MAX_COORDINATE <= c <= MAX_COORDINATE for c in p.tolist()):
+        raise ValueError(f"point coordinates must be finite and at most {MAX_COORDINATE:g} "
+                         "in magnitude")
     return p
 
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from busemetric import (BaseMeasure1D, BaseMeasureND, ClosedForm, Cube,
-                        DegenerateConfigurationError, EmbeddingConstant, EmbeddingMap,
-                        Exact2D, MonteCarlo, OffsetDirection, PositionDirection,
+                        DegenerateConfigurationError, DimensionMismatchError,
+                        EmbeddingConstant, EmbeddingMap, Exact2D, MonteCarlo,
+                        OffsetDirection, PositionDirection,
                         SymmetricCap, UniformDirections, UnsupportedBackendError,
                         calibrate_embedding_constant, cube_mass, embed_unit_kernel,
                         mc_estimate, pair_integrals, seg_mass, transversal_integral)
+from busemetric import evaluate
 from busemetric.directions import unit_kernel_constant
 from busemetric.scenarios import lebesgue_box_measure
 
@@ -444,6 +446,27 @@ def test_mc_seg_mass_many_matches_pairwise():
         assert ses[k] == pytest.approx(p.mass_se, rel=1e-9)
 
 
+def _bits(p):
+    return [np.asarray(v, dtype=float).tobytes() if v is not None else None
+            for v in (p.mass, p.transversal, p.embed, p.angle, p.mass_se, p.transversal_se,
+                      p.embed_se, p.angle_se)]
+
+
+def test_mc_batch_cache_is_bounded():
+    # a long-lived backend keeps the batches of a few recent measures only; a
+    # measure queried again after eviction gets the same batch from the seed
+    mc = MonteCarlo(budget=5_000, seed=30)
+    base = atom_measure([((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0)])
+    measures = [base.scaled(1.0 + 0.25 * k) for k in range(6)]
+    x, y = [0.1, 0.2], [0.5, -0.3]
+    first = mc.pair(measures[0], x, y, taus=[0.2, 0.9])
+    for nu in measures[1:]:
+        mc.pair(nu, x, y)
+        assert len(mc._batches) <= evaluate.BATCH_CACHE_SIZE
+    assert id(measures[0]) not in mc._batches
+    assert _bits(mc.pair(measures[0], x, y, taus=[0.2, 0.9])) == _bits(first)
+
+
 # ---------------------------------------------------------------------------
 # kernel-constant calibration
 # ---------------------------------------------------------------------------
@@ -490,12 +513,27 @@ def test_unsupported_backend_pairings():
     mu1 = BaseMeasure1D.lebesgue(-5.0, 5.0, 1.0)
     ba = PositionDirection(BaseMeasureND.from_axis_measure(mu1),
                            SymmetricCap((1.0, 0.0), 0.4))
-    with pytest.raises(UnsupportedBackendError):
-        CF.pair(ba, np.array([0.0, 0.5]), np.array([1.0, 0.5]))  # cap needs exact2d
     nu3 = PositionDirection(BaseMeasureND(3, atoms=[((1.0, 0.0, 0.0), 1.0)]),
                             UniformDirections(3))
-    with pytest.raises(UnsupportedBackendError):
-        E2.pair(nu3, np.zeros(3), np.ones(3))  # planar backend only
+    # position measures whose directions are not uniform have no closed form:
+    # the uniform kernel would give a finite wrong mass
+    caps2 = atom_measure([((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0)])
+    caps2 = PositionDirection(caps2.mu, SymmetricCap([0.0, 1.0], 0.3))
+    caps3 = PositionDirection(BaseMeasureND(3, atoms=[((2.0, 0.3, 0.1), 1.0)]),
+                              SymmetricCap([0.0, 0.0, 1.0], 0.4))
+    cases = [(CF, ba, [0.0, 0.5], [1.0, 0.5]),        # cap needs exact2d
+             (E2, nu3, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),  # planar backend only
+             (CF, caps2, [0.0, 0.0], [0.5, 0.2]),
+             (CF, caps3, [0.0, 0.0, 0.0], [0.3, 0.2, 0.1])]
+    for backend, nu, x, y in cases:
+        with pytest.raises(UnsupportedBackendError):
+            backend.pair(nu, x, y)
+        with pytest.raises(UnsupportedBackendError):
+            backend.pair(nu, x, x)
+        with pytest.raises(UnsupportedBackendError):
+            backend.box_mass(nu, x, y)
+        with pytest.raises(UnsupportedBackendError):
+            backend.cube_mass(nu, Cube(x, 0.5))
     narrow = OffsetDirection(UniformDirections(2), BaseMeasure1D.lebesgue(-1.0, 1.0, 1.0))
     with pytest.raises(UnsupportedBackendError):
         CF.pair(narrow, np.array([5.0, 0.0]), np.array([6.0, 0.0]))  # span not covered
@@ -518,10 +556,15 @@ NON_FINITE_QUERIES = {
     "pair": lambda b, nu, p: b.pair(nu, p, [0.2, 0.3]),
     "eval": lambda b, nu, p: EmbeddingMap(nu, [0.1, 0.4], backend=b).eval(p),
     "box_mass": lambda b, nu, p: b.box_mass(nu, p, [0.5, 0.6]),
+    # Monte Carlo only, whatever the case's backend
+    "seg_mass_many": lambda b, nu, p: MonteCarlo(budget=2_000, seed=5).seg_mass_many(
+        nu, [p], [[0.2, 0.3]]),
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# +-1e200 is finite, but its square overflows float64 and the kernels would
+# give finite wrong answers (mass 0.5 instead of 0.9578 at (1e200, 0))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200, -1e200])
 @pytest.mark.parametrize("query", list(NON_FINITE_QUERIES))
 @pytest.mark.parametrize("case", list(NON_FINITE_CASES))
 def test_non_finite_points_rejected(case, query, bad):
@@ -530,3 +573,25 @@ def test_non_finite_points_rejected(case, query, bad):
     backend, make = NON_FINITE_CASES[case]
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_QUERIES[query](backend, make(), [bad, 0.5])
+
+
+WRONG_DIMENSION_ROUTES = {
+    "closed_form-pair": lambda: CF.pair(crofton2(), [0.0, 0.0, 0.0], [0.5, 0.2, 0.1]),
+    "closed_form-box_mass": lambda: CF.box_mass(crofton2(), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+    "exact2d-pair": lambda: E2.pair(_axis_cap(), [0.1, 0.2], [0.3, 0.4, 0.5]),
+    "monte_carlo-cube_mass": lambda: MonteCarlo(budget=2_000, seed=5).cube_mass(
+        crofton2(), Cube([0.0, 0.0, 0.0], 1.0)),
+    "seg_mass_many": lambda: MonteCarlo(budget=2_000, seed=5).seg_mass_many(
+        crofton2(), [[0.1, 0.0]], [[0.5]]),
+    "eval": lambda: EmbeddingMap(crofton2(), [0.0, 0.0]).eval([0.0]),
+    "eval_many": lambda: EmbeddingMap(crofton2(), [0.0, 0.0]).eval_many(np.zeros((2, 1))),
+    "basepoint": lambda: EmbeddingMap(crofton2(), [0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("route", list(WRONG_DIMENSION_ROUTES))
+def test_wrong_dimension_points_rejected(route):
+    # without the check these answer (a 3-vector embed on crofton2,
+    # f([0.0]) = [0, 0]) or fail deep inside numpy broadcasting
+    with pytest.raises(DimensionMismatchError):
+        WRONG_DIMENSION_ROUTES[route]()
