@@ -23,12 +23,15 @@ density-support boundary direction crosses it, where the query line (or a
 box edge line) crosses it, graded dyadically toward the projections of the
 query points (or the box center), and integrated with SEGMENT_ORDER
 Gauss-Legendre nodes per smooth span.  Segments with no such feature take
-fixed bulk nodes.
+fixed bulk nodes.  A measure stacks its segments once into a read-only
+``SegmentTable``, and a query generates, merges and expands the cuts of all
+its segments as arrays in one pass.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,10 +161,14 @@ def box_corners(lo, hi) -> np.ndarray:
     return np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
 
 
-def box_cloud_mass(points, weights, pieces, box_lo, box_hi):
-    """Direction mass of hyperplanes through each position that hit an axis box."""
+def box_cloud_hits(points, pieces, box_lo, box_hi):
+    """Direction mass of the hyperplanes through each position that hit an axis box.
+
+    Returns ``(ii, vals)``: one entry per nonempty (position, arc piece,
+    density piece) overlap, in position order; the box mass of a weighted
+    cloud is ``w[ii] @ vals``.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(weights, dtype=float)
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
     corners = box_corners(lo, hi)
@@ -181,8 +188,13 @@ def box_cloud_mass(points, weights, pieces, box_lo, box_hi):
     glo = np.maximum(arc_lo[:, :, None], dens[None, None, :, 0])
     ghi = np.minimum(arc_hi[:, :, None], dens[None, None, :, 1])
     ii, pp, jj = np.nonzero(ghi > glo)
-    vals = dens[jj, 2] * (ghi[ii, pp, jj] - glo[ii, pp, jj])
-    return float(w[ii] @ vals)
+    return ii, dens[jj, 2] * (ghi[ii, pp, jj] - glo[ii, pp, jj])
+
+
+def box_cloud_mass(points, weights, pieces, box_lo, box_hi):
+    """Direction mass of hyperplanes through each position that hit an axis box."""
+    ii, vals = box_cloud_hits(points, pieces, box_lo, box_hi)
+    return float(np.asarray(weights, dtype=float)[ii] @ vals)
 
 
 # ---------------------------------------------------------------------------
@@ -239,51 +251,171 @@ def _boundary_crossings(p0s, us, qs, dirs) -> np.ndarray:
         return num / denom[:, None, :]
 
 
-def _ladder(center: float, scale: float, length: float) -> list[float]:
-    """Dyadic split points spreading outward from a feature at ``center``."""
-    out = []
-    step = scale
-    while step < 2.0 * length:
-        for s in (center - step, center + step):
-            if 0.0 < s < length:
-                out.append(s)
-        step *= 2.0
-    return out
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each computed as a 1-D ``a[k] @ b[k]`` would be.
 
-
-def _merge_cuts(cuts, length: float) -> np.ndarray:
-    """Sorted cut parameters with near-duplicates collapsed.
-
-    Cuts produced by different feature formulas for the same geometric point
-    can differ by a few ulps; an interval that thin would round its interior
-    quadrature nodes onto the cut itself.
+    A stack of (1 x n) @ (n x 1) products runs the same dot kernel per
+    vector pair, which may fuse multiply-adds, so a cut computed for all
+    segments at once keeps the bits it has when computed for one; ``einsum``
+    does not fuse.
     """
-    edges = sorted(cuts)
-    tol = 1e-13 * max(length, 1.0)
-    out = [edges[0]]
-    for e in edges[1:]:
-        if e - out[-1] > tol:
-            out.append(e)
-    if out[-1] < length:
-        out[-1] = length
-    return np.asarray(out, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _frame(p0, p1):
-    """(p0, unit direction, length) of a density segment."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    length = float(np.linalg.norm(p1 - p0))
-    return p0, (p1 - p0) / length, length
+def _frames(p0s: np.ndarray, p1s: np.ndarray):
+    """Unit directions and lengths of segment rows (lengths as ``np.linalg.norm``)."""
+    d = p1s - p0s
+    lengths = np.sqrt(_rowdot(d, d))
+    return d / lengths[:, None], lengths
 
 
-def _span_nodes(p0, u, length: float, cuts, dens: float):
-    """Gauss nodes and weights along a segment split at ``cuts``."""
-    svals, wvals = _gl_spans(_merge_cuts(cuts, length), SEGMENT_ORDER)
-    return p0[None, :] + svals[:, None] * u[None, :], wvals * dens
+def _normals(us: np.ndarray) -> np.ndarray:
+    """In-plane unit normals (-u1, u0); no columns outside the plane."""
+    if us.shape[1] != 2:
+        return np.zeros((len(us), 0))
+    return np.stack([-us[:, 1], us[:, 0]], axis=1)
 
 
-def segments_needing_features(segments, x, y, boundary) -> np.ndarray:
+class SegmentTable(NamedTuple):
+    """A measure's density segments as read-only arrays, one row per segment."""
+
+    p0s: np.ndarray        # (m, dim) start points
+    p1s: np.ndarray        # (m, dim) end points
+    us: np.ndarray         # (m, dim) unit directions
+    lengths: np.ndarray    # (m,)
+    nrms: np.ndarray       # (m, 2) in-plane unit normals; (m, 0) outside the plane
+    denss: np.ndarray      # (m,) densities per unit length
+    bulk_pts: np.ndarray   # (m, SEGMENT_ORDER, dim) fixed Gauss nodes (segment_bulk_nodes)
+    bulk_wts: np.ndarray   # (m, SEGMENT_ORDER)
+
+
+def segment_table(segments, dim: int) -> SegmentTable:
+    """Stack ``(p0, p1, density)`` triples into a read-only ``SegmentTable``."""
+    m = len(segments)
+    p0s = np.array([s[0] for s in segments], dtype=float).reshape(m, dim)
+    p1s = np.array([s[1] for s in segments], dtype=float).reshape(m, dim)
+    denss = np.array([s[2] for s in segments], dtype=float)
+    us, lengths = _frames(p0s, p1s)
+    bulk_pts, bulk_wts = segment_bulk_nodes(p0s, p1s, denss)
+    table = SegmentTable(p0s, p1s, us, lengths, _normals(us), denss,
+                         bulk_pts.reshape(m, SEGMENT_ORDER, dim),
+                         bulk_wts.reshape(m, SEGMENT_ORDER))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _ladders(center, scale, lengths, active) -> np.ndarray:
+    """Dyadic split points center -/+ scale 2^k, k >= 0, while the step is below
+    twice the segment length.
+
+    ``center``, ``scale`` and ``active`` hold a column per feature of each
+    segment row; inactive features give nan.  ``scale 2^k`` is exact, so
+    these are the points repeated doubling gives.
+    """
+    active = active & (scale > 0.0)
+    if not active.any():
+        return np.zeros((len(lengths), 0))
+    lens = lengths[:, None, None]
+    # scale 2^k < 2 length needs k < (length exponent) - (scale exponent) + 2
+    count = int((np.frexp(lens)[1][:, 0] - np.frexp(scale)[1])[active].max()) + 2
+    steps = np.ldexp(scale[:, :, None], np.arange(max(count, 0)))
+    steps = np.where(active[:, :, None] & (steps < 2.0 * lens), steps, np.nan)
+    # center + (-step) is center - step, bit for bit
+    return (center[:, :, None] + np.concatenate([-steps, steps], axis=2)).reshape(len(lengths), -1)
+
+
+def _sequential_keep(edges: np.ndarray, tol: float) -> np.ndarray:
+    """Which of one row's sorted edges survive: an edge within ``tol`` of the
+    last surviving one is dropped (so is every repeat)."""
+    keep = np.zeros(len(edges), dtype=bool)
+    last = edges[0]
+    keep[0] = True
+    for j in range(1, len(edges)):
+        if edges[j] - last > tol:
+            keep[j] = True
+            last = edges[j]
+    return keep
+
+
+def _cut_nodes(p0s, us, lengths, denss, cuts):
+    """Gauss nodes and weights along segment rows split at their candidate cuts.
+
+    Row k of ``cuts`` holds candidates for segment k; those outside
+    (0, length) (and nan) are ignored.  Cuts produced by different feature
+    formulas for the same geometric point can differ by a few ulps, and an
+    interval that thin would round its interior quadrature nodes onto the
+    cut itself, so after sorting, a cut within 1e-13 max(length, 1) of the
+    last kept one is dropped and the last kept one moves to the length.
+    Returns points, weights and each node's row, rows in order.
+    """
+    m = len(lengths)
+    lens = lengths[:, None]
+    # ignored candidates become repeats of the length, dropped like any repeat
+    edges = np.concatenate([np.zeros((m, 1)), lens,
+                            np.where((cuts > 0.0) & (cuts < lens), cuts, lens)], axis=1)
+    edges.sort(axis=1)
+    gaps = edges[:, 1:] - edges[:, :-1]
+    close = gaps <= 1e-13 * np.maximum(lens, 1.0)
+    keep = np.concatenate([np.ones((m, 1), dtype=bool), ~close], axis=1)
+    # an edge is dropped against its kept predecessor; only a distinct edge
+    # close to a predecessor that was itself dropped is judged wrongly here
+    redo = close[:, 1:] & (gaps[:, 1:] > 0.0) & close[:, :-1]
+    for r in np.flatnonzero(redo.any(axis=1)):
+        keep[r] = _sequential_keep(edges[r], 1e-13 * max(float(lengths[r]), 1.0))
+    last = keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+    edges[np.arange(m), last] = lengths
+    rows, cols = np.nonzero(keep)
+    # spans between consecutive kept edges, dropping the ones across rows
+    s, w = _gl_spans(edges[rows, cols], SEGMENT_ORDER)
+    same = np.repeat(rows[1:] == rows[:-1], SEGMENT_ORDER)
+    seg = np.repeat(rows[:-1], SEGMENT_ORDER)[same]
+    # np.take gathers rows several times faster than fancy indexing does
+    return (np.take(p0s, seg, axis=0) + s[same][:, None] * np.take(us, seg, axis=0),
+            w[same] * np.take(denss, seg), seg)
+
+
+def _pair_geometry(p0s, us, nrms, x, y, dirs):
+    """Where x and y sit relative to each segment row, for the mask and the cuts.
+
+    Returns h and s of shape (rows, 2): the signed distances of x and y
+    from the segment line and the parameters of their projections; the
+    parameter where the query line crosses the segment line (nan or inf
+    where it does not); and the boundary crossings from x and y, one column
+    each per direction.
+    """
+    qs = np.array([x, y])
+    rel = qs - p0s[:, None, :]
+    h = _rowdot(rel, nrms[:, None, :])
+    s = _rowdot(rel, us[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_star = s[:, 0] + h[:, 0] * (s[:, 1] - s[:, 0]) / (h[:, 0] - h[:, 1])
+    return h, s, s_star, _boundary_crossings(p0s, us, qs, dirs).reshape(len(p0s), -1)
+
+
+def _needs_features(lengths, h, s, s_star, crossings) -> np.ndarray:
+    """The ``segments_needing_features`` mask from ``_pair_geometry``'s output."""
+    lens = lengths[:, None]
+    special = np.any((np.abs(h) < lens) & (s > -lens) & (s < 2.0 * lens), axis=1)
+    special |= (h[:, 0] != h[:, 1]) & (s_star > 0.0) & (s_star < lengths)
+    return special | np.any((crossings > 0.0) & (crossings < lens), axis=1)
+
+
+def _pair_cuts(us, lengths, delta, h, s, s_star, crossings) -> np.ndarray:
+    """Candidate cuts of segment rows for a pair query (see ``segment_query_nodes``)."""
+    cross = us[:, 0] * delta[1] - us[:, 1] * delta[0]
+    # the query line on the segment line: only the projections of x and y cut
+    collinear = (cross == 0.0) & (h[:, 0] == 0.0)
+    s_star = np.where(~collinear & (cross != 0.0) & (h[:, 0] != h[:, 1]), s_star, np.nan)
+    d = np.abs(h)
+    lens = lengths[:, None]
+    graded = ~collinear[:, None] & (d < lens) & (-lens < s) & (s < 2.0 * lens)
+    return np.concatenate([s_star[:, None], np.where(collinear[:, None], np.nan, crossings),
+                           np.where(collinear[:, None] | (d == 0.0), s, np.nan),
+                           _ladders(s, d, lengths, graded)], axis=1)
+
+
+def segments_needing_features(table: SegmentTable, x, y, boundary) -> np.ndarray:
     """Mask of density segments whose arc integrand changes regime inside them.
 
     A segment is smooth at its own length scale unless a query point projects
@@ -292,27 +424,8 @@ def segments_needing_features(segments, x, y, boundary) -> np.ndarray:
     query-adaptive splitting of ``segment_query_nodes``, the rest take fixed
     bulk Gauss nodes.
     """
-    p0s = np.stack([s[0] for s in segments])
-    p1s = np.stack([s[1] for s in segments])
-    lengths = np.linalg.norm(p1s - p0s, axis=1)
-    us = (p1s - p0s) / lengths[:, None]
-    nrms = np.stack([-us[:, 1], us[:, 0]], axis=1)
-    special = np.zeros(len(segments), dtype=bool)
-    proj = []
-    for q in (x, y):
-        rel = q[None, :] - p0s
-        h = np.einsum("ij,ij->i", rel, nrms)
-        s = np.einsum("ij,ij->i", rel, us)
-        proj.append((h, s))
-        special |= (np.abs(h) < lengths) & (s > -lengths) & (s < 2.0 * lengths)
-    (hx, sx), (hy, sy) = proj
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_star = sx + hx * (sy - sx) / (hx - hy)
-    valid = (hx != hy) & np.isfinite(s_star)
-    special |= valid & (s_star > 0.0) & (s_star < lengths)
-    s = _boundary_crossings(p0s, us, np.stack([x, y]), _boundary_dirs(boundary))
-    special |= np.any((s > 0.0) & (s < lengths[:, None, None]), axis=(1, 2))
-    return special
+    geometry = _pair_geometry(table.p0s, table.us, table.nrms, x, y, _boundary_dirs(boundary))
+    return _needs_features(table.lengths, *geometry)
 
 
 def segment_query_nodes(p0, p1, dens, x, y, boundary_angles):
@@ -324,39 +437,14 @@ def segment_query_nodes(p0, p1, dens, x, y, boundary_angles):
     When the query line coincides with the segment line the integrand is
     piecewise constant and only the projections of x and y are needed.
     """
-    p0, u, length = _frame(p0, p1)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    delta = x - y
-
-    cuts = {0.0, length}
-    cross_u_delta = u[0] * delta[1] - u[1] * delta[0]
-    nrm = np.array([-u[1], u[0]])
-    hx = float((x - p0) @ nrm)
-    hy = float((y - p0) @ nrm)
-    sx = float((x - p0) @ u)
-    sy = float((y - p0) @ u)
-
-    if cross_u_delta == 0.0 and hx == 0.0:
-        cuts.update(s for s in (sx, sy) if 0.0 < s < length)
-    else:
-        if cross_u_delta != 0.0 and hx != hy:
-            # intersection of the query line with the segment line
-            s_star = sx + hx * (sy - sx) / (hx - hy)
-            if 0.0 < s_star < length:
-                cuts.add(s_star)
-        s = _boundary_crossings(p0[None], u[None], np.stack([x, y]), _boundary_dirs(boundary_angles))
-        cuts.update(s[(s > 0.0) & (s < length)].tolist())
-        for s_proj, h in ((sx, hx), (sy, hy)):
-            d = abs(h)
-            if d == 0.0:
-                # the query point sits on the segment line: the integrand
-                # jumps at its projection and is smooth on both sides
-                if 0.0 < s_proj < length:
-                    cuts.add(s_proj)
-            elif d < length and -length < s_proj < 2.0 * length:
-                cuts.update(_ladder(s_proj, d, length))
-    return _span_nodes(p0, u, length, cuts, dens)
+    p0s = np.asarray(p0, dtype=float)[None, :]
+    us, lengths = _frames(p0s, np.asarray(p1, dtype=float)[None, :])
+    geometry = _pair_geometry(p0s, us, _normals(us), x, y, _boundary_dirs(boundary_angles))
+    cuts = _pair_cuts(us, lengths, x - y, *geometry)
+    pts, wts, _ = _cut_nodes(p0s, us, lengths, np.array([float(dens)]), cuts)
+    return pts, wts
 
 
 def segment_bulk_nodes(p0s, p1s, denss):
@@ -372,48 +460,60 @@ def segment_bulk_nodes(p0s, p1s, denss):
     return pts.reshape(-1, p0s.shape[1]), wts.ravel()
 
 
-def segment_pair_nodes(segments, pieces, x, y):
+def segment_pair_nodes(table: SegmentTable, pieces, x, y):
     """Gauss nodes and weights of all density segments for a pair query.
 
     Segments that ``segments_needing_features`` marks take query-adaptive
-    nodes, in segment order; the rest follow as one block of bulk nodes.
+    nodes, in segment order; the rest follow as one block of their bulk nodes.
     """
-    if not segments:
+    if not len(table.lengths):
         return np.zeros((0, 2)), np.zeros(0)
-    boundary = boundary_angles(pieces)
-    special = segments_needing_features(segments, x, y, boundary)
-    parts = [segment_query_nodes(*segments[k], x, y, boundary) for k in np.flatnonzero(special)]
-    bulk = [seg for seg, feat in zip(segments, special) if not feat]
-    if bulk:
-        parts.append(segment_bulk_nodes(*zip(*bulk)))
-    pts, wts = zip(*parts)
-    return np.concatenate(pts), np.concatenate(wts)
+    geometry = _pair_geometry(table.p0s, table.us, table.nrms, x, y,
+                              _boundary_dirs(boundary_angles(pieces)))
+    special = _needs_features(table.lengths, *geometry)
+    bulk = ~special
+    pts, wts = table.bulk_pts[bulk].reshape(-1, 2), table.bulk_wts[bulk].ravel()
+    if not bulk.all():
+        us, lengths = table.us[special], table.lengths[special]
+        cuts = _pair_cuts(us, lengths, x - y, *(a[special] for a in geometry))
+        fpts, fwts, _ = _cut_nodes(table.p0s[special], us, lengths, table.denss[special], cuts)
+        pts, wts = np.concatenate([fpts, pts]), np.concatenate([fwts, wts])
+    return pts, wts
 
 
-def segment_box_nodes(segments, pieces, lo, hi):
-    """Gauss nodes and weights along each density segment for a box query, per segment.
+def segment_box_nodes(table: SegmentTable, pieces, lo, hi):
+    """Gauss nodes, weights and segment rows along the density segments for a box query.
 
     Each segment is split where it crosses the four box edge lines (the
     wedge's tangent corners switch there), where the line from a corner
     along a boundary direction crosses it, and dyadically toward the
     projection of the box center.
     """
-    corners = box_corners(lo, hi)
-    dirs = _boundary_dirs(boundary_angles(pieces))
-    center = 0.5 * (lo + hi)
-    for p0, p1, dens in segments:
-        p0, u, length = _frame(p0, p1)
-        cuts = {0.0, length}
-        for axis, val in ((0, lo[0]), (0, hi[0]), (1, lo[1]), (1, hi[1])):
-            if u[axis] != 0.0:
-                s = (val - p0[axis]) / u[axis]
-                if 0.0 < s < length:
-                    cuts.add(s)
-        s = _boundary_crossings(p0[None], u[None], corners, dirs)
-        cuts.update(s[(s > 0.0) & (s < length)].tolist())
-        nrm = np.array([-u[1], u[0]])
-        h = abs(float((center - p0) @ nrm))
-        s_proj = float((center - p0) @ u)
-        scale = max(h, 0.25 * float(np.min(hi - lo)))
-        cuts.update(_ladder(s_proj, scale, length))
-        yield _span_nodes(p0, u, length, cuts, dens)
+    p0s, us, lengths = table.p0s, table.us, table.lengths
+    m = len(lengths)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # where each segment crosses the lines x = lo0, x = hi0, y = lo1, y = hi1
+        edge_cuts = (np.stack([lo, hi], axis=1) - p0s[:, :, None]) / us[:, :, None]
+    crossings = _boundary_crossings(p0s, us, box_corners(lo, hi),
+                                    _boundary_dirs(boundary_angles(pieces)))
+    rel = 0.5 * (lo + hi) - p0s
+    scale = np.maximum(np.abs(_rowdot(rel, table.nrms)), 0.25 * float(np.min(hi - lo)))
+    ladders = _ladders(_rowdot(rel, us)[:, None], scale[:, None], lengths,
+                       np.ones((m, 1), dtype=bool))
+    cuts = np.concatenate([edge_cuts.reshape(m, 4), crossings.reshape(m, -1), ladders], axis=1)
+    return _cut_nodes(p0s, us, lengths, table.denss, cuts)
+
+
+def segment_box_masses(table: SegmentTable, pieces, lo, hi) -> list[float]:
+    """Box-hitting direction mass of each density segment, in segment order.
+
+    One wedge pass over all segments' nodes; each segment's mass is its own
+    dot product, so the values are those of separate per-segment passes.
+    """
+    if not len(table.lengths):
+        return []
+    pts, wts, seg = segment_box_nodes(table, pieces, lo, hi)
+    ii, vals = box_cloud_hits(pts, pieces, lo, hi)
+    wi = wts[ii]
+    bounds = np.searchsorted(seg[ii], np.arange(len(table.lengths) + 1)).tolist()
+    return [float(wi[a:b] @ vals[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]

@@ -168,6 +168,13 @@ class SymmetricCap:
         a.setflags(write=False)
         object.__setattr__(self, "axis", a)
         object.__setattr__(self, "half_angle", float(half_angle))
+        if a.size == 2:
+            # built once: the planar exact backend asks for them on every query
+            center = math.atan2(a[1], a[0]) % PI
+            arc = wrap_interval(center - self.half_angle, 2.0 * self.half_angle)
+            pieces = normalize_pieces([(lo, hi, 1.0) for lo, hi in arc])
+            pieces.setflags(write=False)
+            object.__setattr__(self, "_arc_pieces", pieces)
 
     @property
     def dim(self) -> int:
@@ -184,9 +191,7 @@ class SymmetricCap:
     def arc_pieces(self) -> np.ndarray:
         if self.dim != 2:
             raise ValueError("arc pieces exist only for n = 2")
-        center = math.atan2(self.axis[1], self.axis[0]) % PI
-        pieces = [(lo, hi, 1.0) for lo, hi in wrap_interval(center - self.half_angle, 2.0 * self.half_angle)]
-        return normalize_pieces(pieces)
+        return self._arc_pieces
 
     def sample_normals(self, rng: np.random.Generator, size: int) -> np.ndarray:
         n = self.dim

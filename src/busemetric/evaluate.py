@@ -92,13 +92,20 @@ def _check_atoms_off_segment(mu, x, y):
         raise DegenerateConfigurationError("mu-atom lies on the closed query segment")
 
 
-def _degenerate_pair(nu, x, taus):
-    """The x == y result: zero, unless an atom at x carries hyperplane mass."""
+def _degenerate_pair(nu, x, taus, backend) -> PairIntegrals:
+    """The x == y result: zero, unless an atom at x carries hyperplane mass.
+
+    Labelled with the backend's name, and with zero standard errors shaped
+    like the values when the backend estimates them.
+    """
     if isinstance(nu, PositionDirection) and nu.mu.atoms_near(x).size:
         raise DegenerateConfigurationError(
             "point query coincides with a mu-atom: every direction's hyperplane passes through it")
     t = None if taus is None else np.zeros(len(taus))
-    return PairIntegrals(0.0, 0.0, np.zeros(x.size), t)
+    if not backend.estimates_se:
+        return PairIntegrals(0.0, 0.0, np.zeros(x.size), t, backend=backend.name)
+    return PairIntegrals(0.0, 0.0, np.zeros(x.size), t, 0.0, 0.0, np.zeros(x.size),
+                         None if t is None else np.zeros(len(t)), backend=backend.name)
 
 
 class Backend:
@@ -108,6 +115,7 @@ class Backend:
     then call the backend's ``_pair`` or ``_box_mass``."""
 
     name: str
+    estimates_se = False       # answers carry standard errors
 
     def supports(self, nu: HyperplaneMeasure) -> bool:
         raise NotImplementedError
@@ -121,7 +129,7 @@ class Backend:
     def pair(self, nu, x, y, taus=None) -> PairIntegrals:
         x, y = self._points(nu, x, y)
         if np.all(x == y):
-            return _degenerate_pair(nu, x, taus)
+            return _degenerate_pair(nu, x, taus, self)
         return self._pair(nu, x, y, taus)
 
     def box_mass(self, nu, lo, hi) -> RegionMass:
@@ -406,7 +414,7 @@ class Exact2D(Backend):
 
         accumulate(nu.mu.atom_points, nu.mu.atom_weights, "error")
         accumulate(nu.mu.node_points, nu.mu.node_weights, "full")
-        accumulate(*arcs.segment_pair_nodes(nu.mu.segments, pieces, x, y), "full")
+        accumulate(*arcs.segment_pair_nodes(nu.mu.segment_table, pieces, x, y), "full")
         return PairIntegrals(mass, trans, emb, angle, backend=self.name)
 
     def _box_mass(self, nu, lo, hi) -> RegionMass:
@@ -421,8 +429,8 @@ def _position_box_mass_2d(nu, lo, hi) -> float:
         total += arcs.box_cloud_mass(nu.mu.atom_points, nu.mu.atom_weights, pieces, lo, hi)
     if nu.mu.node_points.size:
         total += arcs.box_cloud_mass(nu.mu.node_points, nu.mu.node_weights, pieces, lo, hi)
-    for pts, wts in arcs.segment_box_nodes(nu.mu.segments, pieces, lo, hi):
-        total += arcs.box_cloud_mass(pts, wts, pieces, lo, hi)
+    for mass in arcs.segment_box_masses(nu.mu.segment_table, pieces, lo, hi):
+        total += mass
     return float(total)
 
 
@@ -484,6 +492,7 @@ class MonteCarlo(Backend):
     """
 
     name = "monte_carlo"
+    estimates_se = True
 
     def __init__(self, budget: int = 100_000, seed: int = 0):
         if budget <= 0:
@@ -625,7 +634,8 @@ def _sample_positions(mu, rng: np.random.Generator, size: int) -> np.ndarray:
         blocks.append(("atoms", mu.atom_weights))
     if mu.node_points.size:
         blocks.append(("nodes", mu.node_weights))
-    seg_masses = np.array([dens * np.linalg.norm(p1 - p0) for p0, p1, dens in mu.segments])
+    table = mu.segment_table
+    seg_masses = table.denss * table.lengths
     if seg_masses.size:
         blocks.append(("segments", seg_masses))
     weights = np.concatenate([w for _, w in blocks])
@@ -644,9 +654,8 @@ def _sample_positions(mu, rng: np.random.Generator, size: int) -> np.ndarray:
         elif kind == "nodes":
             out[sel] = mu.node_points[local]
         else:
-            p0s = np.stack([mu.segments[i][0] for i in range(len(mu.segments))])
-            p1s = np.stack([mu.segments[i][1] for i in range(len(mu.segments))])
-            out[sel] = p0s[local] + frac[sel, None] * (p1s[local] - p0s[local])
+            p0s, p1s = table.p0s[local], table.p1s[local]
+            out[sel] = p0s + frac[sel, None] * (p1s - p0s)
         offset += len(w)
     return out
 
@@ -704,7 +713,7 @@ class EmbeddingMap:
     backend: object = field(default=None)
 
     def __init__(self, measure, basepoint, backend=None):
-        o = as_point(basepoint, measure.dim)
+        o = as_point(basepoint, measure.dim).copy()
         backend = backend or default_backend(measure)
         if isinstance(measure, PositionDirection) and measure.mu.atoms_near(o).size:
             raise DegenerateConfigurationError("basepoint coincides with a mu-atom")

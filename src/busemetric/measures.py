@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import _gl
+from .arcs import SegmentTable, _gl, segment_table
 from .geometry import DegenerateConfigurationError
 
 
@@ -130,7 +130,9 @@ class BaseMeasureND:
     construction (``gauss_order`` points per axis); the realized nodes *are*
     the measure as far as all integral queries are concerned, which keeps
     every backend consistent.  Builders control accuracy by grading the
-    cell sizes.
+    cell sizes.  The segments are also stacked once into a read-only
+    ``segment_table`` for the array-wise evaluators.  The measure copies
+    every array it is given, so freezing them never touches the caller's.
     """
 
     dim: int
@@ -141,6 +143,7 @@ class BaseMeasureND:
     node_weights: np.ndarray
     segments: tuple          # (p0, p1, linear_density) triples
     gauss_order: int = field(default=4)
+    segment_table: SegmentTable = field(default=None, repr=False, compare=False)
 
     def __init__(self, dim: int, atoms=(), cells=(), segments=(), gauss_order: int = 4):
         if dim < 2:
@@ -149,7 +152,7 @@ class BaseMeasureND:
         awts = np.asarray([a[1] for a in atoms], dtype=float)
         if np.any(awts <= 0):
             raise ValueError("atom weights must be positive")
-        cl = np.asarray(cells, dtype=float).reshape(-1, 2 * dim + 1)
+        cl = np.array(cells, dtype=float).reshape(-1, 2 * dim + 1)
         if cl.size:
             if np.any(cl[:, :dim] >= cl[:, dim:2 * dim]):
                 raise ValueError("cells need lo < hi on every axis")
@@ -170,8 +173,8 @@ class BaseMeasureND:
         node_p, node_w = self._realize_cells(dim, cl, gauss_order)
         segs = []
         for p0, p1, dens in segments:
-            p0 = np.asarray(p0, dtype=float)
-            p1 = np.asarray(p1, dtype=float)
+            p0 = np.array(p0, dtype=float)
+            p1 = np.array(p1, dtype=float)
             if p0.shape != (dim,) or p1.shape != (dim,):
                 raise ValueError("segment endpoints must have the measure dimension")
             if dens < 0:
@@ -193,6 +196,7 @@ class BaseMeasureND:
         object.__setattr__(self, "node_weights", node_w)
         object.__setattr__(self, "segments", tuple(segs))
         object.__setattr__(self, "gauss_order", int(gauss_order))
+        object.__setattr__(self, "segment_table", segment_table(segs, dim))
 
     @staticmethod
     def _realize_cells(dim, cells, order):

@@ -1,33 +1,320 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from busemetric import arcs
-from busemetric.cli import build_scenario
+from busemetric import arcs, diagnostics
+from busemetric.cli import _plan_from_config, build_scenario
+from busemetric.hyperplane_measures import PositionDirection
+from busemetric.measures import BaseMeasureND
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
+
+def _scenario(name):
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    return build_scenario(cfg["scenario"], cfg["seed"]).measure, _plan_from_config(cfg)
+
+
+def _rotated(nu, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    segs = [(rot @ p0, rot @ p1, dens) for p0, p1, dens in nu.mu.segments]
+    return PositionDirection(BaseMeasureND(2, segments=segs), nu.omega), rot
+
+
+# ---------------------------------------------------------------------------
+# per-segment reference: one segment at a time, each cut a Python float, as
+# the cuts were generated before they became array-wise
+# ---------------------------------------------------------------------------
+
+def _ref_frame(p0, p1):
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    length = float(np.linalg.norm(p1 - p0))
+    return p0, (p1 - p0) / length, length
+
+
+def _ref_ladder(center, scale, length):
+    out = []
+    step = scale
+    while step < 2.0 * length:
+        for s in (center - step, center + step):
+            if 0.0 < s < length:
+                out.append(s)
+        step *= 2.0
+    return out
+
+
+def _ref_merge_cuts(cuts, length):
+    edges = sorted(cuts)
+    tol = 1e-13 * max(length, 1.0)
+    out = [edges[0]]
+    for e in edges[1:]:
+        if e - out[-1] > tol:
+            out.append(e)
+    if out[-1] < length:
+        out[-1] = length
+    return np.asarray(out, dtype=float)
+
+
+def _ref_span_nodes(p0, u, length, cuts, dens):
+    svals, wvals = arcs._gl_spans(_ref_merge_cuts(cuts, length), arcs.SEGMENT_ORDER)
+    return p0[None, :] + svals[:, None] * u[None, :], wvals * dens
+
+
+def _ref_query_nodes(p0, p1, dens, x, y, boundary):
+    p0, u, length = _ref_frame(p0, p1)
+    delta = x - y
+    cuts = {0.0, length}
+    cross_u_delta = u[0] * delta[1] - u[1] * delta[0]
+    nrm = np.array([-u[1], u[0]])
+    hx = float((x - p0) @ nrm)
+    hy = float((y - p0) @ nrm)
+    sx = float((x - p0) @ u)
+    sy = float((y - p0) @ u)
+    if cross_u_delta == 0.0 and hx == 0.0:
+        cuts.update(s for s in (sx, sy) if 0.0 < s < length)
+    else:
+        if cross_u_delta != 0.0 and hx != hy:
+            s_star = sx + hx * (sy - sx) / (hx - hy)
+            if 0.0 < s_star < length:
+                cuts.add(s_star)
+        s = arcs._boundary_crossings(p0[None], u[None], np.stack([x, y]),
+                                     arcs._boundary_dirs(boundary))
+        cuts.update(s[(s > 0.0) & (s < length)].tolist())
+        for s_proj, h in ((sx, hx), (sy, hy)):
+            d = abs(h)
+            if d == 0.0:
+                if 0.0 < s_proj < length:
+                    cuts.add(s_proj)
+            elif d < length and -length < s_proj < 2.0 * length:
+                cuts.update(_ref_ladder(s_proj, d, length))
+    return _ref_span_nodes(p0, u, length, cuts, dens)
+
+
+def _ref_mask(segments, x, y, boundary):
+    p0s = np.stack([s[0] for s in segments])
+    p1s = np.stack([s[1] for s in segments])
+    lengths = np.linalg.norm(p1s - p0s, axis=1)
+    us = (p1s - p0s) / lengths[:, None]
+    nrms = np.stack([-us[:, 1], us[:, 0]], axis=1)
+    special = np.zeros(len(segments), dtype=bool)
+    proj = []
+    for q in (x, y):
+        rel = q[None, :] - p0s
+        h = np.einsum("ij,ij->i", rel, nrms)
+        s = np.einsum("ij,ij->i", rel, us)
+        proj.append((h, s))
+        special |= (np.abs(h) < lengths) & (s > -lengths) & (s < 2.0 * lengths)
+    (hx, sx), (hy, sy) = proj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_star = sx + hx * (sy - sx) / (hx - hy)
+    valid = (hx != hy) & np.isfinite(s_star)
+    special |= valid & (s_star > 0.0) & (s_star < lengths)
+    s = arcs._boundary_crossings(p0s, us, np.stack([x, y]), arcs._boundary_dirs(boundary))
+    special |= np.any((s > 0.0) & (s < lengths[:, None, None]), axis=(1, 2))
+    return special
+
+
+def _ref_pair_nodes(segments, pieces, x, y):
+    boundary = arcs.boundary_angles(pieces)
+    special = _ref_mask(segments, x, y, boundary)
+    parts = [_ref_query_nodes(*segments[k], x, y, boundary) for k in np.flatnonzero(special)]
+    bulk = [seg for seg, feat in zip(segments, special) if not feat]
+    if bulk:
+        parts.append(arcs.segment_bulk_nodes(*zip(*bulk)))
+    pts, wts = zip(*parts)
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def _ref_box_nodes(segments, pieces, lo, hi):
+    corners = arcs.box_corners(lo, hi)
+    dirs = arcs._boundary_dirs(arcs.boundary_angles(pieces))
+    center = 0.5 * (lo + hi)
+    for p0, p1, dens in segments:
+        p0, u, length = _ref_frame(p0, p1)
+        cuts = {0.0, length}
+        for axis, val in ((0, lo[0]), (0, hi[0]), (1, lo[1]), (1, hi[1])):
+            if u[axis] != 0.0:
+                s = (val - p0[axis]) / u[axis]
+                if 0.0 < s < length:
+                    cuts.add(s)
+        s = arcs._boundary_crossings(p0[None], u[None], corners, dirs)
+        cuts.update(s[(s > 0.0) & (s < length)].tolist())
+        nrm = np.array([-u[1], u[0]])
+        h = abs(float((center - p0) @ nrm))
+        s_proj = float((center - p0) @ u)
+        scale = max(h, 0.25 * float(np.min(hi - lo)))
+        cuts.update(_ref_ladder(s_proj, scale, length))
+        yield _ref_span_nodes(p0, u, length, cuts, dens)
+
+
+def _ref_box_mass(nodes, pieces, lo, hi):
+    total = 0.0
+    for pts, wts in nodes:
+        total += arcs.box_cloud_mass(pts, wts, pieces, lo, hi)
+    return total
+
+
+def _box_mass(table, pieces, lo, hi):
+    total = 0.0
+    for mass in arcs.segment_box_masses(table, pieces, lo, hi):
+        total += mass
+    return total
+
+
+def _boxes(plan, rotation=None):
+    """The plan's cubes, its region and 40 seeded boxes with edges in [1e-3, 1.5]."""
+    lo0, hi0 = np.asarray(plan.region_lo), np.asarray(plan.region_hi)
+    out = [(q.center - 0.5 * q.edge, q.center + 0.5 * q.edge)
+           for q in diagnostics._sample_cubes(plan, diagnostics._streams(plan)[2])]
+    out.append((lo0, hi0))
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        edges = np.exp(rng.uniform(math.log(1e-3), math.log(1.5), 2))
+        center = lo0 + (hi0 - lo0) * rng.random(2)
+        out.append((center - 0.5 * edges, center + 0.5 * edges))
+    if rotation is None:
+        return out
+    # the axis box around each rotated box
+    turned = []
+    for lo, hi in out:
+        corners = arcs.box_corners(lo, hi) @ rotation.T
+        turned.append((corners.min(axis=0), corners.max(axis=0)))
+    return turned
+
+
+def _pairs(plan, seed, count, rotation=np.eye(2)):
+    lo, hi = np.asarray(plan.region_lo), np.asarray(plan.region_hi)
+    rng = np.random.default_rng(seed)
+    points = [rotation @ (lo + (hi - lo) * rng.random(2)) for _ in range(2 * count)]
+    return list(zip(points[::2], points[1::2]))
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
 
 def test_smooth_segments_take_one_span():
     # the feature mask and the query splitter make the same decision: a
     # segment the mask sends to the bulk rule gets no interior cut from
     # segment_query_nodes, so its bulk nodes are the ones the splitter would
     # have produced
-    cfg = json.loads((CONFIG_DIR / "ba_inv_sqrt.json").read_text())
-    nu = build_scenario(cfg["scenario"], cfg["seed"]).measure
-    segs = nu.mu.segments
+    nu, plan = _scenario("ba_inv_sqrt")
+    table = nu.mu.segment_table
     boundary = arcs.boundary_angles(nu.omega.arc_pieces())
-    lo, hi = np.array(cfg["plan"]["region"], dtype=float)
-    rng = np.random.default_rng(31)
     smooth = 0
-    for _ in range(30):
-        x = lo + (hi - lo) * rng.random(2)
-        y = lo + (hi - lo) * rng.random(2)
-        special = arcs.segments_needing_features(segs, x, y, boundary)
-        for k in np.flatnonzero(~special):
-            pts, wts = arcs.segment_query_nodes(*segs[k], x, y, boundary)
-            assert len(wts) == arcs.SEGMENT_ORDER, (k, x, y)
-        smooth += int(np.sum(~special))
-    assert len(segs) == 1024
-    assert smooth > 0.9 * 30 * len(segs)
+    for x, y in _pairs(plan, 31, 30):
+        rows = ~arcs.segments_needing_features(table, x, y, boundary)
+        # the splitter on all smooth rows at once; segment_query_nodes is its one-row case
+        geometry = arcs._pair_geometry(table.p0s[rows], table.us[rows], table.nrms[rows], x, y,
+                                       arcs._boundary_dirs(boundary))
+        lengths = table.lengths[rows]
+        cuts = arcs._pair_cuts(table.us[rows], lengths, x - y, *geometry)
+        _, _, seg = arcs._cut_nodes(table.p0s[rows], table.us[rows], lengths,
+                                    table.denss[rows], cuts)
+        split = np.bincount(seg, minlength=len(lengths)) != arcs.SEGMENT_ORDER
+        assert not split.any(), (np.flatnonzero(rows)[split], x, y)
+        smooth += int(np.sum(rows))
+    assert len(table.lengths) == 1024
+    assert smooth > 0.9 * 30 * len(table.lengths)
+
+
+def test_box_nodes_match_per_segment_cuts_bit_for_bit():
+    nu, plan = _scenario("ba_inv_sqrt")
+    segs, table, pieces = nu.mu.segments, nu.mu.segment_table, nu.omega.arc_pieces()
+    for lo, hi in _boxes(plan):
+        pts, wts, seg = arcs.segment_box_nodes(table, pieces, lo, hi)
+        ref = list(_ref_box_nodes(segs, pieces, lo, hi))
+        assert np.bincount(seg, minlength=len(segs)).tolist() == [len(w) for _, w in ref]
+        assert pts.tobytes() == np.concatenate([p for p, _ in ref]).tobytes()
+        assert wts.tobytes() == np.concatenate([w for _, w in ref]).tobytes()
+        assert _box_mass(table, pieces, lo, hi) == _ref_box_mass(ref, pieces, lo, hi)
+
+
+@pytest.mark.parametrize("name", ["ba_lebesgue", "ba_inv_sqrt"])
+def test_box_mass_on_oblique_segments_matches_per_segment_cuts(name):
+    base, plan = _scenario(name)
+    nu, rot = _rotated(base, 0.3)
+    segs, table, pieces = nu.mu.segments, nu.mu.segment_table, nu.omega.arc_pieces()
+    boxes = _boxes(plan, rot)
+    if name == "ba_inv_sqrt":
+        boxes = boxes[::4]
+    for lo, hi in boxes:
+        ref = _ref_box_mass(_ref_box_nodes(segs, pieces, lo, hi), pieces, lo, hi)
+        assert ref > 0.0
+        assert _box_mass(table, pieces, lo, hi) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name, oblique", [("ba_inv_sqrt", False), ("ba_lebesgue", False),
+                                           ("ba_lebesgue", True), ("ba_inv_sqrt", True)])
+def test_pair_nodes_match_per_segment_cuts(name, oblique):
+    base, plan = _scenario(name)
+    nu, rot = _rotated(base, 0.3) if oblique else (base, np.eye(2))
+    segs, table, pieces = nu.mu.segments, nu.mu.segment_table, nu.omega.arc_pieces()
+    boundary = arcs.boundary_angles(pieces)
+    for x, y in _pairs(plan, 53, 12, rot):
+        pts, wts = arcs.segment_pair_nodes(table, pieces, x, y)
+        ref_pts, ref_wts = _ref_pair_nodes(segs, pieces, x, y)
+        if oblique:
+            assert pts.shape == ref_pts.shape
+            np.testing.assert_allclose(pts, ref_pts, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(wts, ref_wts, rtol=1e-12, atol=0.0)
+        else:
+            assert pts.tobytes() == ref_pts.tobytes()
+            assert wts.tobytes() == ref_wts.tobytes()
+        special = arcs.segments_needing_features(table, x, y, boundary)
+        for k in np.flatnonzero(special)[:8]:
+            one = arcs.segment_query_nodes(*segs[k], x, y, boundary)
+            ref = _ref_query_nodes(*segs[k], x, y, boundary)
+            assert len(one[1]) == len(ref[1])
+            np.testing.assert_allclose(one[0], ref[0], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(one[1], ref[1], rtol=1e-12, atol=0.0)
+
+
+def test_query_nodes_cover_the_collinear_and_on_line_cases():
+    # a query on the segment's own line, a query point on the line beyond
+    # it, and a point on the line with the other off it
+    p0, p1 = np.array([0.0, 0.0]), np.array([2.0, 0.0])
+    boundary = [0.5, 2.5]
+    for x, y in (([0.5, 0.0], [1.5, 0.0]), ([3.0, 0.0], [0.7, 0.4]), ([0.25, 0.0], [0.6, 1.0])):
+        x, y = np.array(x), np.array(y)
+        pts, wts = arcs.segment_query_nodes(p0, p1, 1.5, x, y, boundary)
+        ref_pts, ref_wts = _ref_query_nodes(p0, p1, 1.5, x, y, boundary)
+        assert pts.tobytes() == ref_pts.tobytes()
+        assert wts.tobytes() == ref_wts.tobytes()
+        assert float(np.sum(wts)) == pytest.approx(3.0, rel=1e-14)
+
+
+def test_thin_gap_runs_merge_sequentially():
+    # cuts closer than the tolerance in a chain: each is dropped against the
+    # last kept one, not against its neighbour
+    p0s, us = np.zeros((1, 2)), np.array([[1.0, 0.0]])
+    lengths, denss = np.array([1.0]), np.array([1.0])
+    tol = 1e-13
+    chain = 0.5 + np.array([0.0, 0.6, 1.2, 1.8, 2.4]) * tol
+    cuts = np.concatenate([chain, [0.5, 0.25, 1.0 - 0.5 * tol, np.nan, -1.0, 2.0]])[None, :]
+    pts, wts, seg = arcs._cut_nodes(p0s, us, lengths, denss, cuts)
+    ref_pts, ref_wts = _ref_span_nodes(p0s[0], us[0], 1.0,
+                                       {0.0, 1.0, 0.25, 1.0 - 0.5 * tol, *chain.tolist()}, 1.0)
+    assert pts.tobytes() == ref_pts.tobytes()
+    assert wts.tobytes() == ref_wts.tobytes()
+    assert seg.tolist() == [0] * len(wts)
+
+
+def test_segment_table_is_read_only_and_matches_segments():
+    nu, _ = _scenario("ba_inv_sqrt")
+    table = nu.mu.segment_table
+    for k in (0, 511, 1023):
+        p0, p1, dens = nu.mu.segments[k]
+        assert table.p0s[k].tolist() == p0.tolist() and table.p1s[k].tolist() == p1.tolist()
+        assert table.lengths[k] == float(np.linalg.norm(p1 - p0))
+        assert table.denss[k] == dens
+    bulk_pts, bulk_wts = arcs.segment_bulk_nodes(table.p0s, table.p1s, table.denss)
+    assert table.bulk_pts.reshape(-1, 2).tobytes() == bulk_pts.tobytes()
+    assert table.bulk_wts.ravel().tobytes() == bulk_wts.tobytes()
+    with pytest.raises(ValueError):
+        table.p0s[0, 0] = 1.0

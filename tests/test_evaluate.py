@@ -78,6 +78,35 @@ def test_seg_mass_zero_for_equal_points():
         seg_mass(nup, [0.3, 0.4], [0.3, 0.4])
 
 
+def test_equal_points_answer_carries_the_backend():
+    # x == y is answered at the query boundary, but under the serving
+    # backend's name; Monte Carlo reports zero standard errors, not None
+    nu = crofton2()
+    x = [0.3, 0.4]
+    for taus in (None, [0.1, 0.5]):
+        p = CF.pair(nu, x, x, taus=taus)
+        assert p.backend == "closed_form" and p.mass_se is None
+        q = MonteCarlo(budget=2_000, seed=3).pair(nu, x, x, taus=taus)
+        assert q.backend == "monte_carlo"
+        assert (q.mass, q.transversal, q.mass_se, q.transversal_se) == (0.0, 0.0, 0.0, 0.0)
+        assert q.embed.tolist() == q.embed_se.tolist() == [0.0, 0.0]
+        if taus is None:
+            assert q.angle is None and q.angle_se is None
+        else:
+            assert q.angle.tolist() == q.angle_se.tolist() == [0.0, 0.0]
+    ba = PositionDirection(BaseMeasureND(2, segments=[((-1.0, 0.0), (1.0, 0.0), 1.0)]),
+                           SymmetricCap((1.0, 0.0), math.pi / 6))
+    assert E2.pair(ba, x, x).backend == "exact2d"
+
+
+def test_embedding_map_copies_caller_basepoint():
+    o = np.zeros(2)
+    f = EmbeddingMap(crofton2(), o)
+    o[0] = 1.0
+    assert f.basepoint.tolist() == [0.0, 0.0]
+    assert f.eval([0.0, 0.0]).tolist() == [0.0, 0.0]
+
+
 def test_seg_mass_atom_quarter_circle():
     nu = atom_measure([((0.0, 0.0), 1.0)])
     x, y = [1.0, 0.0], [0.0, 1.0]

@@ -65,6 +65,26 @@ def test_measure_validation_errors():
                             (1.0 - 1e-15, 0.0, 2.0, 1.0, 1.0)])
 
 
+def test_measure_copies_caller_segment_endpoints():
+    # the measure freezes its own copies, never the caller's arrays
+    a, b = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+    mu = BaseMeasureND(2, segments=[(a, b, 1.0)])
+    a[0] = 0.5
+    b[1] = 2.0
+    assert mu.total_mass() == 1.0
+    assert mu.segment_table.p0s.tolist() == [[0.0, 0.0]]
+    assert mu.segment_table.p1s.tolist() == [[1.0, 0.0]]
+
+
+def test_measure_copies_caller_cells():
+    c = np.array([[0.0, 0.0, 1.0, 1.0, 2.0]])
+    mu = BaseMeasureND(2, cells=c)
+    c[0, 2:4] = 50.0
+    assert mu.support_radius() == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert mu.total_mass() == pytest.approx(2.0, rel=1e-15)
+    assert mu.cells[0].tolist() == [0.0, 0.0, 1.0, 1.0, 2.0]
+
+
 def test_doubling_ratio_lebesgue_box():
     # oracle: Lebesgue volume ratio |B(x,2r)| / |B(x,r)| = 2^n, recovered up
     # to the realized cell resolution
