@@ -165,7 +165,7 @@ def _plan_from_config(cfg: dict) -> SamplingPlan:
     kwargs = {}
     for key in ("pair_count", "cycle_count", "cube_count", "triple_count"):
         if key in plan:
-            kwargs[key] = int(plan[key])
+            kwargs[key] = plan[key]
     if "scale_range" in plan:
         kwargs["scale_range"] = tuple(float(v) for v in plan["scale_range"])
     return SamplingPlan(region_lo=tuple(region[0]), region_hi=tuple(region[1]),

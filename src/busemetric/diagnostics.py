@@ -28,6 +28,10 @@ CHAIN_SLACK = 1e-10
 PAIR_SLACK = 1e-12
 LIP_SLACK = 1e-12
 IDENTITY_REL = 1e-8
+# widening of the converse check's bracket, relative to max(mass, 1): a sum
+# of n nonnegative terms rounds by at most about n * 1.1e-16 of its value in
+# any order, so this covers queries summing over millions of terms
+BRACKET_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,10 @@ class SamplingPlan:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("pair_count", "cycle_count", "cube_count", "triple_count"):
+            count = getattr(self, key)
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {count!r}")
         lo = np.asarray(self.region_lo, dtype=float)
         hi = np.asarray(self.region_hi, dtype=float)
         if lo.shape != hi.shape or np.any(hi <= lo):
@@ -170,7 +178,8 @@ def _witness_pair(sweep: _SegmentSweep, i: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# individual estimators (each reproduces the shared pool from the plan seed)
+# individual estimators (each redraws its pool from the plan seed;
+# run_diagnostics draws each pool once and shares it between its audits)
 # ---------------------------------------------------------------------------
 
 def kappa_hat(nu, plan: SamplingPlan, *, backend=None):
@@ -293,28 +302,40 @@ def eta_hat(f: evaluate.EmbeddingMap, metric: str, plan: SamplingPlan):
     per-bucket maxima of |f(x)-f(a)| / |f(x)-f(b)| plus the skipped-triple
     count; empty buckets are omitted, never interpolated.
     """
-    return _triple_envelope(f.measure, f.backend, plan, metric, image="embed")
+    if metric not in ("euclidean", "projective"):
+        raise ValueError("metric must be 'euclidean' or 'projective'")
+    return _envelope(_sample_triples(f.measure, f.backend, plan), metric, image="embed")
 
 
 def id_qs_probe(nu, plan: SamplingPlan, *, backend=None):
     """Envelope of the identity map from the projective metric to the Euclidean one."""
     backend = backend or evaluate.default_backend(nu, seed=plan.seed)
-    return _triple_envelope(nu, backend, plan, "projective", image="euclidean")
+    return _envelope(_sample_triples(nu, backend, plan), "projective", image="euclidean")
 
 
-def _triple_envelope(nu, backend, plan, metric: str, image: str):
-    if metric not in ("euclidean", "projective"):
-        raise ValueError("metric must be 'euclidean' or 'projective'")
+def _sample_triples(nu, backend, plan):
+    """The plan's triples (x, a, b) with the answers to pair(x, a) and pair(x, b).
+
+    Returns the answered triples and the count of triples skipped because x
+    coincides with a or b; both envelopes are built from these answers.
+    """
     rng = _streams(plan)[3]
-    buckets: dict[int, dict] = {}
+    answered = []
     skipped = 0
     for _ in range(plan.triple_count):
         x, a, b = _sample_points(plan, rng, 3)
         if np.all(x == a) or np.all(x == b):
             skipped += 1
             continue
-        pa = backend.pair(nu, x, a)
-        pb = backend.pair(nu, x, b)
+        answered.append((x, a, b, backend.pair(nu, x, a), backend.pair(nu, x, b)))
+    return answered, skipped
+
+
+def _envelope(triples, metric: str, image: str):
+    """Per-bucket maxima for one (metric, image) choice over answered triples; asks nothing."""
+    answered, skipped = triples
+    buckets: dict[int, dict] = {}
+    for x, a, b, pa, pb in answered:
         if metric == "euclidean":
             t_num, t_den = float(np.linalg.norm(x - a)), float(np.linalg.norm(x - b))
         else:
@@ -416,9 +437,40 @@ class DiagnosticsReport:
         return "\n".join(lines)
 
 
+def _converse_check(nu, backend, sweep: _SegmentSweep, tau_star: float):
+    """Smallest margin angle(tau*) - tau* mass over the pool, and whether none fails.
+
+    The angle mass does not rise with tau, so the sweep's column at the first
+    grid threshold >= tau*, less ``BRACKET_REL * max(mass, 1)`` for summation
+    order, bounds each margin from below.  In ascending order of that bound a
+    pair is asked unless its bound exceeds the smallest margin so far and
+    cannot fail; an asked pair gets the full pass's query, so the bits hold.
+    """
+    scale = np.maximum(sweep.mass, 1.0)
+    g = int(np.searchsorted(TAU_GRID, tau_star))  # tau* <= 0.5 since kappa <= 1
+    floor = sweep.angle[:, g] - tau_star * sweep.mass - BRACKET_REL * scale
+    margin = math.inf
+    ok = True
+    for i in np.argsort(floor, kind="stable"):
+        if floor[i] > margin and floor[i] >= -CHAIN_SLACK * scale[i]:
+            continue
+        p = backend.pair(nu, sweep.xs[i], sweep.ys[i], taus=[tau_star])
+        m = float(p.angle[0]) - tau_star * sweep.mass[i]
+        margin = min(margin, m)
+        if m < -CHAIN_SLACK * scale[i]:
+            ok = False
+    return margin, ok
+
+
 def run_diagnostics(nu, basepoint, plan: SamplingPlan, *, backend=None,
                     name: str = "", expectations: dict | None = None) -> DiagnosticsReport:
-    """Run every estimator off one plan and check the built-in consistency chain."""
+    """Run every estimator off one plan and check the built-in consistency chain.
+
+    Each pool is drawn and asked once: the segment sweep feeds every
+    pairwise estimator and audit, one triple pass feeds both the eta and the
+    id-probe envelopes, and the converse check at tau* = kappa/2 re-asks only
+    the pairs the sweep's angle profile cannot settle.
+    """
     backend = backend or evaluate.default_backend(nu, seed=plan.seed)
     f = evaluate.EmbeddingMap(nu, basepoint, backend=backend)
     sweep = _segment_sweep(nu, plan, backend)
@@ -477,15 +529,7 @@ def run_diagnostics(nu, basepoint, plan: SamplingPlan, *, backend=None,
     audit("bilip_high", c_high, 1.0 + LIP_SLACK, c_high <= 1.0 + LIP_SLACK)
 
     # converse threshold test at tau* = kappa/2 on the same segments
-    tau_star = 0.5 * kappa
-    conv_ok = True
-    conv_margin = math.inf
-    for i, (x, y) in enumerate(zip(sweep.xs, sweep.ys)):
-        p = backend.pair(nu, x, y, taus=[tau_star])
-        m = float(p.angle[0]) - tau_star * sweep.mass[i]
-        conv_margin = min(conv_margin, m)
-        if m < -CHAIN_SLACK * max(sweep.mass[i], 1.0):
-            conv_ok = False
+    conv_margin, conv_ok = _converse_check(nu, backend, sweep, 0.5 * kappa)
     audit("tau_converse_at_half_kappa", conv_margin, -CHAIN_SLACK, conv_ok)
 
     cyc_worst, cyc_witness = cyclic_audit(f, plan)
@@ -496,8 +540,9 @@ def run_diagnostics(nu, basepoint, plan: SamplingPlan, *, backend=None,
     audit("cube_noncollapsing", cube_worst, bound - CHAIN_SLACK,
           cube_worst >= bound - CHAIN_SLACK, cube_witness)
 
-    eta_curve, eta_skipped = eta_hat(f, "euclidean", plan)
-    id_curve, id_skipped = id_qs_probe(nu, plan, backend=backend)
+    triples = _sample_triples(nu, backend, plan)
+    eta_curve, eta_skipped = _envelope(triples, "euclidean", image="embed")
+    id_curve, id_skipped = _envelope(triples, "projective", image="euclidean")
 
     for key, val in (expectations or {}).items():
         current = {

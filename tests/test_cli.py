@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from busemetric.cli import JSON_MARKER, ConfigError, load_config, main
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 BASE_CONFIG = {
     "seed": 77,
@@ -185,3 +191,31 @@ def test_scenario_param_strictness(tmp_path):
     path = write_config(tmp_path, bad)
     with pytest.raises(ConfigError, match="radius"):
         load_config(path)
+
+
+@pytest.mark.parametrize("counts", [
+    {"cycle_count": 0, "cube_count": 0},
+    {"cube_count": -3},
+    {"pair_count": 0},
+    {"triple_count": 2.5},
+    {"pair_count": True},
+])
+def test_run_rejects_empty_or_non_integer_counts(tmp_path, capsys, counts):
+    # an empty pool would pass its audit on an infinite extremum and write
+    # Infinity into the JSON block; a fractional or boolean count would be
+    # truncated into another plan
+    cfg = dict(BASE_CONFIG, plan=dict(BASE_CONFIG["plan"], **counts))
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert next(iter(counts)) in err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_module_entry_point_help():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "busemetric", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "run" in done.stdout and "calibrate" in done.stdout

@@ -1,13 +1,17 @@
 import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from busemetric import (BaseMeasure1D, EmbeddingMap, OffsetDirection, SymmetricCap,
-                        UniformDirections, crofton, degenerate_caps, run_diagnostics)
-from busemetric.diagnostics import (SamplingPlan, bilip_bounds, cube_bound, cyclic_audit,
-                                    delta_hat, eta_hat, id_qs_probe, kappa_hat, tau_hat)
+from busemetric import (BaseMeasure1D, EmbeddingMap, MonteCarlo, OffsetDirection,
+                        SymmetricCap, UniformDirections, cli, crofton, degenerate_caps,
+                        diagnostics, run_diagnostics)
+from busemetric.diagnostics import (TAU_GRID, SamplingPlan, _SegmentSweep, bilip_bounds,
+                                    cube_bound, cyclic_audit, delta_hat, eta_hat,
+                                    id_qs_probe, kappa_hat, tau_hat)
 
 
 def crofton_plan(seed=11, **kw):
@@ -308,3 +312,177 @@ def test_plan_validation():
         SamplingPlan(region_lo=(0.0, 0.0), region_hi=(0.0, 1.0))
     with pytest.raises(ValueError):
         SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0), scale_range=(0.0, 1.0))
+    # an empty pool makes its audit pass on an infinite extremum, and a
+    # silently truncated count runs another plan than the one asked for
+    for key in ("pair_count", "cycle_count", "cube_count", "triple_count"):
+        for bad in (0, -3, 2.5, 3.0, True, "3", None, np.int64(3)):
+            with pytest.raises(ValueError, match=key):
+                SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0), **{key: bad})
+    plan = SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0), pair_count=1,
+                        cycle_count=1, cube_count=1, triple_count=1)
+    assert plan.to_dict()["pair_count"] == 1
+
+
+# ---------------------------------------------------------------------------
+# each distinct audit query is asked once
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config(name):
+    cfg = cli.load_config(str(CONFIG_DIR / f"{name}.json"))
+    sc = cli.build_scenario(cfg["scenario"], cfg["seed"])
+    return sc, cli._plan_from_config(cfg), cli._pick_backend(sc.measure, cfg)
+
+
+class _Recording:
+    """Forwards to a backend and records every ``pair`` call's points and taus."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.pairs = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def pair(self, nu, x, y, taus=None):
+        self.pairs.append((np.array(x), np.array(y), None if taus is None else list(taus)))
+        return self.inner.pair(nu, x, y, taus=taus)
+
+
+def test_run_diagnostics_asks_each_query_once():
+    sc, plan, backend = _config("ba_lebesgue")
+    assert (plan.pair_count, plan.cycle_count, plan.cube_count,
+            plan.triple_count) == (120, 40, 20, 60)
+    rec = _Recording(backend)
+    rep = run_diagnostics(sc.measure, sc.basepoint, plan, backend=rec, name=sc.name)
+    # a full converse pass and a second triple pass made 777 calls
+    assert len(rec.pairs) <= 583
+    tau_star = 0.5 * rep.kappa_hat
+    assert sum(taus == [tau_star] for _, _, taus in rec.pairs) < 10
+    rng = diagnostics._streams(plan)[3]
+    # continuous draws never coincide, so no triple is skipped
+    assert rep.eta_skipped == rep.id_skipped == 0
+    for _ in range(plan.triple_count):
+        x, a, b = diagnostics._sample_points(plan, rng, 3)
+        for y in (a, b):
+            assert sum(taus is None and np.array_equal(px, x) and np.array_equal(py, y)
+                       for px, py, taus in rec.pairs) == 1
+
+
+def _ref_converse(nu, backend, sweep, tau_star):
+    """The converse check as a full pass: every pair asked at tau*."""
+    ok = True
+    margin = math.inf
+    for i, (x, y) in enumerate(zip(sweep.xs, sweep.ys)):
+        p = backend.pair(nu, x, y, taus=[tau_star])
+        m = float(p.angle[0]) - tau_star * sweep.mass[i]
+        margin = min(margin, m)
+        if m < -diagnostics.CHAIN_SLACK * max(sweep.mass[i], 1.0):
+            ok = False
+    return margin, ok
+
+
+@pytest.mark.parametrize("name,backend_kind", [
+    ("crofton2", "closed_form"), ("crofton3", "closed_form"),
+    ("doubling_atoms", "closed_form"), ("ba_lebesgue", "exact2d"),
+    ("crofton2", "monte_carlo")])
+def test_shared_queries_keep_the_full_pass_results(name, backend_kind):
+    sc, plan, backend = _config(name)
+    if backend_kind == "monte_carlo":
+        backend = MonteCarlo(budget=20000, seed=7)
+    assert backend.name == backend_kind
+    nu = sc.measure
+    rep = run_diagnostics(nu, sc.basepoint, plan, backend=backend, name=sc.name)
+    audit = next(a for a in rep.audits if a["name"] == "tau_converse_at_half_kappa")
+    margin, ok = _ref_converse(nu, backend, diagnostics._segment_sweep(nu, plan, backend),
+                               0.5 * rep.kappa_hat)
+    assert audit["value"].hex() == float(margin).hex()
+    assert audit["passed"] is ok
+    f = EmbeddingMap(nu, sc.basepoint, backend=backend)
+    assert (rep.eta_curve, rep.eta_skipped) == eta_hat(f, "euclidean", plan)
+    assert (rep.id_curve, rep.id_skipped) == id_qs_probe(nu, plan, backend=backend)
+
+
+class _StubProfiles:
+    """Pair i (x = (i, 0)) has angle mass ``profiles[i](tau)``; a one-threshold
+    query adds ``single[i]`` to it, as a different summation order might."""
+
+    def __init__(self, profiles, single=None):
+        self.profiles = profiles
+        self.single = single or {}
+        self.asked = []
+
+    def pair(self, nu, x, y, taus=None):
+        i = int(x[0])
+        self.asked.append(i)
+        angle = np.array([self.profiles[i](t) for t in taus])
+        if len(taus) == 1:
+            angle = angle + self.single.get(i, 0.0)
+        return SimpleNamespace(angle=angle)
+
+
+def _stub_sweep(masses, profiles):
+    n = len(masses)
+    xs = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+    angle = np.array([[p(t) for t in TAU_GRID] for p in profiles])
+    return _SegmentSweep(xs, xs + [0.0, 1.0], np.asarray(masses, dtype=float),
+                         np.zeros(n), np.zeros((n, 2)), angle)
+
+
+def _check_against_reference(masses, profiles, tau_star, single=None):
+    sweep = _stub_sweep(masses, profiles)
+    stub = _StubProfiles(profiles, single)
+    got = diagnostics._converse_check(None, stub, sweep, tau_star)
+    asked = list(stub.asked)
+    want = _ref_converse(None, _StubProfiles(profiles, single), sweep, tau_star)
+    assert float(got[0]).hex() == float(want[0]).hex()
+    assert got[1] is want[1]
+    return got, asked
+
+
+def _step(hi, lo, at):
+    return lambda t: hi if t <= at else lo
+
+
+def test_converse_check_reports_a_failing_pair():
+    (margin, ok), asked = _check_against_reference(
+        [1.0, 1.0, 3.0], [_step(0.5, 0.5, 1.0), _step(0.1, 0.1, 1.0), _step(2.0, 2.0, 1.0)],
+        0.2)
+    assert not ok and margin == pytest.approx(-0.1)
+    assert asked[0] == 1
+    # the heavy pair 0 holds the minimum inside its own slack; pair 1's bound
+    # lies above that minimum, but it fails the test and must be asked
+    (margin, ok), asked = _check_against_reference(
+        [100.0, 1.0], [_step(20.0 - 6e-9, 0.0, 1.0), _step(0.2 - 3e-9, 0.0, 1.0)], 0.2)
+    assert not ok and margin == pytest.approx(-6e-9, rel=1e-6)
+    assert asked == [0, 1]
+
+
+def test_converse_minimum_away_from_the_smallest_bound():
+    # pair 0's angle mass drops between tau* and the next grid point, so it
+    # holds the smallest bound but not the smallest margin; pair 1 does
+    tau_star = 0.205
+    profiles = [_step(0.9, 0.3, 0.206), _step(0.4, 0.4, 1.0), _step(0.8, 0.8, 1.0)]
+    (margin, ok), asked = _check_against_reference([1.0, 1.0, 1.0], profiles, tau_star)
+    assert ok and margin == pytest.approx(0.4 - tau_star)
+    assert asked == [0, 1]  # pair 2's bound lies above pair 1's margin
+
+
+def test_converse_at_a_grid_point_widens_the_bound():
+    # kappa/2 lands on the grid, where the sweep's column and the
+    # one-threshold query agree but for their summation order
+    kappa = 0.6
+    tau_star = 0.5 * kappa
+    assert tau_star in TAU_GRID
+    c0 = 0.7
+    c1 = np.nextafter(c0, 1.0)
+    profiles = [_step(c0, c0, 1.0), _step(c1, c1, 1.0)]
+    assert c1 - tau_star > c0 - tau_star
+    low = c1
+    for _ in range(4):
+        low = np.nextafter(low, 0.0)
+    (margin, ok), asked = _check_against_reference(
+        [1.0, 1.0], profiles, tau_star, single={1: low - c1})
+    assert ok and margin == low - tau_star < c0 - tau_star
+    assert asked == [0, 1]
