@@ -4,7 +4,8 @@
 Hyperplanes through axis positions with steeply crossing directions induce
 a map whose restriction to the axis reproduces interval masses exactly;
 off the axis it stays quantitatively monotone.  Also exports the image of
-a grid to CSV for external plotting.
+a grid to axis_extension_grid.csv in the working directory for external
+plotting.
 """
 from busemetric import BaseMeasure1D, beurling_ahlfors, grid_export
 from busemetric.diagnostics import SamplingPlan, run_diagnostics
@@ -34,6 +35,6 @@ print(f"  kappa = {report.kappa_hat:.6f}, delta = {report.delta_hat:.6f}, "
 print(f"  all audits passed: {report.passed()}")
 
 image = grid_export(sc, 9, (-2.0, -1.0), (2.0, 1.0))
-image.to_csv("/tmp/axis_extension_grid.csv")
-print("\ngrid image written to /tmp/axis_extension_grid.csv "
+image.to_csv("axis_extension_grid.csv")
+print("\ngrid image written to axis_extension_grid.csv in the working directory "
       f"({len(image.points)} nodes)")

@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .directions import wrap_interval
 from .geometry import DegenerateConfigurationError
 
 PI = math.pi
@@ -43,16 +44,31 @@ TWO_PI = 2.0 * math.pi
 
 def _wrap_pieces_to_xi(pieces: np.ndarray, p_delta: float) -> np.ndarray:
     """Shift density pieces on [0, pi) into xi coordinates, splitting wraps."""
-    out = []
-    for lo, hi, dens in pieces:
-        a = (lo - p_delta) % PI
-        b = a + (hi - lo)
-        if b <= PI:
-            out.append((a, b, dens))
-        else:
-            out.append((a, PI, dens))
-            out.append((0.0, b - PI, dens))
-    return np.asarray(out, dtype=float)
+    return np.asarray([(a, b, dens) for lo, hi, dens in pieces
+                       for a, b in wrap_interval(lo - p_delta, hi - lo)], dtype=float)
+
+
+def _query_frame(delta) -> tuple[float, float]:
+    """The normal angle p_delta of the query direction ``delta`` and the sign s0
+    orienting v(p_delta + xi) toward the x side for xi in (0, pi)."""
+    p_delta = (math.atan2(delta[1], delta[0]) + 0.5 * PI) % PI
+    vt = np.array([math.cos(p_delta + 0.5 * PI), math.sin(p_delta + 0.5 * PI)])
+    return p_delta, (1.0 if float(vt @ delta) > 0.0 else -1.0)
+
+
+def _arc_overlaps(arc_lo, arc_hi, dens):
+    """The nonempty overlaps of hit arcs [arc_lo, arc_hi) with density pieces.
+
+    An arc may run past pi (arc_lo < pi, width <= pi), so it is split into
+    two non-wrapping intervals first.  Returns ``(ii, lo, hi, rho)``: one
+    entry per nonempty (arc, arc piece, density piece) overlap, in arc order.
+    """
+    lo2 = np.stack([arc_lo, np.zeros(len(arc_lo))], axis=1)
+    hi2 = np.stack([np.minimum(arc_hi, PI), np.clip(arc_hi - PI, 0.0, None)], axis=1)
+    glo = np.maximum(lo2[:, :, None], dens[None, None, :, 0])
+    ghi = np.minimum(hi2[:, :, None], dens[None, None, :, 1])
+    ii, pp, jj = np.nonzero(ghi > glo)
+    return ii, glo[ii, pp, jj], ghi[ii, pp, jj], dens[jj, 2]
 
 
 def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
@@ -79,7 +95,6 @@ def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
 
 
 def _pair_core(dx, dy, w, pieces, delta, *, taus=None, on_segment="error"):
-    m = dx.shape[0]
     rx2 = np.einsum("ij,ij->i", dx, dx)
     ry2 = np.einsum("ij,ij->i", dy, dy)
     if np.any(rx2 == 0.0) or np.any(ry2 == 0.0):
@@ -112,29 +127,11 @@ def _pair_core(dx, dy, w, pieces, delta, *, taus=None, on_segment="error"):
     width = np.where(use_first, w1, PI - w1)
     width = np.where(collinear, np.where(between, PI, 0.0), width)
 
-    theta_d = math.atan2(delta[1], delta[0])
-    p_delta = (theta_d + 0.5 * PI) % PI
-    vt = np.array([math.cos(p_delta + 0.5 * PI), math.sin(p_delta + 0.5 * PI)])
-    s0 = 1.0 if float(vt @ delta) > 0.0 else -1.0
-
+    p_delta, s0 = _query_frame(delta)
     xi_lo = (lo - p_delta) % PI
     xi_lo = np.where(between, 0.0, xi_lo)
     xi_lo = np.where(width == 0.0, 0.0, xi_lo)
-    xi_hi = xi_lo + width
-
-    # hit arc as <=2 non-wrapping xi intervals per point; keep only the
-    # nonempty (point, arc piece, density piece) intersections
-    arc_lo = np.stack([xi_lo, np.zeros(m)], axis=1)
-    arc_hi = np.stack([np.minimum(xi_hi, PI), np.clip(xi_hi - PI, 0.0, None)], axis=1)
-
-    dens = _wrap_pieces_to_xi(pieces, p_delta)
-    glo = np.maximum(arc_lo[:, :, None], dens[None, None, :, 0])
-    ghi = np.minimum(arc_hi[:, :, None], dens[None, None, :, 1])
-    ii, pp, jj = np.nonzero(ghi > glo)
-    lo_r = glo[ii, pp, jj]
-    hi_r = ghi[ii, pp, jj]
-    rho_r = dens[jj, 2]
-
+    ii, lo_r, hi_r, rho_r = _arc_overlaps(xi_lo, xi_lo + width, _wrap_pieces_to_xi(pieces, p_delta))
     len_r = rho_r * (hi_r - lo_r)
     cos_lo, cos_hi = np.cos(lo_r), np.cos(hi_r)
     phi_lo = p_delta + lo_r
@@ -182,13 +179,8 @@ def box_cloud_hits(points, pieces, box_lo, box_hi):
     n_lo = np.where(inside, 0.0, (wedge_lo + 0.5 * PI) % PI)
     n_width = np.where(inside, PI, wedge_width)
 
-    arc_lo = np.stack([n_lo, np.zeros(len(pts))], axis=1)
-    arc_hi = np.stack([np.minimum(n_lo + n_width, PI), np.clip(n_lo + n_width - PI, 0.0, None)], axis=1)
-    dens = np.asarray(pieces, dtype=float)
-    glo = np.maximum(arc_lo[:, :, None], dens[None, None, :, 0])
-    ghi = np.minimum(arc_hi[:, :, None], dens[None, None, :, 1])
-    ii, pp, jj = np.nonzero(ghi > glo)
-    return ii, dens[jj, 2] * (ghi[ii, pp, jj] - glo[ii, pp, jj])
+    ii, glo, ghi, rho = _arc_overlaps(n_lo, n_lo + n_width, np.asarray(pieces, dtype=float))
+    return ii, rho * (ghi - glo)
 
 
 def box_cloud_mass(points, weights, pieces, box_lo, box_hi):
@@ -394,7 +386,14 @@ def _pair_geometry(p0s, us, nrms, x, y, dirs):
 
 
 def _needs_features(lengths, h, s, s_star, crossings) -> np.ndarray:
-    """The ``segments_needing_features`` mask from ``_pair_geometry``'s output."""
+    """Mask of density segments whose arc integrand changes regime inside them.
+
+    From ``_pair_geometry``'s output.  A segment is smooth at its own length
+    scale unless a query point projects near it, the query line crosses it,
+    or the direction to a query point passes a density-support boundary
+    along it; only those need the query-adaptive splitting of
+    ``segment_query_nodes``, the rest take fixed bulk Gauss nodes.
+    """
     lens = lengths[:, None]
     special = np.any((np.abs(h) < lens) & (s > -lens) & (s < 2.0 * lens), axis=1)
     special |= (h[:, 0] != h[:, 1]) & (s_star > 0.0) & (s_star < lengths)
@@ -413,19 +412,6 @@ def _pair_cuts(us, lengths, delta, h, s, s_star, crossings) -> np.ndarray:
     return np.concatenate([s_star[:, None], np.where(collinear[:, None], np.nan, crossings),
                            np.where(collinear[:, None] | (d == 0.0), s, np.nan),
                            _ladders(s, d, lengths, graded)], axis=1)
-
-
-def segments_needing_features(table: SegmentTable, x, y, boundary) -> np.ndarray:
-    """Mask of density segments whose arc integrand changes regime inside them.
-
-    A segment is smooth at its own length scale unless a query point projects
-    near it, the query line crosses it, or the direction to a query point
-    passes a density-support boundary along it; only those need the
-    query-adaptive splitting of ``segment_query_nodes``, the rest take fixed
-    bulk Gauss nodes.
-    """
-    geometry = _pair_geometry(table.p0s, table.us, table.nrms, x, y, _boundary_dirs(boundary))
-    return _needs_features(table.lengths, *geometry)
 
 
 def segment_query_nodes(p0, p1, dens, x, y, boundary_angles):
@@ -463,7 +449,7 @@ def segment_bulk_nodes(p0s, p1s, denss):
 def segment_pair_nodes(table: SegmentTable, pieces, x, y):
     """Gauss nodes and weights of all density segments for a pair query.
 
-    Segments that ``segments_needing_features`` marks take query-adaptive
+    Segments that ``_needs_features`` marks take query-adaptive
     nodes, in segment order; the rest follow as one block of their bulk nodes.
     """
     if not len(table.lengths):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -30,23 +29,39 @@ class ConfigError(ValueError):
     pass
 
 
-_TOP_KEYS = {"seed": True, "scenario": True, "plan": True,
-             "expect": False, "outputs": False, "backend": False}
-_PLAN_KEYS = {"region": True, "pair_count": False, "cycle_count": False,
-              "cube_count": False, "triple_count": False, "scale_range": False}
-_BACKEND_KEYS = {"name": False, "budget": False}
-_OUTPUT_KEYS = {"report": False, "grid": False}
-_GRID_KEYS = {"path": True, "resolution": True, "window": True}
-_EXPECT_KEYS = {"kappa_min", "kappa_max", "delta_min", "c_low_min", "c_high_max", "tau_min"}
+# each table maps a key to (required, type): an int key takes an int that is
+# not a bool, a float key any int or float that is not a bool, and an object
+# key leaves the value to the code that reads it
+_TOP_KEYS = {"seed": (True, int), "scenario": (True, object), "plan": (True, object),
+             "expect": (False, object), "outputs": (False, object), "backend": (False, object)}
+_PLAN_KEYS = {"region": (True, object), "pair_count": (False, object),
+              "cycle_count": (False, object), "cube_count": (False, object),
+              "triple_count": (False, object), "scale_range": (False, object)}
+_BACKEND_KEYS = {"name": (False, str), "budget": (False, int)}
+_OUTPUT_KEYS = {"report": (False, str), "grid": (False, object)}
+_GRID_KEYS = {"path": (True, str), "resolution": (True, int), "window": (True, object)}
+_EXPECT_KEYS = {key: (False, float) for key in
+                ("kappa_min", "kappa_max", "delta_min", "c_low_min", "c_high_max", "tau_min")}
 
 _SCENARIO_KEYS = {
-    "crofton": ({"name", "dimension"}, {"half_extent"}),
-    "doubling_box": ({"name"}, {"window_half", "inner_half", "levels", "cell", "gauss_order"}),
-    "doubling_atoms": ({"name", "atoms", "window"}, {"basepoint"}),
-    "beurling_ahlfors": ({"name"}, {"density", "support_half", "pieces",
-                                    "cap_half_angle", "window_half", "height"}),
-    "degenerate_caps": ({"name", "theta0"}, {"window_half", "levels"}),
+    "crofton": {"dimension": (True, int), "half_extent": (False, float)},
+    "doubling_box": {"window_half": (False, float), "inner_half": (False, float),
+                     "levels": (False, int), "cell": (False, float),
+                     "gauss_order": (False, int)},
+    "doubling_atoms": {"atoms": (True, object), "window": (True, object),
+                       "basepoint": (False, object)},
+    "beurling_ahlfors": {"density": (False, str), "support_half": (False, float),
+                         "pieces": (False, int), "cap_half_angle": (False, float),
+                         "window_half": (False, float), "height": (False, float)},
+    "degenerate_caps": {"theta0": (True, float), "window_half": (False, float),
+                        "levels": (False, int)},
 }
+
+
+def _has_type(value, kind) -> bool:
+    if kind is not object and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _check_keys(obj: dict, spec: dict, path: str) -> None:
@@ -55,9 +70,12 @@ def _check_keys(obj: dict, spec: dict, path: str) -> None:
     for key in obj:
         if key not in spec:
             raise ConfigError(f"unknown key '{path}{key}'")
-    for key, required in spec.items():
+    for key, (required, kind) in spec.items():
         if required and key not in obj:
             raise ConfigError(f"missing required key '{path}{key}'")
+        if key in obj and not _has_type(obj[key], kind):
+            raise ConfigError(f"'{path}{key}' must be of type "
+                              f"{'number' if kind is float else kind.__name__}, got {obj[key]!r}")
 
 
 def load_config(path: str) -> dict:
@@ -69,17 +87,13 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_keys(cfg, _TOP_KEYS, "")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("'seed' must be an integer (no wall-clock default)")
     sc = cfg["scenario"]
     if not isinstance(sc, dict) or "name" not in sc:
         raise ConfigError("'scenario' must be an object with a 'name'")
     if sc["name"] not in _SCENARIO_KEYS:
         raise ConfigError(f"unknown scenario '{sc['name']}'; "
                           f"choose from {sorted(_SCENARIO_KEYS)}")
-    required, optional = _SCENARIO_KEYS[sc["name"]]
-    _check_keys(sc, {**{k: True for k in required}, **{k: False for k in optional}},
-                "scenario.")
+    _check_keys(sc, {"name": (True, str), **_SCENARIO_KEYS[sc["name"]]}, "scenario.")
     _check_keys(cfg["plan"], _PLAN_KEYS, "plan.")
     if "backend" in cfg:
         _check_keys(cfg["backend"], _BACKEND_KEYS, "backend.")
@@ -87,26 +101,24 @@ def load_config(path: str) -> dict:
         _check_keys(cfg["outputs"], _OUTPUT_KEYS, "outputs.")
         if "grid" in cfg["outputs"]:
             _check_keys(cfg["outputs"]["grid"], _GRID_KEYS, "outputs.grid.")
-    for key in cfg.get("expect", {}):
-        if key not in _EXPECT_KEYS:
-            raise ConfigError(f"unknown key 'expect.{key}'")
+    if "expect" in cfg:
+        _check_keys(cfg["expect"], _EXPECT_KEYS, "expect.")
     return cfg
 
 
 def build_scenario(spec: dict, seed: int) -> scenarios.Scenario:
     name = spec["name"]
+
+    def given(*keys):
+        # the builders' own defaults stand for keys the config leaves out
+        return {key: spec[key] for key in keys if key in spec}
+
     if name == "crofton":
-        return scenarios.crofton(int(spec["dimension"]),
-                                 half_extent=float(spec.get("half_extent", 5.0)))
+        return scenarios.crofton(spec["dimension"], **given("half_extent"))
     if name == "doubling_box":
-        mu = scenarios.lebesgue_box_measure(
-            2,
-            inner_half=float(spec.get("inner_half", 0.8)),
-            levels=int(spec.get("levels", 6)),
-            cell=spec.get("cell"),
-            gauss_order=int(spec.get("gauss_order", 4)),
-        )
-        w = float(spec.get("window_half", 0.4))
+        mu = scenarios.lebesgue_box_measure(2, inner_half=spec.get("inner_half", 0.8),
+                                            **given("levels", "cell", "gauss_order"))
+        w = spec.get("window_half", 0.4)
         return scenarios.doubling_pushforward(mu, window_lo=(-w, -w), window_hi=(w, w),
                                               name="doubling_box", seed=seed)
     if name == "doubling_atoms":
@@ -119,31 +131,24 @@ def build_scenario(spec: dict, seed: int) -> scenarios.Scenario:
                                               basepoint=spec.get("basepoint"))
     if name == "beurling_ahlfors":
         density = spec.get("density", "lebesgue")
-        support = float(spec.get("support_half", 30.0))
+        support = spec.get("support_half", 30.0)
         if density == "lebesgue":
             mu1 = BaseMeasure1D.lebesgue(-support, support, 1.0)
         elif density == "inv_sqrt":
-            mu1 = scenarios.inv_sqrt_density(pieces=int(spec.get("pieces", 1024)),
-                                             support=support)
+            mu1 = scenarios.inv_sqrt_density(support=support, **given("pieces"))
         else:
             raise ConfigError("scenario.density must be 'lebesgue' or 'inv_sqrt'")
         return scenarios.beurling_ahlfors(
-            mu1,
-            cap_half_angle=float(spec.get("cap_half_angle", math.pi / 6.0)),
-            window_half=float(spec.get("window_half", 0.1 * support)),
-            height=float(spec.get("height", 2.0)),
-        )
+            mu1, **given("cap_half_angle", "window_half", "height"))
     if name == "degenerate_caps":
-        return scenarios.degenerate_caps(float(spec["theta0"]),
-                                         window_half=float(spec.get("window_half", 0.4)),
-                                         levels=int(spec.get("levels", 6)))
+        return scenarios.degenerate_caps(spec["theta0"], **given("window_half", "levels"))
     raise ConfigError(f"unknown scenario '{name}'")
 
 
 def _pick_backend(nu, cfg: dict):
     spec = cfg.get("backend", {})
     name = spec.get("name", "auto")
-    budget = int(spec.get("budget", 100_000))
+    budget = spec.get("budget", 100_000)
     if name == "auto":
         return evaluate.default_backend(nu, budget=budget, seed=cfg["seed"])
     if name == "closed_form":
@@ -254,7 +259,7 @@ def cmd_run(args) -> int:
         gspec = outputs["grid"]
         try:
             window = gspec["window"]
-            image = scenarios.grid_export(scenario, int(gspec["resolution"]),
+            image = scenarios.grid_export(scenario, gspec["resolution"],
                                           window[0], window[1], backend=backend)
         except (ValueError, DegenerateConfigurationError) as exc:
             print(f"error: grid export failed: {exc}", file=sys.stderr)

@@ -144,6 +144,7 @@ class _SegmentSweep:
     trans: np.ndarray
     emb: np.ndarray
     angle: np.ndarray  # (pairs, len(TAU_GRID))
+    mass_se: np.ndarray | None = None  # (pairs,), nan where the answer is exact
 
     @property
     def emb_norm(self) -> np.ndarray:
@@ -161,10 +162,12 @@ def _segment_sweep(nu, plan: SamplingPlan, backend) -> _SegmentSweep:
     trans = np.empty(len(xs))
     emb = np.empty((len(xs), plan.dim))
     angle = np.empty((len(xs), len(TAU_GRID)))
+    mass_se = np.empty(len(xs))
     for i, (x, y) in enumerate(zip(xs, ys)):
         p = backend.pair(nu, x, y, taus=TAU_GRID)
         mass[i], trans[i], emb[i], angle[i] = p.mass, p.transversal, p.embed, p.angle
-    return _SegmentSweep(xs, ys, mass, trans, emb, angle)
+        mass_se[i] = math.nan if p.mass_se is None else p.mass_se
+    return _SegmentSweep(xs, ys, mass, trans, emb, angle, mass_se)
 
 
 def _witness_pair(sweep: _SegmentSweep, i: int) -> dict:
@@ -185,11 +188,23 @@ def _witness_pair(sweep: _SegmentSweep, i: int) -> dict:
 def kappa_hat(nu, plan: SamplingPlan, *, backend=None):
     """Worst sampled ratio (sin-alpha integral) / (segment mass), with witness."""
     backend = backend or evaluate.default_backend(nu, seed=plan.seed)
-    sweep = _segment_sweep(nu, plan, backend)
-    if np.any(sweep.mass <= 0.0):
+    return _kappa_from_sweep(_segment_sweep(nu, plan, backend))
+
+
+def _kappa_from_sweep(sweep: _SegmentSweep):
+    """Smallest ratio (sin-alpha integral) / (segment mass), with witness.
+
+    A sampled segment without mass is an error: the measure is degenerate,
+    or, when its answer carries a standard error, the Monte Carlo batch drew
+    no hyperplane across it.
+    """
+    if not np.all(sweep.mass > 0.0):
         i = int(np.argmin(sweep.mass))
-        raise evaluate.DegenerateConfigurationError(
-            f"sampled segment carries no hyperplane mass: {_witness_pair(sweep, i)}")
+        estimated = sweep.mass_se is not None and not math.isnan(sweep.mass_se[i])
+        what = ("sampled segment has zero estimated hyperplane mass: the Monte Carlo batch "
+                "drew no hyperplane across it, so a larger backend.budget is needed"
+                if estimated else "sampled segment has zero hyperplane mass")
+        raise evaluate.DegenerateConfigurationError(f"{what}: {_witness_pair(sweep, i)}")
     ratios = sweep.trans / sweep.mass
     i = int(np.argmin(ratios))
     return float(ratios[i]), _witness_pair(sweep, i)
@@ -484,18 +499,8 @@ def run_diagnostics(nu, basepoint, plan: SamplingPlan, *, backend=None,
             entry["witness"] = witness
         audits.append(entry)
 
-    positive = np.all(sweep.mass > 0.0)
-    i_bad = int(np.argmin(sweep.mass))
-    audit("segment_mass_positive", float(sweep.mass[i_bad]), 0.0, positive,
-          _witness_pair(sweep, i_bad) if not positive else None)
-    if not positive:
-        raise evaluate.DegenerateConfigurationError(
-            f"sampled segment has zero hyperplane mass: {_witness_pair(sweep, i_bad)}")
-
-    ratios = sweep.trans / sweep.mass
-    i_k = int(np.argmin(ratios))
-    kappa = float(ratios[i_k])
-    kappa_witness = _witness_pair(sweep, i_k)
+    kappa, kappa_witness = _kappa_from_sweep(sweep)
+    audit("segment_mass_positive", float(np.min(sweep.mass)), 0.0, True)
     tau, tau_witness = _tau_from_sweep(sweep)
     delta, delta_witness = _delta_from_sweep(sweep)
     c_low, c_high, bilip_wit = _bilip_from_sweep(sweep)
@@ -519,7 +524,7 @@ def run_diagnostics(nu, basepoint, plan: SamplingPlan, *, backend=None,
     # chain: per-pair monotonicity dominates per-pair transversality
     gaps = sweep.emb_norm
     delta_pairs = inner / np.maximum(gaps * sweep.seg_len, 1e-300)
-    margin = delta_pairs - ratios
+    margin = delta_pairs - sweep.trans / sweep.mass
     i_m = int(np.argmin(margin))
     audit("delta_vs_kappa_pairwise", float(margin[i_m]), -CHAIN_SLACK,
           bool(margin[i_m] >= -CHAIN_SLACK), _witness_pair(sweep, i_m))

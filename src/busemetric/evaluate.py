@@ -45,6 +45,7 @@ from .hyperplane_measures import (HyperplaneMeasure, OffsetDirection, PositionDi
                                   SamplerMeasure)
 
 PI = math.pi
+TINY = np.finfo(float).tiny    # the smallest normal float64
 
 
 class UnsupportedBackendError(ValueError):
@@ -92,6 +93,15 @@ def _check_atoms_off_segment(mu, x, y):
         raise DegenerateConfigurationError("mu-atom lies on the closed query segment")
 
 
+def _check_separation(x, y):
+    """Reject distinct points whose squared distance underflows: every backend
+    would lose the segment (``as_point`` keeps squares from overflowing)."""
+    d = x - y
+    if float(d @ d) < TINY and np.any(d != 0.0):
+        raise ValueError(f"points {x.tolist()} and {y.tolist()} are distinct but too close: "
+                         "their squared distance underflows")
+
+
 def _degenerate_pair(nu, x, taus, backend) -> PairIntegrals:
     """The x == y result: zero, unless an atom at x carries hyperplane mass.
 
@@ -111,8 +121,9 @@ def _degenerate_pair(nu, x, taus, backend) -> PairIntegrals:
 class Backend:
     """The public query boundary the three backends share: refuse a measure
     that ``supports`` rules out, check the points (finite, bounded, of the
-    measure's dimension), answer ``x == y`` by ``_degenerate_pair``, and only
-    then call the backend's ``_pair`` or ``_box_mass``."""
+    measure's dimension), answer ``x == y`` by ``_degenerate_pair``, refuse
+    distinct pair points by ``_check_separation``, and only then call the
+    backend's ``_pair`` or ``_box_mass``."""
 
     name: str
     estimates_se = False       # answers carry standard errors
@@ -130,6 +141,7 @@ class Backend:
         x, y = self._points(nu, x, y)
         if np.all(x == y):
             return _degenerate_pair(nu, x, taus, self)
+        _check_separation(x, y)
         return self._pair(nu, x, y, taus)
 
     def box_mass(self, nu, lo, hi) -> RegionMass:
@@ -188,15 +200,11 @@ class ClosedForm(Backend):
                 angle = rho * r * np.array([partial_abs_moment(n, math.sin(t)) for t in taus])
             return PairIntegrals(mass, trans, emb, angle, backend=self.name)
         if n == 2:
-            return self._offset_pair_2d(nu.omega.arc_pieces(), rho, x, y, taus)
-        return self._offset_pair_cap(nu.omega, rho, x, y, taus)
+            return self._offset_pair_2d(nu.omega.arc_pieces(), rho, delta, r, taus)
+        return self._offset_pair_cap(nu.omega, rho, delta, r, taus)
 
-    def _offset_pair_2d(self, pieces, rho, x, y, taus):
-        delta = x - y
-        r = float(np.linalg.norm(delta))
-        p_d = (math.atan2(delta[1], delta[0]) + 0.5 * PI) % PI
-        vt = np.array([math.cos(p_d + 0.5 * PI), math.sin(p_d + 0.5 * PI)])
-        s0 = 1.0 if float(vt @ delta) > 0.0 else -1.0
+    def _offset_pair_2d(self, pieces, rho, delta, r, taus):
+        p_d, s0 = arcs._query_frame(delta)
         xi = arcs._wrap_pieces_to_xi(np.asarray(pieces, dtype=float), p_d)
         a, b, dens = xi[:, 0], xi[:, 1], xi[:, 2]
 
@@ -223,11 +231,9 @@ class ClosedForm(Backend):
             angle = rho * r * np.einsum("j,jt->t", dens, seg)
         return PairIntegrals(mass, trans, emb, angle, backend=self.name)
 
-    def _offset_pair_cap(self, cap, rho, x, y, taus):
+    def _offset_pair_cap(self, cap, rho, delta, r, taus):
         if taus is not None:
             raise UnsupportedBackendError("angle profiles for caps with n >= 3 need the MC backend")
-        delta = x - y
-        r = float(np.linalg.norm(delta))
         u = delta / r
         n = cap.dim
         alpha_c, beta_c = _cap_second_moments(n, cap.half_angle)
@@ -242,14 +248,7 @@ class ClosedForm(Backend):
         _check_atoms_off_segment(nu.mu, x, y)
         n = nu.dim
         pts, w = _point_support(nu.mu)
-        dx = x - pts
-        dy = y - pts
-        rx = np.linalg.norm(dx, axis=1)
-        ry = np.linalg.norm(dy, axis=1)
-        if np.any(rx == 0.0) or np.any(ry == 0.0):
-            raise DegenerateConfigurationError("support point coincides with a query endpoint")
-        ux = dx / rx[:, None]
-        uy = dy / ry[:, None]
+        rx, ry, ux, uy = _unit_frames(pts, x, y)
         # psi = 2 atan2(|u - w|, |u + w|) is stable at both angle extremes,
         # unlike arccos of the inner product
         diff = np.linalg.norm(ux - uy, axis=1)
@@ -324,6 +323,17 @@ class ClosedForm(Backend):
         return RegionMass(rho * total)
 
 
+def _unit_frames(pts, x, y):
+    """Distances and unit directions from each support point to x and to y."""
+    dx = x - pts
+    dy = y - pts
+    rx = np.linalg.norm(dx, axis=1)
+    ry = np.linalg.norm(dy, axis=1)
+    if np.any(rx == 0.0) or np.any(ry == 0.0):
+        raise DegenerateConfigurationError("support point coincides with a query endpoint")
+    return rx, ry, dx / rx[:, None], dy / ry[:, None]
+
+
 def _box_width_integral_2d(pieces, sides) -> float:
     """Integral of the box support width side0*|cos| + side1*|sin| over arc pieces."""
     total = 0.0
@@ -359,15 +369,13 @@ def _cap_abs_moment(n: int, theta0: float, gamma: float) -> float:
     a = math.cos(gamma) * np.cos(theta)
     b = math.sin(gamma) * np.sin(theta)
     inner = _mean_abs_affine_sphere(m, a, b)
-    return area_eq * float(np.sum(wq * np.sin(theta) ** max(m, 0) * inner))
+    return area_eq * float(np.sum(wq * np.sin(theta) ** m * inner))
 
 
 def _mean_abs_affine_sphere(m: int, a, b):
-    """E|a + b*s| with s the first coordinate of a uniform point on S^m."""
+    """E|a + b*s| with s the first coordinate of a uniform point on S^m, m >= 1."""
     a = np.asarray(a, dtype=float)
     b = np.abs(np.asarray(b, dtype=float))
-    if m == 0:
-        return 0.5 * (np.abs(a + b) + np.abs(a - b))
     if m == 1:
         out = np.abs(a).astype(float)
         inside = b > np.abs(a)
@@ -399,22 +407,19 @@ class Exact2D(Backend):
         mass, trans = 0.0, 0.0
         emb = np.zeros(2)
         angle = np.zeros(len(taus)) if taus is not None else None
-
-        def accumulate(points, weights, on_segment):
-            nonlocal mass, trans, emb, angle
-            if len(points) == 0:
-                return
-            m, t, e, a = arcs.pair_cloud_integrals(points, weights, pieces, x, y,
-                                                   taus=taus, on_segment=on_segment)
-            mass += m
-            trans += t
-            emb += e
-            if angle is not None:
-                angle += a
-
-        accumulate(nu.mu.atom_points, nu.mu.atom_weights, "error")
-        accumulate(nu.mu.node_points, nu.mu.node_weights, "full")
-        accumulate(*arcs.segment_pair_nodes(nu.mu.segment_table, pieces, x, y), "full")
+        mu = nu.mu
+        for points, weights, on_segment in (
+                (mu.atom_points, mu.atom_weights, "error"),
+                (mu.node_points, mu.node_weights, "full"),
+                (*arcs.segment_pair_nodes(mu.segment_table, pieces, x, y), "full")):
+            if len(points):
+                m, t, e, a = arcs.pair_cloud_integrals(points, weights, pieces, x, y,
+                                                       taus=taus, on_segment=on_segment)
+                mass += m
+                trans += t
+                emb += e
+                if angle is not None:
+                    angle += a
         return PairIntegrals(mass, trans, emb, angle, backend=self.name)
 
     def _box_mass(self, nu, lo, hi) -> RegionMass:
@@ -425,10 +430,9 @@ def _position_box_mass_2d(nu, lo, hi) -> float:
     """Exact arc integration of the box-hitting direction mass in the plane."""
     pieces = nu.omega.arc_pieces()
     total = 0.0
-    if nu.mu.atom_points.size:
-        total += arcs.box_cloud_mass(nu.mu.atom_points, nu.mu.atom_weights, pieces, lo, hi)
-    if nu.mu.node_points.size:
-        total += arcs.box_cloud_mass(nu.mu.node_points, nu.mu.node_weights, pieces, lo, hi)
+    for pts, w in ((nu.mu.atom_points, nu.mu.atom_weights), (nu.mu.node_points, nu.mu.node_weights)):
+        if pts.size:
+            total += arcs.box_cloud_mass(pts, w, pieces, lo, hi)
     for mass in arcs.segment_box_masses(nu.mu.segment_table, pieces, lo, hi):
         total += mass
     return float(total)
@@ -552,15 +556,9 @@ class MonteCarlo(Backend):
         udelta = delta / r
         batch = self._batch(nu)
         normals = batch[1]
-        if batch[0] == "hits":
-            _, _, offsets, weight = batch
-            gx = normals @ x - offsets
-            gy = normals @ y - offsets
-            mass_i = weight * (gx * gy <= 0.0)
-        else:
-            px = normals @ x
-            py = normals @ y
-            mass_i = batch[2] * nu.offsets.mass_many(np.minimum(px, py), np.maximum(px, py))
+        px = normals @ x
+        py = normals @ y
+        mass_i = _slab_mass(nu, batch, np.minimum(px, py), np.maximum(px, py))
         vd = normals @ udelta
         trans_i = mass_i * np.abs(vd)
         emb_i = (mass_i * np.sign(vd))[:, None] * normals
@@ -591,7 +589,7 @@ class MonteCarlo(Backend):
         if len(xs) != len(ys):
             raise ValueError(f"{len(xs)} segment starts but {len(ys)} segment ends")
         for x, y in zip(xs, ys):
-            self._points(nu, x, y)
+            _check_separation(*self._points(nu, x, y))
         const = nu.constant_offset_density() if isinstance(nu, OffsetDirection) else None
         if const is None:
             out = np.array([[r.mass, r.mass_se] for r in
@@ -616,47 +614,36 @@ class MonteCarlo(Backend):
         center = 0.5 * (lo + hi)
         halfs = 0.5 * (hi - lo)
         batch = self._batch(nu)
-        normals = batch[1]
-        reach = np.abs(normals) @ halfs
-        mid = normals @ center
-        if batch[0] == "hits":
-            _, _, offsets, weight = batch
-            vals = weight * ((offsets >= mid - reach) & (offsets <= mid + reach))
-        else:
-            vals = batch[2] * nu.offsets.mass_many(mid - reach, mid + reach)
-        return RegionMass(*_sum_with_se(vals))
+        reach = np.abs(batch[1]) @ halfs
+        mid = batch[1] @ center
+        return RegionMass(*_sum_with_se(_slab_mass(nu, batch, mid - reach, mid + reach)))
+
+
+def _slab_mass(nu, batch, lo, hi) -> np.ndarray:
+    """Per-sample mass of the batch's hyperplanes with offset in [lo, hi] along each
+    sampled normal: counted hits, or the offset measure of the slab."""
+    if batch[0] == "hits":
+        _, _, offsets, weight = batch
+        return weight * ((offsets >= lo) & (offsets <= hi))
+    return batch[2] * nu.offsets.mass_many(lo, hi)
 
 
 def _sample_positions(mu, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Sample positions from atoms, realized cell nodes, and line densities."""
-    blocks = []
-    if mu.atom_points.size:
-        blocks.append(("atoms", mu.atom_weights))
-    if mu.node_points.size:
-        blocks.append(("nodes", mu.node_weights))
+    """Sample positions from the point support (atoms, realized cell nodes) and line densities."""
+    pts, w = _point_support(mu)
     table = mu.segment_table
-    seg_masses = table.denss * table.lengths
-    if seg_masses.size:
-        blocks.append(("segments", seg_masses))
-    weights = np.concatenate([w for _, w in blocks])
+    weights = np.concatenate([w, table.denss * table.lengths])
     cum = np.cumsum(weights)
     u = rng.random(size) * cum[-1]
     idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
     frac = (u - (cum[idx] - weights[idx])) / weights[idx]
 
     out = np.empty((size, mu.dim))
-    offset = 0
-    for kind, w in blocks:
-        sel = (idx >= offset) & (idx < offset + len(w))
-        local = idx[sel] - offset
-        if kind == "atoms":
-            out[sel] = mu.atom_points[local]
-        elif kind == "nodes":
-            out[sel] = mu.node_points[local]
-        else:
-            p0s, p1s = table.p0s[local], table.p1s[local]
-            out[sel] = p0s + frac[sel, None] * (p1s - p0s)
-        offset += len(w)
+    point = idx < len(w)
+    out[point] = pts[idx[point]]
+    seg = ~point
+    p0s, p1s = table.p0s[idx[seg] - len(w)], table.p1s[idx[seg] - len(w)]
+    out[seg] = p0s + frac[seg, None] * (p1s - p0s)
     return out
 
 
@@ -868,11 +855,6 @@ def embed_unit_kernel(nu: PositionDirection, o, x, constant: EmbeddingConstant |
     o = as_point(o, nu.dim)
     x = as_point(x, nu.dim)
     pts, w = _point_support(nu.mu)
-    dx = x - pts
-    do = o - pts
-    rx = np.linalg.norm(dx, axis=1)
-    ro = np.linalg.norm(do, axis=1)
-    if np.any(rx == 0.0) or np.any(ro == 0.0):
-        raise DegenerateConfigurationError("atom coincides with the basepoint or query point")
-    kern = dx / rx[:, None] - do / ro[:, None]
+    _, _, ux, uo = _unit_frames(pts, x, o)
+    kern = ux - uo
     return constant.value * nu.omega.total_mass() * np.einsum("i,ij->j", w, kern)

@@ -232,8 +232,8 @@ class BaseMeasureND:
 
     def total_mass(self) -> float:
         tot = float(np.sum(self.atom_weights)) + float(np.sum(self.node_weights))
-        for p0, p1, dens in self.segments:
-            tot += dens * float(np.linalg.norm(p1 - p0))
+        for dens, ln in zip(self.segment_table.denss.tolist(), self.segment_table.lengths.tolist()):
+            tot += dens * ln
         return tot
 
     def support_radius(self) -> float:
@@ -267,16 +267,11 @@ class BaseMeasureND:
         """Mass of the closed ball B(center, r) (cells via their realized nodes)."""
         c = np.asarray(center, dtype=float)
         tot = 0.0
-        if self.atom_points.size:
-            inside = np.linalg.norm(self.atom_points - c, axis=1) <= r
-            tot += float(np.sum(self.atom_weights[inside]))
-        if self.node_points.size:
-            inside = np.linalg.norm(self.node_points - c, axis=1) <= r
-            tot += float(np.sum(self.node_weights[inside]))
-        for p0, p1, dens in self.segments:
-            d = p1 - p0
-            ln = float(np.linalg.norm(d))
-            u = d / ln
+        for pts, wts in ((self.atom_points, self.atom_weights), (self.node_points, self.node_weights)):
+            if pts.size:
+                tot += float(np.sum(wts[np.linalg.norm(pts - c, axis=1) <= r]))
+        t = self.segment_table
+        for p0, u, ln, dens in zip(t.p0s, t.us, t.lengths.tolist(), t.denss.tolist()):
             t0 = float((c - p0) @ u)
             h2 = float(np.sum((c - p0) ** 2)) - t0 * t0
             if h2 > r * r:
@@ -371,10 +366,8 @@ def tail1_check(m: BaseMeasureND, *, refine_level: int = 0) -> float:
         if np.any(r == 0.0):
             raise DegenerateConfigurationError("cell node at the origin")
         total += float(np.sum(wts / r))
-    for p0, p1, dens in m.segments:
-        d = p1 - p0
-        ln = float(np.linalg.norm(d))
-        u = d / ln
+    t = m.segment_table
+    for p0, u, ln, dens in zip(t.p0s, t.us, t.lengths.tolist(), t.denss.tolist()):
         t0 = float(-(p0 @ u))            # parameter of the closest point to the origin
         h = math.sqrt(max(float(p0 @ p0) - t0 * t0, 0.0))
         if h == 0.0 and 0.0 <= t0 <= ln:

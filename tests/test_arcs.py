@@ -194,6 +194,12 @@ def _pairs(plan, seed, count, rotation=np.eye(2)):
     return list(zip(points[::2], points[1::2]))
 
 
+def _needs_features(table, x, y, boundary):
+    """The pair path's feature mask over the whole table."""
+    return arcs._needs_features(table.lengths, *arcs._pair_geometry(
+        table.p0s, table.us, table.nrms, x, y, arcs._boundary_dirs(boundary)))
+
+
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
@@ -208,7 +214,7 @@ def test_smooth_segments_take_one_span():
     boundary = arcs.boundary_angles(nu.omega.arc_pieces())
     smooth = 0
     for x, y in _pairs(plan, 31, 30):
-        rows = ~arcs.segments_needing_features(table, x, y, boundary)
+        rows = ~_needs_features(table, x, y, boundary)
         # the splitter on all smooth rows at once; segment_query_nodes is its one-row case
         geometry = arcs._pair_geometry(table.p0s[rows], table.us[rows], table.nrms[rows], x, y,
                                        arcs._boundary_dirs(boundary))
@@ -266,7 +272,7 @@ def test_pair_nodes_match_per_segment_cuts(name, oblique):
         else:
             assert pts.tobytes() == ref_pts.tobytes()
             assert wts.tobytes() == ref_wts.tobytes()
-        special = arcs.segments_needing_features(table, x, y, boundary)
+        special = _needs_features(table, x, y, boundary)
         for k in np.flatnonzero(special)[:8]:
             one = arcs.segment_query_nodes(*segs[k], x, y, boundary)
             ref = _ref_query_nodes(*segs[k], x, y, boundary)

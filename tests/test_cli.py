@@ -212,6 +212,44 @@ def test_run_rejects_empty_or_non_integer_counts(tmp_path, capsys, counts):
     assert not (tmp_path / "report.txt").exists()
 
 
+DEGENERATE_CAPS = {"name": "degenerate_caps", "theta0": 0.2, "window_half": 0.4}
+MC = {"name": "monte_carlo"}
+
+
+@pytest.mark.parametrize("key, changes", [
+    ("seed", {"seed": True}),
+    ("scenario.dimension", {"scenario": {"name": "crofton", "dimension": 2.9}}),
+    ("scenario.levels", {"scenario": dict(DEGENERATE_CAPS, levels=2.5)}),
+    ("scenario.half_extent", {"scenario": {"name": "crofton", "dimension": 2,
+                                           "half_extent": "5"}}),
+    ("backend.budget", {"backend": dict(MC, budget=True)}),
+    ("backend.budget", {"backend": dict(MC, budget=20000.7)}),
+])
+def test_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, changes):
+    # each of these used to be coerced and run: a boolean seed as seed 1, a
+    # fractional dimension, level count or budget truncated, a string parsed
+    cfg = dict(BASE_CONFIG, **changes)
+    cfg["plan"] = dict(cfg["plan"], region=[[-0.3, -0.3], [0.3, 0.3]])
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_run_names_a_monte_carlo_miss(tmp_path, capsys):
+    # a 20000-sample batch draws no hyperplane across one short sampled
+    # segment on ba_lebesgue, whose exact mass is positive: the error asks
+    # for a larger budget instead of calling the measure degenerate
+    cfg = json.loads((SRC_DIR.parent / "configs" / "ba_lebesgue.json").read_text())
+    cfg["backend"] = dict(MC, budget=20000)
+    cfg["outputs"] = {"report": "report.txt"}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Monte Carlo" in err and "backend.budget" in err
+    assert "backend.budget" in json.loads(json_block(tmp_path / "report.txt"))["error"]
+
+
 def test_module_entry_point_help():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))

@@ -23,3 +23,6 @@ def test_demo_runs(demo, tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout
+    if demo == "axis_measure_extension":
+        # the grid lands in the working directory, not at a fixed path
+        assert (tmp_path / "axis_extension_grid.csv").stat().st_size > 0

@@ -5,11 +5,12 @@ import pytest
 
 from busemetric import (BaseMeasure1D, BaseMeasureND, ClosedForm, Cube,
                         DegenerateConfigurationError, DimensionMismatchError,
-                        EmbeddingConstant, EmbeddingMap, Exact2D, MonteCarlo,
-                        OffsetDirection, PositionDirection,
+                        EmbeddingConstant, EmbeddingMap, Exact2D, Hyperplane, MonteCarlo,
+                        OffsetDirection, PositionDirection, SamplerMeasure,
                         SymmetricCap, UniformDirections, UnsupportedBackendError,
                         calibrate_embedding_constant, cube_mass, embed_unit_kernel,
-                        mc_estimate, pair_integrals, seg_mass, transversal_integral)
+                        hits_segment, mc_estimate, pair_integrals, seg_mass,
+                        transversal_integral)
 from busemetric import evaluate
 from busemetric.directions import unit_kernel_constant
 from busemetric.scenarios import lebesgue_box_measure
@@ -624,3 +625,39 @@ def test_wrong_dimension_points_rejected(route):
     # f([0.0]) = [0, 0]) or fail deep inside numpy broadcasting
     with pytest.raises(DimensionMismatchError):
         WRONG_DIMENSION_ROUTES[route]()
+
+
+# distinct points 1e-170 apart: their squared distance underflows to 0, so
+# the backends lost the segment (mass 0.0 on closed_form-crofton and
+# exact2d) or divided by zero (closed_form-atoms, monte_carlo)
+UNDERFLOW_ROUTES = {
+    "closed_form-crofton": lambda x, y: CF.pair(crofton2(), x, y),
+    "closed_form-atoms": lambda x, y: CF.pair(atom_measure([((2.0, 0.3), 1.0)]), x, y),
+    "exact2d-axis_cap": lambda x, y: E2.pair(_axis_cap(), x, y),
+    "monte_carlo": lambda x, y: MonteCarlo(budget=2_000, seed=5).pair(crofton2(), x, y),
+    "seg_mass_many": lambda x, y: MonteCarlo(budget=2_000, seed=5).seg_mass_many(
+        crofton2(), [x], [y]),
+}
+
+
+@pytest.mark.parametrize("route", list(UNDERFLOW_ROUTES))
+def test_underflowing_separation_rejected(route):
+    with pytest.raises(ValueError, match="too close"):
+        UNDERFLOW_ROUTES[route]([1e-170, 0.3], [2e-170, 0.3])
+
+
+def test_mc_pair_and_box_share_the_slab_test():
+    # every sampled hyperplane is the line x = 0; the segment below lies
+    # right of it, but its offset gaps 1e-170 and 2e-170 multiply to an
+    # underflowed 0, which the pair path once counted as a hit
+    def on_axis(rng, m):
+        return np.tile([1.0, 0.0], (m, 1)), np.zeros(m), np.ones(m)
+
+    nu = SamplerMeasure(2, on_axis, bounding_lo=(-1.0, -1.0), bounding_hi=(1.0, 1.0))
+    mc = MonteCarlo(budget=1_000, seed=3)
+    line = Hyperplane([1.0, 0.0], 0.0)
+    for x, y, hit in (([1e-170, 0.5], [2e-170, 0.0], False),
+                      ([-1e-170, 0.5], [2e-170, 0.0], True)):
+        assert hits_segment(line, x, y) is hit
+        box = mc.box_mass(nu, np.minimum(x, y), np.maximum(x, y)).mass
+        assert mc.pair(nu, x, y).mass == box == pytest.approx(float(hit))
