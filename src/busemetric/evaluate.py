@@ -102,6 +102,17 @@ def _check_separation(x, y):
                          "their squared distance underflows")
 
 
+def _as_taus(taus) -> np.ndarray:
+    """The angle thresholds as a 1-D finite float array (empty allowed)."""
+    try:
+        t = np.asarray(taus, dtype=float)
+    except (TypeError, ValueError):
+        t = None
+    if t is None or t.ndim != 1 or not np.isfinite(t).all():
+        raise ValueError(f"taus must be a 1-D array of finite angles, got {taus!r}")
+    return t
+
+
 def _degenerate_pair(nu, x, taus, backend) -> PairIntegrals:
     """The x == y result: zero, unless an atom at x carries hyperplane mass.
 
@@ -121,9 +132,10 @@ def _degenerate_pair(nu, x, taus, backend) -> PairIntegrals:
 class Backend:
     """The public query boundary the three backends share: refuse a measure
     that ``supports`` rules out, check the points (finite, bounded, of the
-    measure's dimension), answer ``x == y`` by ``_degenerate_pair``, refuse
-    distinct pair points by ``_check_separation``, and only then call the
-    backend's ``_pair`` or ``_box_mass``."""
+    measure's dimension) and the angle thresholds (``_as_taus``), answer
+    ``x == y`` by ``_degenerate_pair``, refuse distinct pair points by
+    ``_check_separation``, and only then call the backend's ``_pair`` or
+    ``_box_mass``."""
 
     name: str
     estimates_se = False       # answers carry standard errors
@@ -139,6 +151,8 @@ class Backend:
 
     def pair(self, nu, x, y, taus=None) -> PairIntegrals:
         x, y = self._points(nu, x, y)
+        if taus is not None:
+            taus = _as_taus(taus)
         if np.all(x == y):
             return _degenerate_pair(nu, x, taus, self)
         _check_separation(x, y)
@@ -499,8 +513,10 @@ class MonteCarlo(Backend):
     estimates_se = True
 
     def __init__(self, budget: int = 100_000, seed: int = 0):
-        if budget <= 0:
-            raise ValueError("budget must be positive")
+        for key, value, least in (("budget", budget, 1), ("seed", seed, 0)):
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or value < least):
+                raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
         self.budget = int(budget)
         self.seed = int(seed)
         self._batches: OrderedDict[int, tuple] = OrderedDict()
@@ -569,8 +585,12 @@ class MonteCarlo(Backend):
         emb_se = _standard_error(emb, np.einsum("ij,ij->j", emb_i, emb_i), m, m)
         angle = angle_se = None
         if taus is not None:
-            sel = np.abs(vd)[:, None] >= np.sin(np.asarray(taus))[None, :]
-            vals = mass_i[:, None] * sel
+            # for two or more thresholds both sums add the rows in order and a
+            # zero-mass row adds an exact +0.0, so only the hit rows are summed;
+            # numpy sums a single threshold's column pairwise, so it keeps them all
+            hit = slice(None) if len(taus) == 1 else np.flatnonzero(mass_i)
+            sel = np.abs(vd[hit])[:, None] >= np.sin(taus)[None, :]
+            vals = mass_i[hit, None] * sel
             angle = np.sum(vals, axis=0)
             angle_se = _standard_error(angle, np.einsum("it,it->t", vals, vals), m, m)
         return PairIntegrals(mass, trans, emb, angle, mass_se, trans_se, emb_se, angle_se,

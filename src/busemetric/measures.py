@@ -200,23 +200,28 @@ class BaseMeasureND:
 
     @staticmethod
     def _realize_cells(dim, cells, order):
-        if cells.size == 0:
-            return np.zeros((0, dim)), np.zeros(0)
+        """Tensor Gauss-Legendre nodes and weights of the cells with nonzero
+        density: cell-major, each cell's nodes in ``ij`` order, the weight
+        the axis weights multiplied left to right, then by the density."""
+        cells = cells[cells[:, -1] != 0]
         x, w = _gl(order)
-        pts, wts = [], []
-        for row in cells:
-            lo, hi, dens = row[:dim], row[dim:2 * dim], row[-1]
-            if dens == 0:
-                continue
-            axes = [(0.5 * (lo[k] + hi[k]) + 0.5 * (hi[k] - lo[k]) * x) for k in range(dim)]
-            wax = [0.5 * (hi[k] - lo[k]) * w for k in range(dim)]
-            grid = np.meshgrid(*axes, indexing="ij")
-            pts.append(np.column_stack([g.ravel() for g in grid]))
-            wgrid = np.meshgrid(*wax, indexing="ij")
-            wts.append(dens * np.prod(np.stack([g.ravel() for g in wgrid]), axis=0))
-        if not pts:
-            return np.zeros((0, dim)), np.zeros(0)
-        return np.concatenate(pts), np.concatenate(wts)
+        lo, hi, dens = cells[:, :dim], cells[:, dim:2 * dim], cells[:, -1]
+        half = (0.5 * (hi - lo))[:, :, None]
+        axes = (0.5 * (lo + hi))[:, :, None] + half * x     # (cell, axis, node)
+        wax = half * w
+
+        def along(a, k):
+            """Axis k's values for each cell, varying along grid axis k only."""
+            return a[:, k].reshape((len(cells),) + (1,) * k + (order,) + (1,) * (dim - 1 - k))
+
+        pts = np.empty((len(cells),) + (order,) * dim + (dim,))
+        for k in range(dim):
+            pts[..., k] = along(axes, k)
+        wts = along(wax, 0)
+        for k in range(1, dim):
+            wts = wts * along(wax, k)
+        wts = dens.reshape((-1,) + (1,) * dim) * wts
+        return pts.reshape(-1, dim), wts.reshape(-1)
 
     @classmethod
     def from_axis_measure(cls, mu: BaseMeasure1D, dim: int = 2, axis: int = 0) -> "BaseMeasureND":

@@ -661,3 +661,153 @@ def test_mc_pair_and_box_share_the_slab_test():
         assert hits_segment(line, x, y) is hit
         box = mc.box_mass(nu, np.minimum(x, y), np.maximum(x, y)).mass
         assert mc.pair(nu, x, y).mass == box == pytest.approx(float(hit))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo angle profiles: the hit-rows path against the dense reference
+# ---------------------------------------------------------------------------
+
+def _ref_mc_angle(mc, nu, x, y, taus):
+    """The dense angle profile and its standard error: one row per sample,
+    hit or not, summed over all rows whatever the number of thresholds."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    batch = mc._batch(nu)
+    normals = batch[1]
+    px, py = normals @ x, normals @ y
+    mass_i = evaluate._slab_mass(nu, batch, np.minimum(px, py), np.maximum(px, py))
+    delta = x - y
+    vd = normals @ (delta / float(np.linalg.norm(delta)))
+    sel = np.abs(vd)[:, None] >= np.sin(np.asarray(taus))[None, :]
+    vals = mass_i[:, None] * sel
+    angle = np.sum(vals, axis=0)
+    m = len(mass_i)
+    return angle, evaluate._standard_error(angle, np.einsum("it,it->t", vals, vals), m, m)
+
+
+def _ba_lebesgue():
+    from busemetric.scenarios import beurling_ahlfors
+    return beurling_ahlfors(BaseMeasure1D.lebesgue(-30.0, 30.0, 1.0), window_half=3.0).measure
+
+
+def _weighted_sampler():
+    # lines within 0.3 rad of vertical, crossing the x axis in [-1.05, 1.05]
+    def sample(rng, m):
+        phi = rng.uniform(-0.3, 0.3, m)
+        normals = np.column_stack([np.cos(phi), np.sin(phi)])
+        return normals, rng.uniform(-1.0, 1.0, m), 1.0 + rng.random(m)
+
+    return SamplerMeasure(2, sample, bounding_lo=(-1.0, -1.0), bounding_hi=(1.0, 1.0))
+
+
+def _cap_offsets():
+    return OffsetDirection(SymmetricCap((1.0, 0.0), 0.3), BaseMeasure1D.lebesgue(-2.0, 2.0, 1.0))
+
+
+# hit batches with one weight and with per-sample weights, and offset
+# batches; crofton2's carries mass on every sample, and the last pair of
+# each other case is hit by no sample
+ANGLE_CASES = {
+    "position": (_ba_lebesgue, [([-2.0, 0.1], [2.0, 1.5]), ([0.3, 0.5], [0.3, 0.52]),
+                                ([-0.4, 1.4], [0.9, 0.2]), ([40.0, 0.5], [40.001, 0.5])]),
+    "sampler": (_weighted_sampler, [([-0.8, 0.1], [0.7, 0.6]), ([0.2, 0.2], [0.21, 0.2]),
+                                    ([-0.5, -0.5], [0.5, 0.4]), ([5.0, 0.0], [5.5, 0.0])]),
+    "crofton2": (crofton2, [([-0.9, 0.1], [0.7, 0.6]), ([0.2, 0.2], [0.2, 0.21])]),
+    "offset_cap": (_cap_offsets, [([-0.9, 0.1], [0.7, 0.6]), ([1.0, -1.0], [-1.0, 1.2]),
+                                  ([5.0, 0.0], [5.5, 0.0])]),
+}
+ANGLE_TAUS = {
+    "one": [0.3],
+    "one_obtuse": [2.0],
+    "two_unsorted": [1.2, 0.4],
+    "grid": np.round(np.arange(1, 101) * 0.01, 2),
+    "unsorted_past_half_pi": [2.5, 0.1, 1.9, 0.0, 1.5707963267948966, 3.0],
+}
+
+
+@pytest.mark.parametrize("taus", list(ANGLE_TAUS))
+@pytest.mark.parametrize("case", list(ANGLE_CASES))
+def test_mc_angle_profile_matches_dense_reference_bits(case, taus):
+    make, pairs = ANGLE_CASES[case]
+    nu = make()
+    t = ANGLE_TAUS[taus]
+    for seed in (7, 8):
+        mc = MonteCarlo(budget=20_000, seed=seed)
+        for x, y in pairs:
+            got = mc.pair(nu, x, y, taus=t)
+            angle, angle_se = _ref_mc_angle(mc, nu, x, y, t)
+            assert got.angle.tobytes() == angle.tobytes()
+            assert got.angle_se.tobytes() == angle_se.tobytes()
+    if case != "crofton2":
+        # the last pair is hit by no sample: exact zeros
+        assert got.mass == 0.0 and not np.any(got.angle) and not np.any(got.angle_se)
+
+
+def test_mc_angle_profile_memory_is_bounded():
+    # the dense profile held a 100k x 100 float matrix and a boolean one,
+    # about 96 MB at peak; over hit rows only this pair, the plan region's
+    # diagonal, peaks near 12 MB
+    import tracemalloc
+    from busemetric.diagnostics import TAU_GRID
+    nu = _ba_lebesgue()
+    mc = MonteCarlo(budget=100_000, seed=7)
+    x, y = [-2.0, 0.1], [2.0, 1.5]
+    mc.pair(nu, x, y)          # the batch is built outside the traced call
+    tracemalloc.start()
+    try:
+        mc.pair(nu, x, y, taus=TAU_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+# ---------------------------------------------------------------------------
+# constructor and angle-threshold checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs", [
+    {"budget": 0.5}, {"budget": 2.7}, {"budget": True}, {"budget": 0}, {"budget": -3},
+    {"budget": "100"}, {"budget": None}, {"budget": np.float64(100.0)},
+    {"seed": 1.5}, {"seed": True}, {"seed": -1}, {"seed": "7"},
+])
+def test_mc_constructor_rejects_non_integral_budget_and_seed(kwargs):
+    # these used to be truncated (2.7 -> 2, True -> 1, seed 1.5 -> 1) or, for
+    # budget 0.5, to construct and divide by zero on the first query
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        MonteCarlo(**kwargs)
+
+
+def test_mc_constructor_accepts_numpy_integers():
+    mc = MonteCarlo(budget=np.int64(2_000), seed=np.int32(5))
+    assert (mc.budget, mc.seed) == (2_000, 5)
+    assert type(mc.budget) is int and type(mc.seed) is int
+    x, y = [0.1, 0.2], [0.5, -0.3]
+    assert _bits(mc.pair(crofton2(), x, y)) == _bits(MonteCarlo(2_000, 5).pair(crofton2(), x, y))
+
+
+TAU_BACKENDS = {
+    "closed_form": (CF, crofton2),
+    "exact2d": (E2, _axis_cap),
+    "monte_carlo": (MonteCarlo(budget=2_000, seed=5), _axis_cap),
+}
+
+
+@pytest.mark.parametrize("bad", [[math.nan], [0.1, math.inf], [-math.inf], [[0.1, 0.2]],
+                                 0.3, ["a"], [None]])
+@pytest.mark.parametrize("backend", list(TAU_BACKENDS))
+def test_non_finite_or_misshapen_taus_rejected(backend, bad):
+    # Monte Carlo answered angle 0.0 for tau = nan, a finite wrong answer,
+    # where closed_form answered nan; the check also runs for x == y
+    b, make = TAU_BACKENDS[backend]
+    nu = make()
+    for y in ([0.5, 0.6], [0.1, 0.4]):
+        with pytest.raises(ValueError, match="taus"):
+            b.pair(nu, [0.1, 0.4], y, taus=bad)
+
+
+@pytest.mark.parametrize("backend", list(TAU_BACKENDS))
+def test_empty_taus_give_an_empty_profile(backend):
+    b, make = TAU_BACKENDS[backend]
+    for y in ([0.5, 0.6], [0.1, 0.4]):
+        p = b.pair(make(), [0.1, 0.4], y, taus=[])
+        assert p.angle.shape == (0,)

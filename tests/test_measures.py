@@ -208,3 +208,67 @@ def test_lebesgue_box_measure_grading():
     assert mu.support_radius() == pytest.approx(outer * math.sqrt(2), rel=1e-12)
     # cells tile without overlap: mass of the inner quarter matches Lebesgue
     assert mu.ball_mass([0.0, 0.0], 0.5) == pytest.approx(math.pi * 0.25, rel=2e-3)
+
+
+def _ref_realize_cells(dim, cells, order):
+    """The per-cell loop that realized cells before the array pass."""
+    from busemetric.arcs import _gl
+    x, w = _gl(order)
+    pts, wts = [], []
+    for row in cells:
+        lo, hi, dens = row[:dim], row[dim:2 * dim], row[-1]
+        if dens == 0:
+            continue
+        axes = [(0.5 * (lo[k] + hi[k]) + 0.5 * (hi[k] - lo[k]) * x) for k in range(dim)]
+        wax = [0.5 * (hi[k] - lo[k]) * w for k in range(dim)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        pts.append(np.column_stack([g.ravel() for g in grid]))
+        wgrid = np.meshgrid(*wax, indexing="ij")
+        wts.append(dens * np.prod(np.stack([g.ravel() for g in wgrid]), axis=0))
+    if not pts:
+        return np.zeros((0, dim)), np.zeros(0)
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def _tiled_cells(dim, per_axis, rng):
+    """Grid cells of uneven widths with random densities, a third of them zero."""
+    edges = [np.cumsum(np.r_[rng.uniform(-2.0, -1.0), rng.uniform(0.1, 1.3, per_axis)])
+             for _ in range(dim)]
+    rows = []
+    for idx in np.ndindex(*(per_axis,) * dim):
+        lo = [edges[k][i] for k, i in enumerate(idx)]
+        hi = [edges[k][i + 1] for k, i in enumerate(idx)]
+        rows.append(lo + hi + [rng.uniform(0.1, 3.0) if rng.random() > 1 / 3 else 0.0])
+    return np.array(rows)
+
+
+def _same_bits(a, b):
+    return all(u.shape == v.shape and u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_cell_realization_matches_per_cell_loop_bits(dim):
+    rng = np.random.default_rng(40 + dim)
+    cells = _tiled_cells(dim, 3, rng)
+    assert np.any(cells[:, -1] == 0.0) and np.any(cells[:, -1] > 0.0)
+    for order in range(1, 7):
+        got = BaseMeasureND._realize_cells(dim, cells, order)
+        assert _same_bits(got, _ref_realize_cells(dim, cells, order))
+        mu = BaseMeasureND(dim, cells=cells, gauss_order=order)
+        assert _same_bits((mu.node_points, mu.node_weights), got)
+        scaled = mu.scaled(1.7)
+        assert _same_bits((scaled.node_points, scaled.node_weights),
+                          _ref_realize_cells(dim, scaled.cells, order))
+    # only zero-density cells: no nodes, in the right shapes
+    empty = cells.copy()
+    empty[:, -1] = 0.0
+    for c in (empty, empty[:0]):
+        p, w = BaseMeasureND._realize_cells(dim, c, 4)
+        assert p.shape == (0, dim) and w.shape == (0,)
+
+
+def test_tail1_refined_nodes_match_per_cell_loop_bits():
+    from busemetric.measures import _split_cells
+    mu = lebesgue_box_measure(2, inner_half=0.8, levels=2)
+    pts, wts = _ref_realize_cells(2, _split_cells(mu.cells, 2, 3), mu.gauss_order)
+    assert tail1_check(mu, refine_level=3) == float(np.sum(wts / np.linalg.norm(pts, axis=1)))
