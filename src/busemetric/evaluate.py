@@ -75,31 +75,14 @@ class RegionMass(NamedTuple):
 
 
 def _point_support(mu):
-    """Atoms and realized cell nodes of ``mu`` as one weighted point cloud."""
-    if not mu.node_points.size:
-        return mu.atom_points, mu.atom_weights
-    return (np.concatenate([mu.atom_points, mu.node_points]),
-            np.concatenate([mu.atom_weights, mu.node_weights]))
-
-
-def _check_atoms_off_segment(mu, x, y):
-    """Reject atoms on the closed query segment (the integrals are ill-defined there)."""
-    if not mu.atom_points.size:
-        return
-    d = y - x
-    t = np.clip((mu.atom_points - x) @ d / float(d @ d), 0.0, 1.0)
-    nearest = x + t[:, None] * d
-    if np.any(np.linalg.norm(mu.atom_points - nearest, axis=1) == 0.0):
-        raise DegenerateConfigurationError("mu-atom lies on the closed query segment")
-
-
-def _check_separation(x, y):
-    """Reject distinct points whose squared distance underflows: every backend
-    would lose the segment (``as_point`` keeps squares from overflowing)."""
-    d = x - y
-    if float(d @ d) < TINY and np.any(d != 0.0):
-        raise ValueError(f"points {x.tolist()} and {y.tolist()} are distinct but too close: "
-                         "their squared distance underflows")
+    """Atoms and realized cell nodes of ``mu`` as one weighted point cloud,
+    the measure's own arrays when it has only one of the two."""
+    if mu.atom_points.size and mu.node_points.size:
+        return (np.concatenate([mu.atom_points, mu.node_points]),
+                np.concatenate([mu.atom_weights, mu.node_weights]))
+    if mu.node_points.size:
+        return mu.node_points, mu.node_weights
+    return mu.atom_points, mu.atom_weights
 
 
 def _as_taus(taus) -> np.ndarray:
@@ -113,29 +96,12 @@ def _as_taus(taus) -> np.ndarray:
     return t
 
 
-def _degenerate_pair(nu, x, taus, backend) -> PairIntegrals:
-    """The x == y result: zero, unless an atom at x carries hyperplane mass.
-
-    Labelled with the backend's name, and with zero standard errors shaped
-    like the values when the backend estimates them.
-    """
-    if isinstance(nu, PositionDirection) and nu.mu.atoms_near(x).size:
-        raise DegenerateConfigurationError(
-            "point query coincides with a mu-atom: every direction's hyperplane passes through it")
-    t = None if taus is None else np.zeros(len(taus))
-    if not backend.estimates_se:
-        return PairIntegrals(0.0, 0.0, np.zeros(x.size), t, backend=backend.name)
-    return PairIntegrals(0.0, 0.0, np.zeros(x.size), t, 0.0, 0.0, np.zeros(x.size),
-                         None if t is None else np.zeros(len(t)), backend=backend.name)
-
-
 class Backend:
     """The public query boundary the three backends share: refuse a measure
     that ``supports`` rules out, check the points (finite, bounded, of the
-    measure's dimension) and the angle thresholds (``_as_taus``), answer
-    ``x == y`` by ``_degenerate_pair``, refuse distinct pair points by
-    ``_check_separation``, and only then call the backend's ``_pair`` or
-    ``_box_mass``."""
+    measure's dimension), the pair points by ``_segment``, the box corners'
+    order and the angle thresholds (``_as_taus``), answer ``x == y`` with
+    zeros, and only then call the backend's ``_pair`` or ``_box_mass``."""
 
     name: str
     estimates_se = False       # answers carry standard errors
@@ -149,17 +115,41 @@ class Backend:
                 f"backend {self.name} does not serve this {type(nu).__name__} measure")
         return as_point(x, nu.dim), as_point(y, nu.dim)
 
-    def pair(self, nu, x, y, taus=None) -> PairIntegrals:
+    def _segment(self, nu, x, y):
+        """The checked points of a pair query on [x, y].  Distinct points whose
+        squared distance underflows are refused: every backend would lose the
+        segment (``as_point`` keeps squares from overflowing).  So is a mu-atom
+        on the closed segment, or at the point x == y: it carries hyperplane
+        mass through a single point, and the integrals are ill-posed."""
         x, y = self._points(nu, x, y)
+        d = x - y
+        if float(d @ d) < TINY and np.any(d != 0.0):
+            raise ValueError(f"points {x.tolist()} and {y.tolist()} are distinct but too close: "
+                             "their squared distance underflows")
+        if isinstance(nu, PositionDirection) and nu.mu.atoms_on_segment(x, y).size:
+            raise DegenerateConfigurationError("mu-atom lies on the closed query segment")
+        return x, y
+
+    def pair(self, nu, x, y, taus=None) -> PairIntegrals:
+        x, y = self._segment(nu, x, y)
         if taus is not None:
             taus = _as_taus(taus)
-        if np.all(x == y):
-            return _degenerate_pair(nu, x, taus, self)
-        _check_separation(x, y)
-        return self._pair(nu, x, y, taus)
+        if np.any(x != y):
+            return self._pair(nu, x, y, taus)
+        # x == y, and no atom sits at x: zeros under the backend's name, with
+        # zero standard errors shaped like the values when it estimates them
+        t = None if taus is None else np.zeros(len(taus))
+        if not self.estimates_se:
+            return PairIntegrals(0.0, 0.0, np.zeros(x.size), t, backend=self.name)
+        return PairIntegrals(0.0, 0.0, np.zeros(x.size), t, 0.0, 0.0, np.zeros(x.size),
+                             None if t is None else np.zeros(len(t)), backend=self.name)
 
     def box_mass(self, nu, lo, hi) -> RegionMass:
-        return self._box_mass(nu, *self._points(nu, lo, hi))
+        lo, hi = self._points(nu, lo, hi)
+        if np.any(lo > hi):
+            raise ValueError(f"box corners {lo.tolist()} and {hi.tolist()} are out of order: "
+                             "need lo <= hi on every axis")
+        return self._box_mass(nu, lo, hi)
 
     def cube_mass(self, nu, q: Cube) -> RegionMass:
         return self.box_mass(nu, q.center - 0.5 * q.edge, q.center + 0.5 * q.edge)
@@ -259,7 +249,6 @@ class ClosedForm(Backend):
         return PairIntegrals(mass, trans, emb, None, backend=self.name)
 
     def _position_pair(self, nu, x, y, taus):
-        _check_atoms_off_segment(nu.mu, x, y)
         n = nu.dim
         pts, w = _point_support(nu.mu)
         rx, ry, ux, uy = _unit_frames(pts, x, y)
@@ -421,14 +410,12 @@ class Exact2D(Backend):
         mass, trans = 0.0, 0.0
         emb = np.zeros(2)
         angle = np.zeros(len(taus)) if taus is not None else None
-        mu = nu.mu
-        for points, weights, on_segment in (
-                (mu.atom_points, mu.atom_weights, "error"),
-                (mu.node_points, mu.node_weights, "full"),
-                (*arcs.segment_pair_nodes(mu.segment_table, pieces, x, y), "full")):
+        # the boundary refused atoms on the segment: a point on it is a node, hit fully
+        for points, weights in (_point_support(nu.mu),
+                                arcs.segment_pair_nodes(nu.mu.segment_table, pieces, x, y)):
             if len(points):
                 m, t, e, a = arcs.pair_cloud_integrals(points, weights, pieces, x, y,
-                                                       taus=taus, on_segment=on_segment)
+                                                       taus=taus, on_segment="full")
                 mass += m
                 trans += t
                 emb += e
@@ -443,10 +430,8 @@ class Exact2D(Backend):
 def _position_box_mass_2d(nu, lo, hi) -> float:
     """Exact arc integration of the box-hitting direction mass in the plane."""
     pieces = nu.omega.arc_pieces()
-    total = 0.0
-    for pts, w in ((nu.mu.atom_points, nu.mu.atom_weights), (nu.mu.node_points, nu.mu.node_weights)):
-        if pts.size:
-            total += arcs.box_cloud_mass(pts, w, pieces, lo, hi)
+    pts, w = _point_support(nu.mu)
+    total = arcs.box_cloud_mass(pts, w, pieces, lo, hi) if pts.size else 0.0
     for mass in arcs.segment_box_masses(nu.mu.segment_table, pieces, lo, hi):
         total += mass
     return float(total)
@@ -565,8 +550,6 @@ class MonteCarlo(Backend):
     # -- queries -------------------------------------------------------------
 
     def _pair(self, nu, x, y, taus):
-        if isinstance(nu, PositionDirection):
-            _check_atoms_off_segment(nu.mu, x, y)
         delta = x - y
         r = float(np.linalg.norm(delta))
         udelta = delta / r
@@ -608,13 +591,13 @@ class MonteCarlo(Backend):
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         if len(xs) != len(ys):
             raise ValueError(f"{len(xs)} segment starts but {len(ys)} segment ends")
-        for x, y in zip(xs, ys):
-            _check_separation(*self._points(nu, x, y))
         const = nu.constant_offset_density() if isinstance(nu, OffsetDirection) else None
         if const is None:
             out = np.array([[r.mass, r.mass_se] for r in
                             (self.pair(nu, x, y) for x, y in zip(xs, ys))])
             return out[:, 0], out[:, 1]
+        for x, y in zip(xs, ys):
+            self._segment(nu, x, y)
         rho, _, _ = _covered_density(nu, max(float(np.max(np.linalg.norm(xs, axis=1))),
                                              float(np.max(np.linalg.norm(ys, axis=1)))))
         _, normals, base = self._batch(nu)
@@ -722,7 +705,7 @@ class EmbeddingMap:
     def __init__(self, measure, basepoint, backend=None):
         o = as_point(basepoint, measure.dim).copy()
         backend = backend or default_backend(measure)
-        if isinstance(measure, PositionDirection) and measure.mu.atoms_near(o).size:
+        if isinstance(measure, PositionDirection) and measure.mu.atoms_on_segment(o, o).size:
             raise DegenerateConfigurationError("basepoint coincides with a mu-atom")
         o.setflags(write=False)
         object.__setattr__(self, "measure", measure)
@@ -797,24 +780,28 @@ class EmbeddingConstant:
                    provenance="analytic")
 
 
-def calibrate_embedding_constant(n: int, budget: int, seed: int, *,
-                                 distances=(2.0, 5.0, 10.0), ball_radius: float = 0.05,
-                                 chunk: int = 1 << 20) -> EmbeddingConstant:
+# the far probe distances |x|, the sampled ball's radius, the most samples drawn at once
+CALIBRATION_DISTANCES = (2.0, 5.0, 10.0)
+CALIBRATION_BALL_RADIUS = 0.05
+CALIBRATION_CHUNK = 1 << 20
+
+
+def calibrate_embedding_constant(n: int, budget: int, seed: int) -> EmbeddingConstant:
     """Estimate the unit-difference kernel constant from the defining integral.
 
     Samples the pushforward of (uniform ball) x (uniform directions) with the
     basepoint at the ball center and probes far points x with |x| much larger
     than the radius, where the embedding is constant * x/|x|.  The constant
     must come out independent of |x|; disagreement beyond 4 combined sigma is
-    an error.  The default ball radius keeps the finite-radius correction,
+    an error.  The ball radius keeps the finite-radius correction,
     of order radius^2 / (8 |x|^2), far below the statistical band.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     rng = np.random.default_rng(seed)
-    per = max(int(budget) // len(distances), 1)
+    per = max(int(budget) // len(CALIBRATION_DISTANCES), 1)
     results = []
-    for dist in distances:
+    for dist in CALIBRATION_DISTANCES:
         xhat = np.zeros(n)
         xhat[0] = 1.0
         total = 0.0
@@ -822,11 +809,11 @@ def calibrate_embedding_constant(n: int, budget: int, seed: int, *,
         count = 0
         remaining = per
         while remaining > 0:
-            m = min(chunk, remaining)
+            m = min(CALIBRATION_CHUNK, remaining)
             remaining -= m
             g = rng.standard_normal((m, n))
             g /= np.linalg.norm(g, axis=1, keepdims=True)
-            radii = ball_radius * rng.random(m) ** (1.0 / n)
+            radii = CALIBRATION_BALL_RADIUS * rng.random(m) ** (1.0 / n)
             a = g * radii[:, None]
             v = rng.standard_normal((m, n))
             v /= np.linalg.norm(v, axis=1, keepdims=True)

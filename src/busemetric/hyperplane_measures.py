@@ -129,7 +129,7 @@ class ValidationReport:
 
 
 def validate(nu: HyperplaneMeasure, region_lo, region_hi, *, point_count: int = 32,
-             segment_count: int = 64, seed: int = 0, backend=None) -> ValidationReport:
+             segment_count: int = 64, seed: int = 0) -> ValidationReport:
     """Check the admissibility bullets on sampled points/segments in a box region."""
     from . import evaluate  # deferred: evaluators consume these measure types
 
@@ -138,8 +138,7 @@ def validate(nu: HyperplaneMeasure, region_lo, region_hi, *, point_count: int = 
     if np.any(hi <= lo):
         raise ValueError("validation region must be a nonempty box")
     rng = np.random.default_rng(seed)
-    if backend is None:
-        backend = evaluate.default_backend(nu, budget=20000, seed=seed)
+    backend = evaluate.default_backend(nu, budget=20000, seed=seed)
 
     pts = lo + rng.random((point_count, lo.size)) * (hi - lo)
     probe_pts = [p for p in pts]
@@ -179,10 +178,8 @@ def _point_mass(nu: HyperplaneMeasure, p: np.ndarray, rng: np.random.Generator) 
     if isinstance(nu, PositionDirection):
         # direction variants are absolutely continuous, so only a position
         # atom sitting exactly at p produces mass through p
-        idx = nu.mu.atoms_near(p)
-        if idx.size:
-            return float(np.sum(nu.mu.atom_weights[idx])) * nu.omega.total_mass()
-        return 0.0
+        at_p = nu.mu.atoms_on_segment(p, p)
+        return float(np.sum(nu.mu.atom_weights[at_p])) * nu.omega.total_mass()
     if isinstance(nu, OffsetDirection):
         # an offset atom spreads over a sphere-null set of directions per point
         return 0.0

@@ -285,11 +285,25 @@ class BaseMeasureND:
             tot += dens * max(0.0, min(ln, t0 + half) - max(0.0, t0 - half))
         return tot
 
-    def atoms_near(self, point, tol: float = 0.0) -> np.ndarray:
-        if not self.atom_points.size:
+    def atoms_on_segment(self, x, y) -> np.ndarray:
+        """Indices of the atoms on the closed segment [x, y]; ``[x, x]`` is the point x.
+
+        An atom is on the segment when it equals its own nearest point there,
+        ``x + t (y - x)`` with t clipped to [0, 1], or the endpoint y, which
+        ``x + 1.0 * (y - x)`` need not reproduce.
+        """
+        a = self.atom_points
+        if not len(a):
             return np.zeros(0, dtype=int)
-        d = np.linalg.norm(self.atom_points - np.asarray(point, dtype=float), axis=1)
-        return np.nonzero(d <= tol)[0]
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        d = y - x
+        dd = float(d @ d)
+        t = np.clip((a - x) @ d / dd, 0.0, 1.0) if dd > 0.0 else np.zeros(len(a))
+        near, at_y = a - (x + t[:, None] * d), a - y
+        # a gap is zero when its squared norm is, as for the backends' distances
+        return np.flatnonzero(np.minimum(np.sum(near * near, axis=1),
+                                         np.sum(at_y * at_y, axis=1)) == 0.0)
 
     def scaled(self, factor: float) -> "BaseMeasureND":
         if factor <= 0:
@@ -390,16 +404,14 @@ def _asinh_safe(t: float, h: float) -> float:
 
 
 def _split_cells(cells: np.ndarray, dim: int, level: int) -> np.ndarray:
+    """Halve every cell on every axis ``level`` times: cell-major, each cell's
+    2**dim children in corner-mask order (bit k set takes the upper half of axis k)."""
+    bits = ((np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1).astype(bool)
     out = cells
     for _ in range(level):
-        new = []
-        for row in out:
-            lo, hi, dens = row[:dim], row[dim:2 * dim], row[-1]
-            mid = 0.5 * (lo + hi)
-            for mask in range(2 ** dim):
-                bits = (mask >> np.arange(dim)) & 1
-                nlo = np.where(bits, mid, lo)
-                nhi = np.where(bits, hi, mid)
-                new.append(np.concatenate([nlo, nhi, [dens]]))
-        out = np.asarray(new)
+        lo, hi, dens = out[:, None, :dim], out[:, None, dim:2 * dim], out[:, None, -1:]
+        mid = 0.5 * (lo + hi)
+        out = np.concatenate([np.where(bits, mid, lo), np.where(bits, hi, mid),
+                              np.broadcast_to(dens, (len(out), len(bits), 1))],
+                             axis=2).reshape(-1, 2 * dim + 1)
     return out

@@ -49,8 +49,8 @@ class Scenario:
         object.__setattr__(self, "domain_hi", hi)
         object.__setattr__(self, "basepoint", o)
 
-    def backend(self, *, budget: int = 100_000, seed: int = 0):
-        return evaluate.default_backend(self.measure, budget=budget, seed=seed)
+    def backend(self):
+        return evaluate.default_backend(self.measure)
 
     def embedding(self, *, backend=None) -> evaluate.EmbeddingMap:
         return evaluate.EmbeddingMap(self.measure, self.basepoint,
@@ -94,8 +94,7 @@ def crofton(n: int, *, half_extent: float = 5.0) -> Scenario:
 
 
 def lebesgue_box_measure(dim: int, *, inner_half: float, levels: int = 6,
-                         cell: float | None = None, gauss_order: int = 4,
-                         density: float = 1.0) -> BaseMeasureND:
+                         cell: float | None = None, gauss_order: int = 4) -> BaseMeasureND:
     """Unit-density box graded from fine cells near the origin to a far boundary.
 
     The box covers [-inner_half * 2**levels, ...]^dim; each dyadic ring
@@ -116,7 +115,7 @@ def lebesgue_box_measure(dim: int, *, inner_half: float, levels: int = 6,
             if skip_half is not None and np.all(np.abs(lo) <= skip_half) \
                     and np.all(np.abs(hi) <= skip_half):
                 continue
-            cells.append(np.concatenate([lo, hi, [density]]))
+            cells.append(np.concatenate([lo, hi, [1.0]]))
 
     add_grid(inner_half, cell, None)
     h, size = inner_half, cell

@@ -8,10 +8,10 @@ from busemetric import (BaseMeasure1D, BaseMeasureND, ClosedForm, Cube,
                         EmbeddingConstant, EmbeddingMap, Exact2D, Hyperplane, MonteCarlo,
                         OffsetDirection, PositionDirection, SamplerMeasure,
                         SymmetricCap, UniformDirections, UnsupportedBackendError,
-                        calibrate_embedding_constant, cube_mass, embed_unit_kernel,
+                        box_mass, calibrate_embedding_constant, cube_mass, embed_unit_kernel,
                         hits_segment, mc_estimate, pair_integrals, seg_mass,
                         transversal_integral)
-from busemetric import evaluate
+from busemetric import arcs, evaluate
 from busemetric.directions import unit_kernel_constant
 from busemetric.scenarios import lebesgue_box_measure
 
@@ -136,6 +136,163 @@ def test_seg_mass_atom_on_segment_rejected():
     mc = MonteCarlo(budget=1000, seed=0)
     with pytest.raises(DegenerateConfigurationError):
         mc.pair(nu, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+
+
+def _atoms_with_far_one(*points):
+    return atom_measure([(p, 1.0) for p in points] + [((5.0, 5.0), 1.0)])
+
+
+_XA, _YA = np.array([-1.66, -1.05]), np.array([1.21, 0.33])
+_XB, _YB = np.array([-0.3, 1.3]), np.array([-0.4, 0.2])
+# (measure, x, y): an atom at y, which x + 1.0 * (y - x) misses in floating
+# point; one at x + 0.07 (y - x), not exactly collinear with x and y in floating
+# point but on the segment by the projection test; one at x; one inside
+# (0, 0)-(1, 1); and x == y at an atom
+ATOM_ON_SEGMENT_CASES = {
+    "at_y": lambda: (_atoms_with_far_one(_YA), _XA, _YA),
+    "t_0.07": lambda: (_atoms_with_far_one(_XB + 0.07 * (_YB - _XB)), _XB, _YB),
+    "at_x": lambda: (_atoms_with_far_one(_XA), _XA, _YA),
+    "inside": lambda: (_atoms_with_far_one((0.5, 0.5)), np.zeros(2), np.ones(2)),
+    "point": lambda: (_atoms_with_far_one((0.5, 0.5)), np.full(2, 0.5), np.full(2, 0.5)),
+}
+ATOM_ON_SEGMENT_ROUTES = {
+    "closed_form": lambda nu, x, y: CF.pair(nu, x, y),
+    "exact2d": lambda nu, x, y: E2.pair(nu, x, y, taus=[0.2]),
+    "monte_carlo": lambda nu, x, y: MonteCarlo(budget=2_000, seed=5).pair(nu, x, y),
+    "seg_mass_many": lambda nu, x, y: MonteCarlo(budget=2_000, seed=5).seg_mass_many(
+        nu, [[0.1, 0.2], x], [[0.3, 0.1], y]),
+}
+
+
+@pytest.mark.parametrize("route", list(ATOM_ON_SEGMENT_ROUTES))
+@pytest.mark.parametrize("case", list(ATOM_ON_SEGMENT_CASES))
+def test_atom_on_closed_segment_rejected_by_every_backend(case, route):
+    # one rule at the query boundary: at y, Monte Carlo once answered mass
+    # 0.94, and at t = 0.07 exact2d answered 1.0373 while the others refused
+    nu, x, y = ATOM_ON_SEGMENT_CASES[case]()
+    with pytest.raises(DegenerateConfigurationError, match="mu-atom"):
+        ATOM_ON_SEGMENT_ROUTES[route](nu, x, y)
+
+
+def test_atom_on_closed_segment_rejected_in_3d():
+    nu = PositionDirection(BaseMeasureND(3, atoms=[((0.5, 1.0, 1.5), 1.0), ((1.0, 2.0, 3.0), 2.0),
+                                                   ((4.0, 0.0, 0.0), 1.0)]),
+                           UniformDirections(3))
+    x = np.zeros(3)
+    for y in ([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 1.5]):
+        for backend in (CF, MonteCarlo(budget=2_000, seed=5)):
+            with pytest.raises(DegenerateConfigurationError, match="mu-atom"):
+                backend.pair(nu, x, y)
+    assert CF.pair(nu, x, [0.5, 1.0, 1.4]).mass > 0.0
+
+
+def test_backends_agree_on_atoms_near_the_segment():
+    # atoms at x + t (y - x) on a grid: each backend refuses exactly the
+    # atoms the boundary rule puts on the segment and answers the rest
+    rng = np.random.default_rng(91)
+    mc = MonteCarlo(budget=2_000, seed=5)
+    outcomes = set()
+    for _ in range(2_000):
+        x, y = rng.integers(-20, 21, (2, 2)) / 10.0
+        if np.all(x == y):
+            continue
+        atom = x + rng.integers(-10, 111) / 100.0 * (y - x)
+        nu = _atoms_with_far_one(atom)
+        raised = []
+        for backend in (CF, E2, mc):
+            try:
+                backend.pair(nu, x, y)
+                raised.append(False)
+            except DegenerateConfigurationError:
+                raised.append(True)
+        assert len(set(raised)) == 1, (x, y, atom, raised)
+        assert raised[0] == bool(nu.mu.atoms_on_segment(x, y).size)
+        outcomes.add(raised[0])
+    assert outcomes == {True, False}
+
+
+def _ref_exact2d_pair(nu, x, y, taus):
+    """Exact2D's pair as one kernel call per support kind: atoms refusing
+    positions on the segment, then cell nodes, then segment nodes."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    pieces = nu.omega.arc_pieces()
+    mass, trans = 0.0, 0.0
+    emb = np.zeros(2)
+    angle = np.zeros(len(taus)) if taus is not None else None
+    mu = nu.mu
+    for points, weights, on_segment in (
+            (mu.atom_points, mu.atom_weights, "error"),
+            (mu.node_points, mu.node_weights, "full"),
+            (*arcs.segment_pair_nodes(mu.segment_table, pieces, x, y), "full")):
+        if len(points):
+            m, t, e, a = arcs.pair_cloud_integrals(points, weights, pieces, x, y,
+                                                   taus=taus, on_segment=on_segment)
+            mass += m
+            trans += t
+            emb += e
+            if angle is not None:
+                angle += a
+    return [mass, trans, emb] + ([] if angle is None else [angle])
+
+
+def _ref_exact2d_box(nu, lo, hi):
+    """Exact2D's box mass with atoms and cell nodes in separate kernel calls."""
+    pieces = nu.omega.arc_pieces()
+    total = 0.0
+    for pts, w in ((nu.mu.atom_points, nu.mu.atom_weights),
+                   (nu.mu.node_points, nu.mu.node_weights)):
+        if pts.size:
+            total += arcs.box_cloud_mass(pts, w, pieces, lo, hi)
+    for mass in arcs.segment_box_masses(nu.mu.segment_table, pieces, lo, hi):
+        total += mass
+    return float(total)
+
+
+def test_exact2d_point_cloud_matches_per_kind_reference_bits():
+    from busemetric.directions import ArcDensity2D
+    from busemetric.scenarios import degenerate_caps
+    atoms = PositionDirection(
+        BaseMeasureND(2, atoms=[((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0), ((0.4, -2.2), 1.5)],
+                      segments=[((-1.0, -0.5), (1.5, -0.4), 1.3)]),
+        SymmetricCap((0.6, 0.8), 0.5))
+    cells = degenerate_caps(0.2, levels=2).measure
+    plain = atom_measure([((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0)])
+    plain = PositionDirection(plain.mu, ArcDensity2D([(0.1, 1.2, 1.0), (2.0, 2.9, 0.5)]))
+    rng = np.random.default_rng(92)
+    for nu in (atoms, cells, plain):
+        for _ in range(8):
+            x, y = rng.uniform(-0.6, 0.6, (2, 2))
+            for taus in (None, [0.3], [0.1, 0.7], np.linspace(0.0, 1.5, 100)):
+                p = E2.pair(nu, x, y, taus=taus)
+                got = [p.mass, p.transversal, p.embed] + ([] if taus is None else [p.angle])
+                ref = _ref_exact2d_pair(nu, x, y, taus)
+                assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                           for a, b in zip(got, ref))
+            lo, hi = np.minimum(x, y), np.maximum(x, y)
+            assert E2.box_mass(nu, lo, hi).mass == _ref_exact2d_box(nu, lo, hi)
+
+
+BOX_ORDER_CASES = {
+    "closed_form": (CF, crofton2),
+    "exact2d": (E2, lambda: atom_measure([((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0)])),
+    "monte_carlo": (MonteCarlo(budget=2_000, seed=5),
+                    lambda: atom_measure([((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0)])),
+}
+
+
+@pytest.mark.parametrize("case", list(BOX_ORDER_CASES))
+def test_box_corners_out_of_order_rejected(case):
+    # box (1, 1)-(0, 0) once had mass -1.2732 on closed_form-crofton, and
+    # 0.7167 on the exact backends against 0.0 on Monte Carlo for the atoms
+    backend, make = BOX_ORDER_CASES[case]
+    nu = make()
+    for lo, hi in (([1.0, 1.0], [0.0, 0.0]), ([0.0, 1.0], [1.0, 0.0])):
+        with pytest.raises(ValueError, match="out of order"):
+            backend.box_mass(nu, lo, hi)
+        with pytest.raises(ValueError, match="out of order"):
+            box_mass(nu, lo, hi, backend=backend)
+    # a flat box, lo == hi on one axis, is still a box
+    assert backend.box_mass(nu, [0.0, 0.5], [1.0, 0.5]).mass >= 0.0
 
 
 # ---------------------------------------------------------------------------

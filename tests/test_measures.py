@@ -272,3 +272,47 @@ def test_tail1_refined_nodes_match_per_cell_loop_bits():
     mu = lebesgue_box_measure(2, inner_half=0.8, levels=2)
     pts, wts = _ref_realize_cells(2, _split_cells(mu.cells, 2, 3), mu.gauss_order)
     assert tail1_check(mu, refine_level=3) == float(np.sum(wts / np.linalg.norm(pts, axis=1)))
+
+
+def _ref_split_cells(cells, dim, level):
+    """The per-cell, per-corner-mask loop the array split must reproduce."""
+    out = cells
+    for _ in range(level):
+        new = []
+        for row in out:
+            lo, hi, dens = row[:dim], row[dim:2 * dim], row[-1]
+            mid = 0.5 * (lo + hi)
+            for mask in range(2 ** dim):
+                bits = (mask >> np.arange(dim)) & 1
+                new.append(np.concatenate([np.where(bits, mid, lo), np.where(bits, hi, mid),
+                                           [dens]]))
+        out = np.asarray(new)
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_split_cells_matches_per_cell_loop_bits(dim):
+    from busemetric.measures import _split_cells
+    cells = _tiled_cells(dim, 2, np.random.default_rng(60 + dim))
+    for level in range(4 if dim < 4 else 3):
+        assert _same_bits([_split_cells(cells, dim, level)], [_ref_split_cells(cells, dim, level)])
+    box = lebesgue_box_measure(2, inner_half=0.8, levels=2).cells
+    assert _same_bits([_split_cells(box, 2, 2)], [_ref_split_cells(box, 2, 2)])
+
+
+def test_atoms_on_segment_closed_and_exact_at_both_ends():
+    # y = (1.21, 0.33) is not x + 1.0 * (y - x) in floating point, so a
+    # projection test alone misses an atom at y
+    x, y = np.array([-1.66, -1.05]), np.array([1.21, 0.33])
+    assert not np.array_equal(x + 1.0 * (y - x), y)
+    mu = BaseMeasureND(2, atoms=[(x, 1.0), (y, 2.0), ((0.5, 0.5), 1.0), ((5.0, 5.0), 1.0)])
+    assert mu.atoms_on_segment(x, y).tolist() == [0, 1]
+    assert mu.atoms_on_segment(y, x).tolist() == [0, 1]
+    assert mu.atoms_on_segment((0.0, 0.0), (1.0, 1.0)).tolist() == [2]
+    # [x, x] is the point x
+    assert mu.atoms_on_segment(y, y).tolist() == [1]
+    assert mu.atoms_on_segment(x + 1.0, x + 1.0).tolist() == []
+    mu3 = BaseMeasureND(3, atoms=[((0.5, 1.0, 1.5), 1.0), ((0.5, 1.0, 1.6), 1.0)])
+    assert mu3.atoms_on_segment((0.0, 0.0, 0.0), (1.0, 2.0, 3.0)).tolist() == [0]
+    assert BaseMeasureND(2, cells=[(0.0, 0.0, 1.0, 1.0, 1.0)]).atoms_on_segment(
+        (0.0, 0.0), (1.0, 1.0)).size == 0
