@@ -97,16 +97,14 @@ def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
 def _pair_core(dx, dy, w, pieces, delta, *, taus=None, on_segment="error"):
     rx2 = np.einsum("ij,ij->i", dx, dx)
     ry2 = np.einsum("ij,ij->i", dy, dy)
-    if np.any(rx2 == 0.0) or np.any(ry2 == 0.0):
-        raise DegenerateConfigurationError("support point coincides with a query endpoint")
     cross = dx[:, 0] * dy[:, 1] - dx[:, 1] * dy[:, 0]
     dot = np.einsum("ij,ij->i", dx, dy)
     collinear = cross == 0.0
-    between = collinear & (dot < 0.0)
+    # a point on the closed segment, an endpoint included, is hit by every
+    # line through it, oriented as for a point just inside the segment
+    between = collinear & (dot <= 0.0)
     if on_segment == "error" and np.any(between):
         raise DegenerateConfigurationError("atom lies on the closed query segment")
-    if np.any(collinear & (dot == 0.0)):
-        raise DegenerateConfigurationError("support point coincides with a query endpoint")
 
     px = (np.arctan2(dx[:, 1], dx[:, 0]) + 0.5 * PI) % PI
     py = (np.arctan2(dy[:, 1], dy[:, 0]) + 0.5 * PI) % PI
@@ -114,8 +112,8 @@ def _pair_core(dx, dy, w, pieces, delta, *, taus=None, on_segment="error"):
     # the hit arc's width equals the angle subtended by the segment, which
     # identifies the candidate robustly even for extremely thin wedges; the
     # midpoint sign test breaks ties at psi = pi/2 where widths coincide
-    ux = dx / np.sqrt(rx2)[:, None]
-    uy = dy / np.sqrt(ry2)[:, None]
+    ux = dx / np.sqrt(np.where(rx2 == 0.0, 1.0, rx2))[:, None]
+    uy = dy / np.sqrt(np.where(ry2 == 0.0, 1.0, ry2))[:, None]
     psi = 2.0 * np.arctan2(np.hypot(ux[:, 0] - uy[:, 0], ux[:, 1] - uy[:, 1]),
                            np.hypot(ux[:, 0] + uy[:, 0], ux[:, 1] + uy[:, 1]))
     first_matches = np.abs(w1 - psi) <= np.abs((PI - w1) - psi)

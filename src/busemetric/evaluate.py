@@ -16,10 +16,11 @@ to floating-point rounding, not up to estimator noise.
 
 Backends:
 
-* ``ClosedForm``  -- offset-direction measures (uniform directions in any
-  dimension, arbitrary arc densities for n = 2, caps for n >= 3 via polar
-  quadrature) and position-direction measures with uniform directions
-  (subtended-angle kernel, valid in all dimensions);
+* ``ClosedForm``  -- offset-direction measures with a constant offset
+  density (uniform directions in any dimension, any arc density for n = 2)
+  and position-direction measures with uniform directions and no line
+  densities for n <= 3 (subtended-angle kernel; box masses by exact arcs
+  for n = 2 and sphere quadrature for n = 3);
 * ``Exact2D``     -- position-direction measures in the plane with any arc
   density: exact per-position arc antiderivatives, query-adaptive
   Gauss-Legendre integration along density segments;
@@ -35,11 +36,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from . import arcs
-from .directions import (SymmetricCap, UniformDirections, abs_moment,
-                         partial_abs_moment, unit_kernel_constant)
+from .directions import UniformDirections, abs_moment, partial_abs_moment, unit_kernel_constant
 from .geometry import Cube, DegenerateConfigurationError, as_point
 from .hyperplane_measures import (HyperplaneMeasure, OffsetDirection, PositionDirection,
                                   SamplerMeasure)
@@ -169,18 +168,16 @@ def _covered_density(nu, reach: float):
 # ---------------------------------------------------------------------------
 
 class ClosedForm(Backend):
-    """Formula-based evaluation; see module docstring for the supported pairings."""
+    """Formulas for the pairings in the module docstring: every query on a supported
+    measure answers, except one outside an offset density's span (``_covered_density``)."""
 
     name = "closed_form"
 
     def supports(self, nu: HyperplaneMeasure) -> bool:
         if isinstance(nu, OffsetDirection):
-            if nu.constant_offset_density() is None:
-                return False
-            return nu.dim == 2 or isinstance(nu.omega, (UniformDirections, SymmetricCap))
-        if isinstance(nu, PositionDirection):
-            return isinstance(nu.omega, UniformDirections) and not nu.mu.segments
-        return False
+            return nu.constant_offset_density() is not None and (
+                nu.dim == 2 or isinstance(nu.omega, UniformDirections))
+        return _uniform_point_measure(nu) and nu.dim <= 3
 
     # -- pair queries -------------------------------------------------------
 
@@ -203,9 +200,7 @@ class ClosedForm(Backend):
             if taus is not None:
                 angle = rho * r * np.array([partial_abs_moment(n, math.sin(t)) for t in taus])
             return PairIntegrals(mass, trans, emb, angle, backend=self.name)
-        if n == 2:
-            return self._offset_pair_2d(nu.omega.arc_pieces(), rho, delta, r, taus)
-        return self._offset_pair_cap(nu.omega, rho, delta, r, taus)
+        return self._offset_pair_2d(nu.omega.arc_pieces(), rho, delta, r, taus)
 
     def _offset_pair_2d(self, pieces, rho, delta, r, taus):
         p_d, s0 = arcs._query_frame(delta)
@@ -234,19 +229,6 @@ class ClosedForm(Backend):
             seg = np.where(good, np.cos(blo) - np.cos(np.maximum(bhi, blo)), 0.0)
             angle = rho * r * np.einsum("j,jt->t", dens, seg)
         return PairIntegrals(mass, trans, emb, angle, backend=self.name)
-
-    def _offset_pair_cap(self, cap, rho, delta, r, taus):
-        if taus is not None:
-            raise UnsupportedBackendError("angle profiles for caps with n >= 3 need the MC backend")
-        u = delta / r
-        n = cap.dim
-        alpha_c, beta_c = _cap_second_moments(n, cap.half_angle)
-        along = float(u @ cap.axis)
-        trans = rho * r * (alpha_c * along**2 + beta_c * (1.0 - along**2))
-        emb = rho * (alpha_c * float(delta @ cap.axis) * cap.axis
-                     + beta_c * (delta - float(delta @ cap.axis) * cap.axis))
-        mass = rho * r * _cap_abs_moment(n, cap.half_angle, math.acos(np.clip(abs(along), 0.0, 1.0)))
-        return PairIntegrals(mass, trans, emb, None, backend=self.name)
 
     def _position_pair(self, nu, x, y, taus):
         n = nu.dim
@@ -308,33 +290,35 @@ class ClosedForm(Backend):
         if isinstance(nu, PositionDirection):
             if nu.dim == 2:
                 return RegionMass(_position_box_mass_2d(nu, lo, hi))
-            if nu.dim == 3:
-                return RegionMass(_position_box_mass_3d(nu, lo, hi))
-            raise UnsupportedBackendError("position-direction box mass needs n = 2 or 3")
+            return RegionMass(_position_box_mass_3d(nu, lo, hi))
         sides = hi - lo
         # the far corner of the box bounds the norm of every point in it
         rho, _, _ = _covered_density(nu, float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))))
-        n = nu.dim
         if isinstance(nu.omega, UniformDirections):
-            return RegionMass(rho * float(np.sum(sides)) * abs_moment(n))
-        if n == 2:
-            return RegionMass(rho * _box_width_integral_2d(nu.omega.arc_pieces(), sides))
-        total = 0.0
-        for i in range(n):
-            gamma = math.acos(np.clip(abs(float(nu.omega.axis[i])), 0.0, 1.0))
-            total += sides[i] * _cap_abs_moment(n, nu.omega.half_angle, gamma)
-        return RegionMass(rho * total)
+            return RegionMass(rho * float(np.sum(sides)) * abs_moment(nu.dim))
+        return RegionMass(rho * _box_width_integral_2d(nu.omega.arc_pieces(), sides))
+
+
+def _uniform_point_measure(nu) -> bool:
+    """Uniform directions over atoms and cells: the unit kernel's measures, in any dimension."""
+    return (isinstance(nu, PositionDirection) and isinstance(nu.omega, UniformDirections)
+            and not nu.mu.segments)
 
 
 def _unit_frames(pts, x, y):
-    """Distances and unit directions from each support point to x and to y."""
+    """Distances and unit directions from each support point to x and to y; a point
+    at one endpoint gets minus its direction to the other, as if just inside [x, y]."""
     dx = x - pts
     dy = y - pts
     rx = np.linalg.norm(dx, axis=1)
     ry = np.linalg.norm(dy, axis=1)
-    if np.any(rx == 0.0) or np.any(ry == 0.0):
-        raise DegenerateConfigurationError("support point coincides with a query endpoint")
-    return rx, ry, dx / rx[:, None], dy / ry[:, None]
+    at_x = rx == 0.0
+    at_y = ry == 0.0
+    ux = dx / np.where(at_x, 1.0, rx)[:, None]
+    uy = dy / np.where(at_y, 1.0, ry)[:, None]
+    ux[at_x] = -uy[at_x]
+    uy[at_y] = -ux[at_y]
+    return rx, ry, ux, uy
 
 
 def _box_width_integral_2d(pieces, sides) -> float:
@@ -348,49 +332,6 @@ def _box_width_integral_2d(pieces, sides) -> float:
             total += dens * (sides[0] * sgn * (math.sin(b) - math.sin(a))
                              + sides[1] * (math.cos(a) - math.cos(b)))
     return float(total)
-
-
-def _cap_second_moments(n: int, theta0: float) -> tuple[float, float]:
-    """(axis, transverse) second moments of the one-sided cap surface measure."""
-    area_eq = 2.0 * PI ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
-    s2 = math.sin(theta0) ** 2
-
-    def sin_int(m: int) -> float:
-        b = special.betainc((m + 1) / 2.0, 0.5, s2) * special.beta((m + 1) / 2.0, 0.5)
-        return 0.5 * float(b)
-
-    total_axis = area_eq * (sin_int(n - 2) - sin_int(n))
-    transverse = area_eq * sin_int(n) / (n - 1)
-    return total_axis, transverse
-
-
-def _cap_abs_moment(n: int, theta0: float, gamma: float) -> float:
-    """Integral of |<u, v>| over the one-sided cap, u at angle gamma from the axis."""
-    area_eq = 2.0 * PI ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
-    m = n - 2
-    theta, wq = arcs._gl_spans(np.linspace(0.0, theta0, 65), 8)
-    a = math.cos(gamma) * np.cos(theta)
-    b = math.sin(gamma) * np.sin(theta)
-    inner = _mean_abs_affine_sphere(m, a, b)
-    return area_eq * float(np.sum(wq * np.sin(theta) ** m * inner))
-
-
-def _mean_abs_affine_sphere(m: int, a, b):
-    """E|a + b*s| with s the first coordinate of a uniform point on S^m, m >= 1."""
-    a = np.asarray(a, dtype=float)
-    b = np.abs(np.asarray(b, dtype=float))
-    if m == 1:
-        out = np.abs(a).astype(float)
-        inside = b > np.abs(a)
-        aa, bb = a[inside], b[inside]
-        out[inside] = (2.0 / PI) * (aa * np.arcsin(np.clip(aa / bb, -1.0, 1.0))
-                                    + np.sqrt(np.clip(bb * bb - aa * aa, 0.0, None)))
-        return out
-    cm = math.exp(special.gammaln((m + 1) / 2.0) - special.gammaln(m / 2.0)) / math.sqrt(PI)
-    s_star = np.clip(-a / np.where(b == 0.0, np.inf, b), -1.0, 1.0)
-    cdf = 0.5 + 0.5 * np.sign(s_star) * special.betainc(0.5, m / 2.0, s_star**2)
-    partial = cm * (1.0 - s_star**2) ** (m / 2.0) / m
-    return a * (1.0 - 2.0 * cdf) + 2.0 * b * partial
 
 
 # ---------------------------------------------------------------------------
@@ -583,23 +524,24 @@ class MonteCarlo(Backend):
         """Segment masses with standard errors for many pairs over one batch.
 
         Allocation-light bulk path for the common case (offset-direction
-        measures with one constant density piece); other measures fall back
-        to per-pair evaluation on the same shared batch.  The points pass the
-        same checks as ``pair``'s.
+        measures with one constant density piece covering every row); other
+        measures and rows fall back to per-pair evaluation on the same shared
+        batch.  The points pass the same checks as ``pair``'s.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         if len(xs) != len(ys):
             raise ValueError(f"{len(xs)} segment starts but {len(ys)} segment ends")
         const = nu.constant_offset_density() if isinstance(nu, OffsetDirection) else None
-        if const is None:
+        if const is not None:
+            for x, y in zip(xs, ys):
+                self._segment(nu, x, y)
+            rho, lo, hi = const
+            reach = float(np.max(np.linalg.norm(np.concatenate([xs, ys]), axis=1)))
+        if const is None or reach > min(hi, -lo):
             out = np.array([[r.mass, r.mass_se] for r in
                             (self.pair(nu, x, y) for x, y in zip(xs, ys))])
             return out[:, 0], out[:, 1]
-        for x, y in zip(xs, ys):
-            self._segment(nu, x, y)
-        rho, _, _ = _covered_density(nu, max(float(np.max(np.linalg.norm(xs, axis=1))),
-                                             float(np.max(np.linalg.norm(ys, axis=1)))))
         _, normals, base = self._batch(nu)
         m = len(normals)
         scale = base * m * rho     # omega total mass times the offset density
@@ -855,12 +797,14 @@ def embed_unit_kernel(nu: PositionDirection, o, x, constant: EmbeddingConstant |
     Alternative route to the same value as the closed-form backend; used to
     certify calibrated constants against the integral evaluators.
     """
-    if not isinstance(nu, PositionDirection) or not _CLOSED.supports(nu):
+    if not _uniform_point_measure(nu):
         raise UnsupportedBackendError(
             "unit kernel needs a position measure with uniform directions, no line densities")
     constant = constant or EmbeddingConstant.analytic(nu.dim)
     o = as_point(o, nu.dim)
     x = as_point(x, nu.dim)
+    if nu.mu.atoms_on_segment(x, o).size:
+        raise DegenerateConfigurationError("mu-atom lies on the closed query segment")
     pts, w = _point_support(nu.mu)
     _, _, ux, uo = _unit_frames(pts, x, o)
     kern = ux - uo

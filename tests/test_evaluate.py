@@ -12,7 +12,7 @@ from busemetric import (BaseMeasure1D, BaseMeasureND, ClosedForm, Cube,
                         hits_segment, mc_estimate, pair_integrals, seg_mass,
                         transversal_integral)
 from busemetric import arcs, evaluate
-from busemetric.directions import unit_kernel_constant
+from busemetric.directions import ArcDensity2D, unit_kernel_constant
 from busemetric.scenarios import lebesgue_box_measure
 
 CF = ClosedForm()
@@ -161,6 +161,8 @@ ATOM_ON_SEGMENT_ROUTES = {
     "monte_carlo": lambda nu, x, y: MonteCarlo(budget=2_000, seed=5).pair(nu, x, y),
     "seg_mass_many": lambda nu, x, y: MonteCarlo(budget=2_000, seed=5).seg_mass_many(
         nu, [[0.1, 0.2], x], [[0.3, 0.1], y]),
+    # the unit kernel once answered for an atom between o and x
+    "unit_kernel": lambda nu, x, y: embed_unit_kernel(nu, y, x),
 }
 
 
@@ -633,6 +635,21 @@ def test_mc_seg_mass_many_matches_pairwise():
         assert ses[k] == pytest.approx(p.mass_se, rel=1e-9)
 
 
+def test_mc_seg_mass_many_sends_uncovered_rows_through_pair():
+    # the bulk formula needs the constant offset density to cover every row;
+    # the first row reaches norm 1.5 past the span [-1, 1], which pair
+    # answers (mass 0.53437) and seg_mass_many once refused
+    narrow = OffsetDirection(UniformDirections(2), BaseMeasure1D.lebesgue(-1.0, 1.0, 1.0))
+    mc = MonteCarlo(budget=20_000, seed=1)
+    xs = [[0.5, 0.5], [0.1, 0.2], [-0.3, 0.4]]
+    ys = [[1.5, 0.0], [0.3, -0.1], [0.2, 0.2]]
+    vals, ses = mc.seg_mass_many(narrow, xs, ys)
+    pairs = [mc.pair(narrow, x, y) for x, y in zip(xs, ys)]
+    assert vals.tobytes() == np.array([p.mass for p in pairs]).tobytes()
+    assert ses.tobytes() == np.array([p.mass_se for p in pairs]).tobytes()
+    assert vals[0] == pytest.approx(0.53437, abs=1e-5)
+
+
 def _bits(p):
     return [np.asarray(v, dtype=float).tobytes() if v is not None else None
             for v in (p.mass, p.transversal, p.embed, p.angle, p.mass_se, p.transversal_se,
@@ -696,6 +713,17 @@ def test_default_backend_dispatch():
     assert default_backend(sampler, budget=10, seed=1).name == "monte_carlo"
 
 
+def _cap3_offsets():
+    return OffsetDirection(SymmetricCap((0.3, 0.5, 0.8), 0.6), BaseMeasure1D.lebesgue(-20, 20, 1.0))
+
+
+def _atoms_4d():
+    return PositionDirection(BaseMeasureND(4, atoms=[((1.0, 0.5, -0.4, 0.2), 1.0),
+                                                     ((-0.8, 1.2, 0.6, -1.0), 2.0),
+                                                     ((0.3, -1.1, 0.9, 0.7), 1.5)]),
+                             UniformDirections(4))
+
+
 def test_unsupported_backend_pairings():
     mu1 = BaseMeasure1D.lebesgue(-5.0, 5.0, 1.0)
     ba = PositionDirection(BaseMeasureND.from_axis_measure(mu1),
@@ -711,10 +739,16 @@ def test_unsupported_backend_pairings():
     cases = [(CF, ba, [0.0, 0.5], [1.0, 0.5]),        # cap needs exact2d
              (E2, nu3, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),  # planar backend only
              (CF, caps2, [0.0, 0.0], [0.5, 0.2]),
-             (CF, caps3, [0.0, 0.0, 0.0], [0.3, 0.2, 0.1])]
+             (CF, caps3, [0.0, 0.0, 0.0], [0.3, 0.2, 0.1]),
+             # closed_form once claimed these and failed on angle profiles
+             # (the cap) or box masses (the 4-D atoms)
+             (CF, _cap3_offsets(), [0.1, 0.1, 0.1], [0.3, 0.3, 0.3]),
+             (CF, _atoms_4d(), [0.1, 0.1, 0.1, 0.1], [0.3, 0.3, 0.3, 0.3])]
     for backend, nu, x, y in cases:
         with pytest.raises(UnsupportedBackendError):
             backend.pair(nu, x, y)
+        with pytest.raises(UnsupportedBackendError):
+            backend.pair(nu, x, y, taus=[0.2])
         with pytest.raises(UnsupportedBackendError):
             backend.pair(nu, x, x)
         with pytest.raises(UnsupportedBackendError):
@@ -724,6 +758,145 @@ def test_unsupported_backend_pairings():
     narrow = OffsetDirection(UniformDirections(2), BaseMeasure1D.lebesgue(-1.0, 1.0, 1.0))
     with pytest.raises(UnsupportedBackendError):
         CF.pair(narrow, np.array([5.0, 0.0]), np.array([6.0, 0.0]))  # span not covered
+
+
+# ---------------------------------------------------------------------------
+# ClosedForm's contract: it claims a measure only where every query kind the
+# audits ask answers
+# ---------------------------------------------------------------------------
+
+UNCLAIMED = {"cap3_offsets": _cap3_offsets, "atoms_4d": _atoms_4d}
+
+
+@pytest.mark.parametrize("case", list(UNCLAIMED))
+def test_default_backend_skips_closed_form_where_a_query_kind_fails(case):
+    from busemetric import default_backend
+    from busemetric.diagnostics import SamplingPlan, run_diagnostics
+    nu = UNCLAIMED[case]()
+    assert not CF.supports(nu)
+    assert default_backend(nu).name == "monte_carlo"
+    n = nu.dim
+    plan = SamplingPlan(region_lo=(-0.5,) * n, region_hi=(0.5,) * n, pair_count=8,
+                        cycle_count=4, cube_count=4, triple_count=4, seed=3)
+    assert run_diagnostics(nu, np.zeros(n), plan).passed()
+
+
+def test_unit_kernel_still_serves_uniform_atoms_in_4d():
+    # the kernel holds in every dimension; these are the values it gave when
+    # closed_form also claimed the measure (16 ulp, as for the other anchors)
+    got = embed_unit_kernel(_atoms_4d(), [0.1, -0.2, 0.05, 0.3], [-0.4, 0.3, 0.2, -0.1])
+    ref = np.array([-0.15705192601087123, 0.10957525995412117,
+                    0.07657089881854937, -0.07436195745689761])
+    assert np.all(np.abs(got - ref) <= 16 * np.spacing(np.abs(ref)))
+
+
+OFFSET_2D = {
+    "cap": lambda: SymmetricCap((0.6, 0.8), 0.5),
+    "arcs": lambda: ArcDensity2D([(0.1, 1.2, 1.0), (2.0, 2.9, 0.5)]),
+}
+
+
+def _within(exact, est, se, k=4.0):
+    # components Monte Carlo estimates with zero spread are not compared
+    exact, est, se = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (exact, est, se))
+    live = se > 0.0
+    return bool(np.all(np.abs(exact - est)[live] <= k * se[live]))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("case", list(OFFSET_2D))
+def test_closed_form_planar_offsets_against_monte_carlo(case, seed):
+    # the arc-density offset pair (its angle block included) and box width
+    # integral, which no bundled config reaches
+    nu = OffsetDirection(OFFSET_2D[case](), BaseMeasure1D.lebesgue(-20.0, 20.0, 1.5))
+    mc = MonteCarlo(budget=200_000, seed=seed)
+    x, y, taus = [0.3, -0.2], [-0.5, 0.6], [0.1, 0.4, 0.8, 1.2]
+    p = CF.pair(nu, x, y, taus=taus)
+    q = mc.pair(nu, x, y, taus=taus)
+    assert _within(p.mass, q.mass, q.mass_se)
+    assert _within(p.transversal, q.transversal, q.transversal_se)
+    assert _within(p.embed, q.embed, q.embed_se)
+    assert _within(p.angle, q.angle, q.angle_se)
+    lo, hi = [-0.3, -0.1], [0.4, 0.5]
+    assert _within(CF.box_mass(nu, lo, hi).mass, *mc.box_mass(nu, lo, hi))
+
+
+def test_atoms_and_cells_sum_on_both_exact_backends():
+    atoms = [((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0), ((0.4, -2.2), 1.5)]
+    cells = [(-0.5, -0.5, 0.0, 0.5, 1.0), (0.0, -0.5, 0.5, 0.5, 2.0)]
+    both, only_atoms, only_cells = (
+        PositionDirection(BaseMeasureND(2, **kw), UniformDirections(2))
+        for kw in ({"atoms": atoms, "cells": cells}, {"atoms": atoms}, {"cells": cells}))
+    rng = np.random.default_rng(93)
+    for backend in (CF, E2):
+        for _ in range(6):
+            x, y = rng.uniform(-0.8, 0.8, (2, 2))
+            taus = [0.2, 0.9]
+            got = backend.pair(both, x, y, taus=taus)
+            a, c = (backend.pair(nu, x, y, taus=taus) for nu in (only_atoms, only_cells))
+            for g, u, v in ((got.mass, a.mass, c.mass), (got.transversal, a.transversal,
+                                                         c.transversal),
+                            (got.embed, a.embed, c.embed), (got.angle, a.angle, c.angle)):
+                assert np.allclose(g, np.asarray(u) + v, rtol=1e-12, atol=0.0)
+            lo, hi = np.minimum(x, y), np.maximum(x, y)
+            box = [backend.box_mass(nu, lo, hi).mass for nu in (both, only_atoms, only_cells)]
+            assert box[0] == pytest.approx(box[1] + box[2], rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# support points at a query endpoint: on the closed segment, hit by every
+# hyperplane through them, oriented as for a point just inside
+# ---------------------------------------------------------------------------
+
+def _box_node_endpoint():
+    nu = PositionDirection(lebesgue_box_measure(2, inner_half=0.8, levels=6), UniformDirections(2))
+    pts = nu.mu.node_points
+    x = pts[np.argmin(np.linalg.norm(pts, axis=1))]
+    return nu, x, x + np.array([0.1, 0.05])
+
+
+def test_backends_agree_with_a_cell_node_at_a_query_endpoint():
+    # closed_form and exact2d once raised "support point coincides with a
+    # query endpoint" here while Monte Carlo answered
+    nu, x, y = _box_node_endpoint()
+    taus = [0.2, 0.7]
+    cf, e2 = CF.pair(nu, x, y, taus=taus), E2.pair(nu, x, y, taus=taus)
+    assert cf.mass == pytest.approx(8.163557, abs=1e-6)
+    for a, b in ((cf.mass, e2.mass), (cf.transversal, e2.transversal), (cf.embed, e2.embed),
+                 (cf.angle, e2.angle)):
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+    for backend in (CF, E2):
+        assert np.allclose(backend.pair(nu, y, x).embed, -backend.pair(nu, x, y).embed,
+                           rtol=1e-12, atol=0.0)
+    mc = MonteCarlo(budget=400_000, seed=1).pair(nu, x, y, taus=taus)
+    assert abs(mc.mass - cf.mass) <= 4.0 * mc.mass_se
+    assert _within(cf.embed, mc.embed, mc.embed_se)
+    assert _within(cf.angle, mc.angle, mc.angle_se)
+
+
+def test_node_at_an_endpoint_answers_as_one_just_inside():
+    pieces = UniformDirections(2).arc_pieces()
+    x, y = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+    inside = arcs.pair_cloud_integrals([[1e-9, 0.0]], [1.0], pieces, x, y, taus=[0.3],
+                                       on_segment="full")
+    for node in (x, y):
+        at = arcs.pair_cloud_integrals([node], [1.0], pieces, x, y, taus=[0.3],
+                                       on_segment="full")
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(at, inside))
+    assert inside[0] == pytest.approx(1.0, rel=1e-15)
+    nu = PositionDirection(BaseMeasureND(2, cells=[(-0.5, -0.5, 0.5, 0.5, 1.0)]),
+                           UniformDirections(2))
+    node = nu.mu.node_points[0]
+    assert np.all(np.isfinite(embed_unit_kernel(nu, node, node + 0.3)))
+    assert np.allclose(embed_unit_kernel(nu, node, node + 0.3),
+                       CF.pair(nu, node + 0.3, node).embed, rtol=1e-12, atol=1e-15)
+
+
+def test_cloud_error_mode_refuses_an_atom_at_an_endpoint():
+    pieces = UniformDirections(2).arc_pieces()
+    for atom in (_XA, _YA):
+        with pytest.raises(DegenerateConfigurationError, match="closed query segment"):
+            arcs.pair_cloud_integrals([atom], [1.0], pieces, _XA, _YA, on_segment="error")
 
 
 def _axis_cap():
