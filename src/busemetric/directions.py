@@ -231,8 +231,8 @@ class ArcDensity2D:
         return self.pieces
 
     def scaled(self, factor: float) -> "ArcDensity2D":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
         p = self.pieces.copy()
         p[:, 2] *= factor
         return ArcDensity2D(p)

@@ -509,14 +509,14 @@ class MonteCarlo(Backend):
         emb_se = _standard_error(emb, np.einsum("ij,ij->j", emb_i, emb_i), m, m)
         angle = angle_se = None
         if taus is not None:
-            # for two or more thresholds both sums add the rows in order and a
-            # zero-mass row adds an exact +0.0, so only the hit rows are summed;
-            # numpy sums a single threshold's column pairwise, so it keeps them all
-            hit = slice(None) if len(taus) == 1 else np.flatnonzero(mass_i)
-            sel = np.abs(vd[hit])[:, None] >= np.sin(taus)[None, :]
-            vals = mass_i[hit, None] * sel
-            angle = np.sum(vals, axis=0)
-            angle_se = _standard_error(angle, np.einsum("it,it->t", vals, vals), m, m)
+            avd, sin_t = np.abs(vd), np.sin(taus)
+            if len(taus) >= 2:
+                angle, angle_sq = _angle_sums(mass_i, avd, sin_t)
+            else:
+                # numpy sums a single threshold's column pairwise, so it keeps every row
+                vals = mass_i[:, None] * (avd[:, None] >= sin_t[None, :])
+                angle, angle_sq = np.sum(vals, axis=0), np.einsum("it,it->t", vals, vals)
+            angle_se = _standard_error(angle, angle_sq, m, m)
         return PairIntegrals(mass, trans, emb, angle, mass_se, trans_se, emb_se, angle_se,
                              backend=self.name)
 
@@ -534,14 +534,16 @@ class MonteCarlo(Backend):
             raise ValueError(f"{len(xs)} segment starts but {len(ys)} segment ends")
         const = nu.constant_offset_density() if isinstance(nu, OffsetDirection) else None
         if const is not None:
-            for x, y in zip(xs, ys):
-                self._segment(nu, x, y)
             rho, lo, hi = const
-            reach = float(np.max(np.linalg.norm(np.concatenate([xs, ys]), axis=1)))
-        if const is None or reach > min(hi, -lo):
+            with np.errstate(over="ignore"):
+                reach = max(float(np.max(np.linalg.norm(p, axis=1))) for p in (xs, ys))
+        # a NaN or overflowed reach falls back too, and pair refuses its row
+        if const is None or not reach <= min(hi, -lo):
             out = np.array([[r.mass, r.mass_se] for r in
                             (self.pair(nu, x, y) for x, y in zip(xs, ys))])
             return out[:, 0], out[:, 1]
+        for x, y in zip(xs, ys):
+            self._segment(nu, x, y)
         _, normals, base = self._batch(nu)
         m = len(normals)
         scale = base * m * rho     # omega total mass times the offset density
@@ -562,6 +564,35 @@ class MonteCarlo(Backend):
         reach = np.abs(batch[1]) @ halfs
         mid = batch[1] @ center
         return RegionMass(*_sum_with_se(_slab_mass(nu, batch, mid - reach, mid + reach)))
+
+
+# the most elements in one block of Monte Carlo angle rows, so an angle profile's
+# working set is bounded whatever the number of samples and thresholds.  The
+# blocks keep the bits of one sum over all rows: numpy's sum over axis 0 adds
+# rows in order, and each block's rows are added behind the running sums
+ANGLE_BLOCK_ELEMENTS = 1 << 18
+
+
+def _angle_sums(mass_i, avd, sin_t):
+    """Per threshold t, the sums over samples of ``mass_i * (avd >= sin_t[t])`` and of
+    its square, over the samples that carry mass (a miss adds an exact +0.0), a
+    bounded block of rows at a time with the running sums in the block's row 0."""
+    hit = np.flatnonzero(mass_i)
+    w, a = mass_i[hit], avd[hit]
+    rows = max(ANGLE_BLOCK_ELEMENTS // len(sin_t), 1)
+    vals = np.empty((min(rows, len(hit)) + 1, len(sin_t)))
+    sq = np.empty_like(vals)
+    total, total_sq = np.zeros(len(sin_t)), np.zeros(len(sin_t))
+    for start in range(0, len(hit), rows):
+        stop = min(start + rows, len(hit))
+        n = stop - start
+        vals[0], sq[0] = total, total_sq
+        block = vals[1:n + 1]
+        np.greater_equal(a[start:stop, None], sin_t[None, :], out=block)
+        block *= w[start:stop, None]
+        np.multiply(block, block, out=sq[1:n + 1])
+        total, total_sq = np.sum(vals[:n + 1], axis=0), np.sum(sq[:n + 1], axis=0)
+    return total, total_sq
 
 
 def _slab_mass(nu, batch, lo, hi) -> np.ndarray:

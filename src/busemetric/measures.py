@@ -113,8 +113,8 @@ class BaseMeasure1D:
         return self.atom_positions[sel]
 
     def scaled(self, factor: float) -> "BaseMeasure1D":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
         atoms = list(zip(self.atom_positions, self.atom_weights * factor))
         pieces = self.pieces.copy()
         if pieces.size:
@@ -150,26 +150,24 @@ class BaseMeasureND:
             raise ValueError("dimension must be >= 2")
         apts = np.asarray([a[0] for a in atoms], dtype=float).reshape(-1, dim)
         awts = np.asarray([a[1] for a in atoms], dtype=float)
+        if not np.isfinite(apts).all():
+            raise ValueError("atom positions must be finite")
+        if not np.isfinite(awts).all():
+            raise ValueError("atom weights must be finite")
         if np.any(awts <= 0):
             raise ValueError("atom weights must be positive")
         cl = np.array(cells, dtype=float).reshape(-1, 2 * dim + 1)
         if cl.size:
+            # before the overlap sweep, whose sort would misplace a NaN cell
+            if not np.isfinite(cl).all():
+                raise ValueError("cells need finite corners and densities")
             if np.any(cl[:, :dim] >= cl[:, dim:2 * dim]):
                 raise ValueError("cells need lo < hi on every axis")
             if np.any(cl[:, -1] < 0):
                 raise ValueError("cell densities must be nonnegative")
-            los, his = cl[:, :dim], cl[:, dim:2 * dim]
-            # overlap must exceed a width-relative sliver: float tilings meet
-            # at seams a few ulps wide
-            widths = his - los
-            tol = 1e-9 * np.minimum(widths[:, None, :], widths[None, :, :])
-            inter = (np.minimum(his[:, None, :], his[None, :, :])
-                     - np.maximum(los[:, None, :], los[None, :, :]))
-            overlap = np.all(inter > tol, axis=2)
-            np.fill_diagonal(overlap, False)
-            if np.any(overlap):
-                i, j = np.argwhere(overlap)[0]
-                raise ValueError(f"cells {i} and {j} overlap")
+            pair = _first_overlap(cl[:, :dim], cl[:, dim:2 * dim])
+            if pair is not None:
+                raise ValueError(f"cells {pair[0]} and {pair[1]} overlap")
         node_p, node_w = self._realize_cells(dim, cl, gauss_order)
         segs = []
         for p0, p1, dens in segments:
@@ -177,6 +175,10 @@ class BaseMeasureND:
             p1 = np.array(p1, dtype=float)
             if p0.shape != (dim,) or p1.shape != (dim,):
                 raise ValueError("segment endpoints must have the measure dimension")
+            if not (np.isfinite(p0).all() and np.isfinite(p1).all()):
+                raise ValueError("segment endpoints must be finite")
+            if not math.isfinite(dens):
+                raise ValueError("segment densities must be finite")
             if dens < 0:
                 raise ValueError("segment densities must be nonnegative")
             if not np.linalg.norm(p1 - p0) > 0:
@@ -306,8 +308,8 @@ class BaseMeasureND:
                                          np.sum(at_y * at_y, axis=1)) == 0.0)
 
     def scaled(self, factor: float) -> "BaseMeasureND":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
         atoms = [(p, w * factor) for p, w in zip(self.atom_points, self.atom_weights)]
         cells = self.cells.copy()
         if cells.size:
@@ -327,6 +329,38 @@ class BaseMeasureND:
         segments = [(p0 + t, p1 + t, dens) for p0, p1, dens in self.segments]
         return BaseMeasureND(self.dim, atoms=atoms, cells=cells, segments=segments,
                              gauss_order=self.gauss_order)
+
+
+def _first_overlap(los, his):
+    """The lexicographically smallest pair (i, j), i < j, of boxes that overlap by
+    more than a width-relative sliver on every axis (float tilings meet at seams a
+    few ulps wide), or None.
+
+    A sort-and-sweep: sorted by ``lo`` on one axis, a box can only overlap the
+    later boxes that start before it ends there.  The sweep takes the axis with
+    the fewest such candidates and runs the exact test on those pairs only.
+    """
+    count = len(los)
+
+    def sweep(k):
+        order = np.argsort(los[:, k])
+        # the later boxes in this order that start before each box ends on axis k
+        return order, np.searchsorted(los[order, k], his[order, k]) - np.arange(1, count + 1)
+
+    order, after = min(map(sweep, range(los.shape[1])), key=lambda s: int(s[1].sum()))
+    first = np.repeat(np.arange(count), after)
+    # each candidate's offset past its box in the sorted order
+    step = np.arange(len(first)) - np.repeat(np.cumsum(after) - after, after) + 1
+    i, j = order[first], order[first + step]
+    widths = his - los
+    tol = 1e-9 * np.minimum(widths[i], widths[j])
+    inter = np.minimum(his[i], his[j]) - np.maximum(los[i], los[j])
+    hit = np.all(inter > tol, axis=1)
+    if not hit.any():
+        return None
+    a, b = np.minimum(i[hit], j[hit]), np.maximum(i[hit], j[hit])
+    a0 = a.min()
+    return int(a0), int(b[a == a0].min())
 
 
 # ---------------------------------------------------------------------------

@@ -635,6 +635,33 @@ def test_mc_seg_mass_many_matches_pairwise():
         assert ses[k] == pytest.approx(p.mass_se, rel=1e-9)
 
 
+# the bulk path, a row past the offset span, and an offset measure that is
+# not one constant piece: the last two fall back to pair row by row
+SEG_MASS_MANY_ROUTES = {
+    "bulk": (crofton2, [[0.1, 0.2], [-0.5, 0.3]], [[0.4, -0.2], [0.2, 0.9]]),
+    "uncovered": (lambda: OffsetDirection(UniformDirections(2),
+                                          BaseMeasure1D.lebesgue(-1.0, 1.0, 1.0)),
+                  [[0.5, 0.5], [0.1, 0.2]], [[1.5, 0.0], [0.3, -0.1]]),
+    "not_constant": (lambda: OffsetDirection(UniformDirections(2), BaseMeasure1D(
+        pieces=[(-2.0, 0.0, 1.0), (0.0, 2.0, 2.0)])),
+                     [[0.1, 0.2], [-0.5, 0.3]], [[0.4, -0.2], [0.2, 0.9]]),
+}
+
+
+@pytest.mark.parametrize("route", list(SEG_MASS_MANY_ROUTES))
+def test_mc_seg_mass_many_checks_each_row_once(monkeypatch, route):
+    # a row that fell back to pair was checked before the fallback and again
+    # inside pair
+    make, xs, ys = SEG_MASS_MANY_ROUTES[route]
+    nu = make()
+    mc = MonteCarlo(budget=2_000, seed=5)
+    checked = []
+    segment = mc._segment
+    monkeypatch.setattr(mc, "_segment", lambda *a: checked.append(a) or segment(*a))
+    mc.seg_mass_many(nu, xs, ys)
+    assert len(checked) == len(xs)
+
+
 def test_mc_seg_mass_many_sends_uncovered_rows_through_pair():
     # the bulk formula needs the constant offset density to cover every row;
     # the first row reaches norm 1.5 past the span [-1, 1], which pair
@@ -997,16 +1024,20 @@ def test_mc_pair_and_box_share_the_slab_test():
 # Monte Carlo angle profiles: the hit-rows path against the dense reference
 # ---------------------------------------------------------------------------
 
+def _slab_mass_of(mc, nu, x, y):
+    """Each sample's mass on the segment [x, y], from the backend's batch for nu."""
+    batch = mc._batch(nu)
+    px, py = batch[1] @ np.asarray(x), batch[1] @ np.asarray(y)
+    return evaluate._slab_mass(nu, batch, np.minimum(px, py), np.maximum(px, py))
+
+
 def _ref_mc_angle(mc, nu, x, y, taus):
     """The dense angle profile and its standard error: one row per sample,
     hit or not, summed over all rows whatever the number of thresholds."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    batch = mc._batch(nu)
-    normals = batch[1]
-    px, py = normals @ x, normals @ y
-    mass_i = evaluate._slab_mass(nu, batch, np.minimum(px, py), np.maximum(px, py))
+    mass_i = _slab_mass_of(mc, nu, x, y)
     delta = x - y
-    vd = normals @ (delta / float(np.linalg.norm(delta)))
+    vd = mc._batch(nu)[1] @ (delta / float(np.linalg.norm(delta)))
     sel = np.abs(vd)[:, None] >= np.sin(np.asarray(taus))[None, :]
     vals = mass_i[:, None] * sel
     angle = np.sum(vals, axis=0)
@@ -1072,23 +1103,72 @@ def test_mc_angle_profile_matches_dense_reference_bits(case, taus):
         assert got.mass == 0.0 and not np.any(got.angle) and not np.any(got.angle_se)
 
 
+def _tau_grid_peak(nu, x, y):
+    """Traced peak memory of one MonteCarlo(100_000) TAU_GRID pair, with the
+    batch built outside the traced call."""
+    import tracemalloc
+    from busemetric.diagnostics import TAU_GRID
+    mc = MonteCarlo(budget=100_000, seed=7)
+    mc.pair(nu, x, y)
+    tracemalloc.start()
+    try:
+        mc.pair(nu, x, y, taus=TAU_GRID)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_mc_angle_profile_memory_is_bounded():
     # the dense profile held a 100k x 100 float matrix and a boolean one,
     # about 96 MB at peak; over hit rows only this pair, the plan region's
     # diagonal, peaks near 12 MB
-    import tracemalloc
-    from busemetric.diagnostics import TAU_GRID
-    nu = _ba_lebesgue()
-    mc = MonteCarlo(budget=100_000, seed=7)
-    x, y = [-2.0, 0.1], [2.0, 1.5]
-    mc.pair(nu, x, y)          # the batch is built outside the traced call
-    tracemalloc.start()
-    try:
-        mc.pair(nu, x, y, taus=TAU_GRID)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
+    assert _tau_grid_peak(_ba_lebesgue(), [-2.0, 0.1], [2.0, 1.5]) < 20e6
+
+
+def test_mc_angle_profile_memory_is_bounded_on_an_offset_batch():
+    # every sample of an offset batch carries slab mass, so summing hit rows
+    # alone kept the dense 100k x 100 matrix (about 97 MB at peak); in bounded
+    # row blocks this pair peaks near 13 MB
+    assert _tau_grid_peak(crofton2(), [-0.9, 0.1], [0.7, 0.6]) < 20e6
+
+
+_HIT_Y = np.array([1.0, 0.5])
+
+
+def _sampler_with_hits(k):
+    """Weighted lines at random angles, ``k`` of each batch's samples (at random
+    rows) crossing the segment [0, _HIT_Y] and the rest passing beyond it."""
+    def sample(rng, m):
+        phi = rng.uniform(0.0, 2.0 * math.pi, m)
+        normals = np.column_stack([np.cos(phi), np.sin(phi)])
+        hit = np.zeros(m, dtype=bool)
+        hit[rng.choice(m, k, replace=False)] = True
+        u = rng.uniform(0.05, 0.95, m)
+        return normals, np.where(hit, u * (normals @ _HIT_Y), 3.0 + u), 1.0 + rng.random(m)
+
+    return SamplerMeasure(2, sample, bounding_lo=(-4.0, -4.0), bounding_hi=(4.0, 4.0))
+
+
+# a hundred unsorted thresholds with repeats: the block holds this many rows
+_BLOCK_TAUS = np.random.default_rng(12).permutation(np.r_[np.linspace(0.0, 3.0, 90),
+                                                          [0.3] * 5, [1.2] * 5])
+_BLOCK_ROWS = evaluate.ANGLE_BLOCK_ELEMENTS // len(_BLOCK_TAUS)
+
+
+@pytest.mark.parametrize("hits", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+def test_mc_angle_blocks_match_dense_reference_bits(hits):
+    # the rows are summed a bounded block at a time behind the running sums;
+    # at every block boundary the bits are those of one sum over all samples
+    nu = _sampler_with_hits(hits)
+    mc = MonteCarlo(budget=4 * _BLOCK_ROWS, seed=3)
+    got = mc.pair(nu, [0.0, 0.0], _HIT_Y, taus=_BLOCK_TAUS)
+    angle, angle_se = _ref_mc_angle(mc, nu, [0.0, 0.0], _HIT_Y, _BLOCK_TAUS)
+    assert np.count_nonzero(_slab_mass_of(mc, nu, [0.0, 0.0], _HIT_Y)) == hits
+    assert got.angle.tobytes() == angle.tobytes()
+    assert got.angle_se.tobytes() == angle_se.tobytes()
+    assert (got.mass > 0.0) == (hits > 0)
+    # the answer owns its memory: it keeps no block buffer alive
+    assert got.angle.base is None
 
 
 # ---------------------------------------------------------------------------

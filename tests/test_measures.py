@@ -5,6 +5,7 @@ import pytest
 
 from busemetric import (BaseMeasure1D, BaseMeasureND, DegenerateConfigurationError,
                         doubling_ratio, tail1_check)
+from busemetric.directions import ArcDensity2D
 from busemetric.scenarios import inv_sqrt_density, lebesgue_box_measure
 
 
@@ -316,3 +317,121 @@ def test_atoms_on_segment_closed_and_exact_at_both_ends():
     assert mu3.atoms_on_segment((0.0, 0.0, 0.0), (1.0, 2.0, 3.0)).tolist() == [0]
     assert BaseMeasureND(2, cells=[(0.0, 0.0, 1.0, 1.0, 1.0)]).atoms_on_segment(
         (0.0, 0.0), (1.0, 1.0)).size == 0
+
+
+# ---------------------------------------------------------------------------
+# the cell-overlap sweep against the pairwise broadcast it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_cell_overlap(los, his):
+    """The C x C x dim broadcast: the first overlapping pair in row-major order."""
+    widths = his - los
+    tol = 1e-9 * np.minimum(widths[:, None, :], widths[None, :, :])
+    inter = (np.minimum(his[:, None, :], his[None, :, :])
+             - np.maximum(los[:, None, :], los[None, :, :]))
+    overlap = np.all(inter > tol, axis=2)
+    np.fill_diagonal(overlap, False)
+    if not np.any(overlap):
+        return None
+    i, j = np.argwhere(overlap)[0]
+    return int(i), int(j)
+
+
+def _nudged_seams(cells, dim, rng):
+    """Push a third of the cells' upper corners a few ulps past their seams."""
+    out = cells.copy()
+    for row in rng.choice(len(out), len(out) // 3, replace=False):
+        for _ in range(rng.integers(1, 6)):
+            out[row, dim:2 * dim] = np.nextafter(out[row, dim:2 * dim], np.inf)
+    return out
+
+
+def _planted_overlaps(cells, dim, rng):
+    """Grow a few cells into their neighbours and append a few stray boxes."""
+    out = cells.copy()
+    for row in rng.choice(len(out), rng.integers(1, 4), replace=False):
+        width = out[row, dim:2 * dim] - out[row, :dim]
+        out[row, dim:2 * dim] += rng.uniform(0.1, 0.6) * width
+    lo = rng.uniform(out[:, :dim].min(axis=0), out[:, dim:2 * dim].max(axis=0),
+                     (rng.integers(0, 3), dim))
+    stray = np.column_stack([lo, lo + rng.uniform(0.05, 1.0, lo.shape), np.ones(len(lo))])
+    return np.concatenate([out, stray])[rng.permutation(len(out) + len(stray))]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_cell_overlap_sweep_matches_broadcast(dim):
+    from busemetric.measures import _first_overlap
+    rng = np.random.default_rng(70 + dim)
+    per_axis = {2: 7, 3: 4, 4: 3}[dim]
+    refused = 0
+    for _ in range(12):
+        cells = _tiled_cells(dim, per_axis, rng)
+        cells = cells[rng.permutation(len(cells))]
+        seams = _nudged_seams(cells, dim, rng)
+        planted = _planted_overlaps(cells, dim, rng)
+        for case in (cells, seams, planted):
+            los, his = case[:, :dim], case[:, dim:2 * dim]
+            want = _ref_cell_overlap(los, his)
+            assert _first_overlap(los, his) == want
+            if want is None:
+                BaseMeasureND(dim, cells=case)
+            else:
+                with pytest.raises(ValueError, match=rf"^cells {want[0]} and {want[1]} overlap$"):
+                    BaseMeasureND(dim, cells=case)
+        # tilings and their few-ulp seams are accepted
+        assert _ref_cell_overlap(seams[:, :dim], seams[:, dim:2 * dim]) is None
+        refused += _ref_cell_overlap(planted[:, :dim], planted[:, dim:2 * dim]) is not None
+    assert refused >= 9
+
+
+def test_cell_overlap_sweep_memory_is_bounded():
+    # the broadcast held C x C x dim floats: a 63 x 63 grid peaked near 756 MB
+    import tracemalloc
+    cells = _tiled_cells(2, 63, np.random.default_rng(80))
+    tracemalloc.start()
+    try:
+        mu = BaseMeasureND(2, cells=cells, gauss_order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mu.cells) == 63 * 63 and peak < 50e6
+
+
+# ---------------------------------------------------------------------------
+# non-finite fields and scale factors
+# ---------------------------------------------------------------------------
+
+NON_FINITE_FIELDS = {
+    "atom positions": lambda b: BaseMeasureND(2, atoms=[((0.0, b), 1.0)]),
+    "atom weights": lambda b: BaseMeasureND(2, atoms=[((0.0, 0.5), b)]),
+    "cells need finite corners": lambda b: BaseMeasureND(2, cells=[(0.0, 0.0, 1.0, 1.0, 1.0),
+                                                                   (2.0, b, 3.0, 1.0, 1.0)]),
+    "cells need finite corners and densities": lambda b: BaseMeasureND(
+        2, cells=[(0.0, 0.0, 1.0, 1.0, b)]),
+    "segment endpoints": lambda b: BaseMeasureND(2, segments=[((0.0, 0.0), (1.0, b), 1.0)]),
+    "segment densities": lambda b: BaseMeasureND(2, segments=[((0.0, 0.0), (1.0, 0.0), b)]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", list(NON_FINITE_FIELDS))
+def test_non_finite_measure_fields_rejected(field, bad):
+    # NaN passed every comparison check; a NaN cell corner would also be
+    # misplaced by the overlap sweep's sort without any error
+    with pytest.raises(ValueError, match=field):
+        NON_FINITE_FIELDS[field](bad)
+
+
+SCALED_MEASURES = {
+    "1d": lambda: BaseMeasure1D(atoms=[(0.5, 1.0)], pieces=[(0.0, 1.0, 2.0)]),
+    "nd": lambda: BaseMeasureND(2, atoms=[((0.5, 0.5), 1.0)], cells=[(0.0, 0.0, 1.0, 1.0, 2.0)]),
+    "arc": lambda: ArcDensity2D([(0.0, 1.0, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kind", list(SCALED_MEASURES))
+def test_scaled_rejects_non_positive_and_non_finite_factors(kind, factor):
+    # .scaled(nan) used to construct a measure of NaN mass
+    with pytest.raises(ValueError, match="scale factor must be positive and finite"):
+        SCALED_MEASURES[kind]().scaled(factor)
