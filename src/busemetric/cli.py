@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import evaluate, scenarios
-from .diagnostics import SamplingPlan, run_diagnostics
+from .diagnostics import EXPECTATIONS, SamplingPlan, run_diagnostics
 from .geometry import DegenerateConfigurationError
 from .measures import BaseMeasure1D, BaseMeasureND
 
@@ -40,8 +40,7 @@ _PLAN_KEYS = {"region": (True, object), "pair_count": (False, object),
 _BACKEND_KEYS = {"name": (False, str), "budget": (False, int)}
 _OUTPUT_KEYS = {"report": (False, str), "grid": (False, object)}
 _GRID_KEYS = {"path": (True, str), "resolution": (True, int), "window": (True, object)}
-_EXPECT_KEYS = {key: (False, float) for key in
-                ("kappa_min", "kappa_max", "delta_min", "c_low_min", "c_high_max", "tau_min")}
+_EXPECT_KEYS = {key: (False, float) for key in EXPECTATIONS}
 
 _SCENARIO_KEYS = {
     "crofton": {"dimension": (True, int), "half_extent": (False, float)},

@@ -15,6 +15,7 @@ so short segments must be represented explicitly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,10 @@ IDENTITY_REL = 1e-8
 # of n nonnegative terms rounds by at most about n * 1.1e-16 of its value in
 # any order, so this covers queries summing over millions of terms
 BRACKET_REL = 1e-9
+# a config's ``expect`` keys: each bounds one estimate from below (ge) or above (le)
+EXPECTATIONS = {"kappa_min": ("kappa", operator.ge), "kappa_max": ("kappa", operator.le),
+                "delta_min": ("delta", operator.ge), "c_low_min": ("c_low", operator.ge),
+                "c_high_max": ("c_high", operator.le), "tau_min": ("tau", operator.ge)}
 
 
 @dataclass(frozen=True)
@@ -52,14 +57,20 @@ class SamplingPlan:
             count = getattr(self, key)
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {count!r}")
+        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
+                or self.seed < 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         lo = np.asarray(self.region_lo, dtype=float)
         hi = np.asarray(self.region_hi, dtype=float)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("plan region corners must be finite")
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise ValueError("plan region must be a nonempty box")
         if not 0.0 < self.scale_range[0] <= self.scale_range[1]:
             raise ValueError("scale range must be positive and ordered")
         object.__setattr__(self, "region_lo", tuple(float(v) for v in lo))
         object.__setattr__(self, "region_hi", tuple(float(v) for v in hi))
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def dim(self) -> int:
@@ -549,20 +560,14 @@ def run_diagnostics(nu, basepoint, plan: SamplingPlan, *, backend=None,
     eta_curve, eta_skipped = _envelope(triples, "euclidean", image="embed")
     id_curve, id_skipped = _envelope(triples, "projective", image="euclidean")
 
+    estimates = {"kappa": kappa, "delta": delta, "c_low": c_low, "c_high": c_high, "tau": tau}
     for key, val in (expectations or {}).items():
-        current = {
-            "kappa_min": (kappa, lambda v, b: v >= b),
-            "kappa_max": (kappa, lambda v, b: v <= b),
-            "delta_min": (delta, lambda v, b: v >= b),
-            "c_low_min": (c_low, lambda v, b: v >= b),
-            "c_high_max": (c_high, lambda v, b: v <= b),
-            "tau_min": (tau, lambda v, b: v >= b),
-        }.get(key)
-        if current is None:
+        if key not in EXPECTATIONS:
             raise ValueError(f"unknown expectation {key!r}")
-        value, cmp = current
+        estimate, cmp = EXPECTATIONS[key]
+        value = estimates[estimate]
         audit(f"expect.{key}", value, val, cmp(value, val),
-              kappa_witness if "kappa" in key else None)
+              kappa_witness if estimate == "kappa" else None)
 
     return DiagnosticsReport(
         scenario=name,

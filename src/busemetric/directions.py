@@ -51,16 +51,6 @@ def tail_mass(n: int, s: float) -> float:
     return float(special.betainc((n - 1) / 2.0, 0.5, 1.0 - s * s))
 
 
-def plane_moment(n: int) -> float:
-    """Mean norm of the projection of a uniform sphere vector onto a 2-plane.
-
-    Equals (pi/2) * abs_moment(n); 1 for n = 2, pi/4 for n = 3.  This is the
-    scale factor that reduces n-dimensional direction integrals over a fixed
-    2-plane to circle integrals.
-    """
-    return 0.5 * PI * abs_moment(n)
-
-
 def unit_kernel_constant(n: int) -> float:
     """Coefficient of the unit-difference embedding kernel for uniform directions.
 
@@ -249,27 +239,3 @@ class ArcDensity2D:
 
 
 DirectionMeasure = UniformDirections | SymmetricCap | ArcDensity2D
-
-
-def circle_mass(omega: DirectionMeasure, lo: float, hi: float) -> float:
-    """Mass of the set of directions {v(phi) : phi in [lo, hi]} on the full circle.
-
-    Antipodal mass is split evenly between the two representatives, so
-    circle_mass(S) == circle_mass(-S) holds identically.  n = 2 only.
-    """
-    if hi < lo:
-        raise ValueError("need lo <= hi")
-    if hi - lo >= 2.0 * PI:
-        return float(omega.total_mass())
-    pieces = omega.arc_pieces()
-    total = 0.0
-    # fold [lo, hi] into segments of [0, pi) and integrate the half density
-    start = lo
-    while start < hi:
-        k = math.floor(start / PI)
-        seg_hi = min(hi, (k + 1) * PI)
-        a, b = start - k * PI, seg_hi - k * PI
-        olap = np.minimum(pieces[:, 1], b) - np.maximum(pieces[:, 0], a)
-        total += float(np.sum(np.clip(olap, 0.0, None) * pieces[:, 2])) * 0.5
-        start = seg_hi
-    return total

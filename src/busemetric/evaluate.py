@@ -20,7 +20,9 @@ Backends:
   density (uniform directions in any dimension, any arc density for n = 2)
   and position-direction measures with uniform directions and no line
   densities for n <= 3 (subtended-angle kernel; box masses by exact arcs
-  for n = 2 and sphere quadrature for n = 3);
+  for n = 2 and, for n = 3, the perimeter of the box's outline seen from
+  each node; the n = 3 angle profile by an elementary antiderivative), every
+  answer a closed form;
 * ``Exact2D``     -- position-direction measures in the plane with any arc
   density: exact per-position arc antiderivatives, query-adaptive
   Gauss-Legendre integration along density segments;
@@ -274,14 +276,16 @@ class ClosedForm(Backend):
         hi = np.minimum(xi_hi[:, None], PI - t[None, :])
         if n == 2:
             return np.einsum("i,it->t", w, np.clip(hi - lo, 0.0, None)) / PI
-        # P(in-plane radius >= sin tau / sin xi) integrated over the arc
-        gx, gw = arcs._gl(24)
-        mid = 0.5 * (hi + lo)
-        half = np.clip(0.5 * (hi - lo), 0.0, None)
-        nodes = mid[:, :, None] + half[:, :, None] * gx[None, None, :]
-        ratio = np.sin(t)[None, :, None] / np.maximum(np.sin(nodes), 1e-300)
-        surv = np.clip(1.0 - ratio * ratio, 0.0, None) ** ((n - 2) / 2.0)
-        inner = np.einsum("itg,g->it", surv, gw) * half
+        # n = 3: P(in-plane radius >= sin tau / sin xi) = sqrt(1 - (sin tau / sin xi)^2)
+        # integrated over [lo, hi]; in c = cos xi it is sqrt(cos^2 tau - c^2) / (1 - c^2),
+        # whose antiderivative F is elementary, so the integral is F(cos lo) - F(cos hi)
+        sin_t, cos2_t = np.sin(t), np.cos(t) ** 2
+
+        def anti(c):
+            r = np.sqrt(np.maximum(cos2_t - c * c, 0.0))
+            return np.arctan2(c, r) - sin_t * np.arctan2(c * sin_t, r)
+
+        inner = np.where(hi > lo, anti(np.cos(lo)) - anti(np.cos(hi)), 0.0)
         return np.einsum("i,it->t", w, inner) / PI
 
     # -- region queries -----------------------------------------------------
@@ -378,29 +382,36 @@ def _position_box_mass_2d(nu, lo, hi) -> float:
     return float(total)
 
 
-def _position_box_mass_3d(nu, lo, hi) -> float:
-    """Deterministic sphere quadrature of the box-hitting direction fraction.
+# bit d of a corner's index picks hi on axis d; each of the 12 box edges is a
+# (corner, axis) pair, running from that corner (whose bit is clear) along the axis
+_CORNER_BITS = (np.arange(8)[:, None] >> np.arange(3)) & 1
+_BOX_EDGES = [(c, k) for k in range(3) for c in range(8) if not c >> k & 1]
 
-    The integrand is an indicator, so this is a fixed-resolution tessellation
-    sum rather than a spectrally exact rule; cube-audit margins are orders of
-    magnitude wider than its resolution error.
+
+def _position_box_mass_3d(nu, lo, hi) -> float:
+    """Exact box-hitting direction fraction of each node, in closed form.
+
+    A node in the closed box is hit by every plane through it.  Seen from a
+    node outside, the planes that miss the box have normals in the polar of
+    the box's spherical outline or in its antipode, an area of 2 (2 pi - P)
+    out of 4 pi, where P is the outline's perimeter; the hit share is
+    P / (2 pi).  The outline is made of the edges where exactly one of the
+    two faces faces the node (face x_i = lo_i when p_i < lo_i, face
+    x_i = hi_i when p_i > hi_i), each adding the angle it subtends.
     """
     pts, w = _point_support(nu.mu)
-    res = 96
-    ct, wt = arcs._gl(res)                                 # cos(theta) on [-1, 1]
-    phi = (np.arange(2 * res) + 0.5) * PI / res
-    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
-    dirs = np.stack(np.broadcast_arrays(st[:, None] * np.cos(phi)[None, :],
-                                        st[:, None] * np.sin(phi)[None, :],
-                                        ct[:, None] * np.ones_like(phi)[None, :]),
-                    axis=-1).reshape(-1, 3)
-    dw = np.repeat(wt, 2 * res) * (PI / res) / (4.0 * PI)  # normalized sphere weights
-    center = 0.5 * (lo + hi)
-    halfs = 0.5 * (hi - lo)
-    reach = np.abs(dirs) @ halfs
-    gap = pts @ dirs.T - (dirs @ center)[None, :]
-    hit = np.abs(gap) <= reach[None, :]
-    return float(w @ (hit @ dw))
+    corners = np.where(_CORNER_BITS, hi, lo)
+    facing = np.stack([pts < lo, pts > hi])              # [side, node, axis]
+    perimeter = np.zeros(len(pts))
+    for c, k in _BOX_EDGES:
+        a = corners[c] - pts
+        b = corners[c | 1 << k] - pts
+        i, j = (k + 1) % 3, (k + 2) % 3
+        outline = facing[_CORNER_BITS[c, i], :, i] != facing[_CORNER_BITS[c, j], :, j]
+        angle = np.arctan2(np.linalg.norm(np.cross(a, b), axis=1), np.einsum("ij,ij->i", a, b))
+        perimeter += np.where(outline, angle, 0.0)
+    outside = facing.any(axis=(0, 2))
+    return float(w @ np.where(outside, perimeter / (2.0 * PI), 1.0))
 
 
 # ---------------------------------------------------------------------------

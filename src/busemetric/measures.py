@@ -40,10 +40,18 @@ class BaseMeasure1D:
     def __init__(self, atoms=(), pieces=()):
         pos = np.asarray([a[0] for a in atoms], dtype=float)
         wts = np.asarray([a[1] for a in atoms], dtype=float)
+        if not np.isfinite(pos).all():
+            raise ValueError("atom positions must be finite")
+        if not np.isfinite(wts).all():
+            raise ValueError("atom weights must be finite")
         if np.any(wts <= 0):
             raise ValueError("atom weights must be positive")
         pc = np.asarray(pieces, dtype=float).reshape(-1, 3)
         if pc.size:
+            if not np.isfinite(pc[:, :2]).all():
+                raise ValueError("density pieces need finite bounds")
+            if not np.isfinite(pc[:, 2]).all():
+                raise ValueError("densities must be finite")
             if np.any(pc[:, 2] < 0):
                 raise ValueError("densities must be nonnegative")
             if np.any(pc[:, 0] >= pc[:, 1]):
@@ -64,19 +72,11 @@ class BaseMeasure1D:
     def lebesgue(cls, lo: float, hi: float, density: float = 1.0) -> "BaseMeasure1D":
         return cls(pieces=[(lo, hi, density)])
 
-    def cdf(self, x: float) -> float:
-        """Mass of (-inf, x]."""
-        total = float(np.sum(self.atom_weights[self.atom_positions <= x]))
-        if self.pieces.size:
-            cov = np.clip(np.minimum(self.pieces[:, 1], x) - self.pieces[:, 0], 0.0, None)
-            total += float(np.sum(cov * self.pieces[:, 2]))
-        return total
-
     def mass(self, s: float, t: float) -> float:
         """mu((s, t]): atoms in the half-open interval plus the density integral."""
         if s > t:
             raise ValueError("need s <= t")
-        return self.cdf(t) - self.cdf(s)
+        return float(self.mass_many([s], [t])[0])
 
     def mass_many(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Vectorized mass((s_i, t_i])."""
@@ -242,19 +242,6 @@ class BaseMeasureND:
         for dens, ln in zip(self.segment_table.denss.tolist(), self.segment_table.lengths.tolist()):
             tot += dens * ln
         return tot
-
-    def support_radius(self) -> float:
-        """Radius of a ball around the origin containing the support."""
-        r = 0.0
-        if self.atom_points.size:
-            r = max(r, float(np.max(np.linalg.norm(self.atom_points, axis=1))))
-        if self.cells.size:
-            n = self.dim
-            corners = np.maximum(np.abs(self.cells[:, :n]), np.abs(self.cells[:, n:2 * n]))
-            r = max(r, float(np.max(np.linalg.norm(corners, axis=1))))
-        for p0, p1, _ in self.segments:
-            r = max(r, float(np.linalg.norm(p0)), float(np.linalg.norm(p1)))
-        return r
 
     def affine_rank(self) -> int:
         """Rank of the support's affine hull, from atoms, cell centers and segment ends."""

@@ -323,6 +323,31 @@ def test_plan_validation():
     assert plan.to_dict()["pair_count"] == 1
 
 
+BAD_PLANS = {
+    "nan corner": ({"region_lo": (math.nan, 0.0)}, "region corners must be finite"),
+    "inf corner": ({"region_hi": (math.inf, 1.0)}, "region corners must be finite"),
+    "-inf corner": ({"region_lo": (0.0, -math.inf)}, "region corners must be finite"),
+    "fractional seed": ({"seed": 1.5}, "seed must be an integer >= 0"),
+    "negative seed": ({"seed": -1}, "seed must be an integer >= 0"),
+    "bool seed": ({"seed": True}, "seed must be an integer >= 0"),
+    "string seed": ({"seed": "3"}, "seed must be an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PLANS))
+def test_plan_refuses_non_finite_regions_and_bad_seeds(case):
+    # a NaN region failed only at the first query, the seed 1.5 with a
+    # TypeError inside np.random.SeedSequence
+    fields, message = BAD_PLANS[case]
+    with pytest.raises(ValueError, match=message):
+        SamplingPlan(**{"region_lo": (0.0, 0.0), "region_hi": (1.0, 1.0), **fields})
+
+
+def test_plan_takes_numpy_integer_seeds_as_int():
+    plan = SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0), seed=np.int64(3))
+    assert json.loads(json.dumps(plan.to_dict()))["seed"] == 3
+
+
 # ---------------------------------------------------------------------------
 # each distinct audit query is asked once
 

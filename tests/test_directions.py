@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from busemetric import ArcDensity2D, SymmetricCap, UniformDirections
-from busemetric.directions import (abs_moment, circle_mass, normalize_pieces,
-                                   partial_abs_moment, plane_moment, tail_mass,
-                                   unit_kernel_constant, wrap_interval)
+from busemetric.directions import (abs_moment, normalize_pieces, partial_abs_moment,
+                                   tail_mass, unit_kernel_constant, wrap_interval)
 
 
 def marginal_theta_density(n):
@@ -43,21 +42,6 @@ def test_moments_against_quadrature(n):
     ones = lambda t: np.ones_like(t)
     mass = integrate(cut, math.pi / 2, ones) + integrate(-math.pi / 2, -cut, ones)
     assert mass == pytest.approx(tail_mass(n, s), abs=1e-6)
-
-
-@pytest.mark.parametrize("n, expected", [(2, 1.0), (3, math.pi / 4)])
-def test_plane_moment_known_values(n, expected):
-    assert plane_moment(n) == pytest.approx(expected, rel=1e-14)
-
-
-def test_plane_moment_monte_carlo_oracle():
-    # oracle: mean norm of the projection of uniform sphere points on a 2-plane
-    rng = np.random.default_rng(7)
-    for n in (3, 5):
-        v = rng.standard_normal((200000, n))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        est = np.mean(np.linalg.norm(v[:, :2], axis=1))
-        assert plane_moment(n) == pytest.approx(est, abs=4 * 0.3 / math.sqrt(200000))
 
 
 def test_unit_kernel_constant():
@@ -123,20 +107,3 @@ def test_wrap_interval():
     total = sum(hi - lo for lo, hi in parts)
     assert total == pytest.approx(0.5, rel=1e-12)
 
-
-@pytest.mark.parametrize("omega", [
-    UniformDirections(2),
-    SymmetricCap([0.3, 1.0], 0.4),
-    ArcDensity2D([(0.2, 0.9, 1.3), (1.5, 2.5, 0.4)]),
-])
-def test_antipodal_symmetry_exact(omega):
-    # antipodal sets are represented by the same angle-mod-pi pieces, so the
-    # only discrepancy left is the rounding of the fold itself
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        lo = rng.uniform(0, 2 * math.pi)
-        hi = lo + rng.uniform(0, math.pi)
-        assert circle_mass(omega, lo, hi) == pytest.approx(
-            circle_mass(omega, lo + math.pi, hi + math.pi), abs=1e-12)
-    assert circle_mass(omega, 0.0, 2 * math.pi) == pytest.approx(
-        omega.total_mass(), rel=1e-12)

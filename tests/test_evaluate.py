@@ -433,6 +433,154 @@ def test_cube_mass_position_3d_quadrature_vs_mc():
 
 
 # ---------------------------------------------------------------------------
+# closed forms on 3-D position measures: the n = 3 angle profile and the box
+# mass, against references that share no code with them
+# ---------------------------------------------------------------------------
+
+def _band_integral(tau, lo, hi):
+    """Integral of sqrt(1 - (sin tau / sin xi)^2) over [lo, hi] within [tau, pi - tau],
+    by scipy's QAWS rule with the square-root zeros at tau and pi - tau as weights:
+    sin^2 xi - sin^2 tau = sin(xi - tau) sin(pi - tau - xi)."""
+    from scipy import integrate
+    a, b = max(lo, tau), min(hi, math.pi - tau)
+    if b <= a:
+        return 0.0
+    alpha = 0.5 if a == tau else 0.0
+    beta = 0.5 if b == math.pi - tau else 0.0
+
+    def smooth(xi):
+        d1, d2 = xi - tau, math.pi - tau - xi
+        return (math.sqrt(np.sinc(d1 / math.pi) * np.sinc(d2 / math.pi)) / math.sin(xi)
+                * d1 ** (0.5 - alpha) * d2 ** (0.5 - beta))
+
+    return integrate.quad(smooth, a, b, weight="alg", wvar=(alpha, beta),
+                          epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
+def test_angle_profile_3d_matches_quad():
+    # a unit atom at the origin sees [x, y] on the line y = 1 over directions
+    # xi in [lo, hi] measured from x - y, which points along the first axis;
+    # a plane through it with in-plane normal at xi has |<v, u>| = rho sin xi,
+    # rho the in-plane radius, and P(rho >= s) = sqrt(1 - s^2) on the sphere
+    nu = PositionDirection(BaseMeasureND(3, atoms=[((0.0, 0.0, 0.0), 1.0)]), UniformDirections(3))
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        lo, hi = np.sort(rng.uniform(0.02, math.pi - 0.02, 2))
+        if hi - lo < 1e-3:
+            continue
+        taus = np.concatenate([[0.0], rng.uniform(0.0, 1.55, 9)])
+        x = np.array([1.0 / math.tan(lo), 1.0, 0.0])
+        y = np.array([1.0 / math.tan(hi), 1.0, 0.0])
+        inner = math.pi * CF.pair(nu, x, y, taus=taus).angle
+        assert abs(inner[0] - (hi - lo)) <= 1e-12
+        for tau, got in zip(taus, inner):
+            assert abs(got - _band_integral(tau, lo, hi)) <= 1e-12
+    # the arc covering both endpoints tau and pi - tau
+    x, y = np.array([50.0, 1.0, 0.0]), np.array([-50.0, 1.0, 0.0])
+    taus = np.array([0.1, 0.5, 1.0, 1.5])
+    inner = math.pi * CF.pair(nu, x, y, taus=taus).angle
+    for tau, got in zip(taus, inner):
+        assert abs(got - _band_integral(tau, 0.0, math.pi)) <= 1e-12
+
+
+def _single_atom_3d(p):
+    return PositionDirection(BaseMeasureND(3, atoms=[(p, 1.0)]), UniformDirections(3))
+
+
+def _hull_share(p, lo, hi):
+    """Perimeter over 2 pi of the spherical convex hull of the box corners seen
+    from p, an outside node: the corners are projected gnomonically about the
+    direction to the box's nearest point, which every corner lies ahead of."""
+    from scipy.spatial import ConvexHull
+    corners = np.array([[(hi if c >> d & 1 else lo)[d] for d in range(3)] for c in range(8)])
+    u = corners - p
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    z = np.clip(p, lo, hi) - p
+    z /= np.linalg.norm(z)
+    frame = np.linalg.svd(z[None, :])[2][1:]         # two unit vectors orthogonal to z
+    ring = u[ConvexHull((u @ frame.T) / (u @ z)[:, None]).vertices]
+    nxt = np.roll(ring, -1, axis=0)
+    sides = np.arctan2(np.linalg.norm(np.cross(ring, nxt), axis=1), np.sum(ring * nxt, axis=1))
+    return float(np.sum(sides)) / (2.0 * math.pi)
+
+
+def test_box_share_3d_is_the_outline_perimeter():
+    rng = np.random.default_rng(77)
+    checked = 0
+    while checked < 400:
+        lo = rng.uniform(-1.0, 1.0, 3)
+        hi = lo + rng.uniform(0.01, 1.0, 3)
+        p = rng.uniform(-2.0, 2.0, 3)
+        if np.all((lo <= p) & (p <= hi)):
+            continue
+        got = CF.box_mass(_single_atom_3d(p), lo, hi).mass
+        assert got == pytest.approx(_hull_share(p, lo, hi), rel=1e-12, abs=0.0)
+        checked += 1
+
+
+def test_box_mass_3d_matches_monte_carlo_on_small_boxes():
+    # the old 96 x 192 direction grid read the edge-0.031 box 8.6 standard errors off
+    nu = _single_atom_3d((1.0, 0.5, -0.4))
+    rng = np.random.default_rng(31)
+    boxes = [(np.array([-0.413, 0.567, 0.496]), 0.031)]
+    boxes += [(rng.uniform(-1.0, 1.0, 3), e) for e in np.geomspace(0.025, 0.48, 7)]
+    mc = MonteCarlo(budget=1_000_000, seed=5)
+    for center, edge in boxes:
+        q = Cube(center, edge)
+        est, se = mc.cube_mass(nu, q)
+        assert abs(CF.cube_mass(nu, q).mass - est) <= 4.0 * se
+
+
+def test_box_share_3d_inside_on_and_flat():
+    box_lo, box_hi = np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 3.0])
+    for p in ([0.5, 0.0, 2.5], [0.0, 0.0, 2.5], [0.0, 1.0, 2.5], [1.0, 1.0, 3.0]):
+        assert CF.box_mass(_single_atom_3d(p), box_lo, box_hi).mass == 1.0
+    # a flat box in the node's plane z = 0 subtends pi/2 there: half of all planes hit it
+    flat = CF.box_mass(_single_atom_3d((0.0, 0.0, 0.0)), [1.0, -1.0, 0.0], [2.0, 1.0, 0.0])
+    assert flat.mass == pytest.approx(0.5, rel=1e-15)
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        lo = np.append(rng.uniform(-1.0, 1.0, 2), 0.0)
+        hi = lo + np.append(rng.uniform(0.01, 1.0, 2), 0.0)
+        p = np.append(rng.uniform(-2.0, 2.0, 2), 0.0)
+        if np.all((lo <= p) & (p <= hi)):
+            continue
+        c = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [lo[0], hi[1]], [hi[0], hi[1]]]) - p[:2]
+        ang = np.arctan2(c[:, 1], c[:, 0])
+        ref = max(abs(ang[i] - ang[j]) if abs(ang[i] - ang[j]) <= math.pi
+                  else 2.0 * math.pi - abs(ang[i] - ang[j]) for i in range(4) for j in range(4))
+        got = CF.box_mass(_single_atom_3d(p), lo, hi).mass
+        assert got == pytest.approx(ref / math.pi, rel=1e-12)
+
+
+def _cloud_3d():
+    edges = np.linspace(-1.0, 1.0, 6)
+    cells = [(a, b, c, a + 0.4, b + 0.4, c + 0.4, 1.0)
+             for a in edges[:-1] for b in edges[:-1] for c in edges[:-1]]
+    return PositionDirection(BaseMeasureND(3, cells=cells, gauss_order=2), UniformDirections(3))
+
+
+def _peak_bytes(query):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        query()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_closed_form_3d_cloud_memory_is_bounded():
+    # the direction grid held a 1000-node x 18432-direction gap matrix (about
+    # 314 MB at peak) and the Gauss rule a node x tau x 24 array (about 80 MB)
+    from busemetric.diagnostics import TAU_GRID
+    nu = _cloud_3d()
+    assert _peak_bytes(lambda: CF.box_mass(nu, [1.1, -0.2, 0.1], [1.4, 0.3, 0.2])) < 5e6
+    x, y = np.array([-0.9, 0.13, 0.21]), np.array([0.7, -0.31, 0.45])
+    assert _peak_bytes(lambda: CF.pair(nu, x, y, taus=TAU_GRID)) < 20e6
+
+
+# ---------------------------------------------------------------------------
 # invariants across backends
 # ---------------------------------------------------------------------------
 

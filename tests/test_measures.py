@@ -81,7 +81,6 @@ def test_measure_copies_caller_cells():
     c = np.array([[0.0, 0.0, 1.0, 1.0, 2.0]])
     mu = BaseMeasureND(2, cells=c)
     c[0, 2:4] = 50.0
-    assert mu.support_radius() == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert mu.total_mass() == pytest.approx(2.0, rel=1e-15)
     assert mu.cells[0].tolist() == [0.0, 0.0, 1.0, 1.0, 2.0]
 
@@ -206,7 +205,6 @@ def test_lebesgue_box_measure_grading():
     mu = lebesgue_box_measure(2, inner_half=0.8, levels=3)
     outer = 0.8 * 2 ** 3
     assert mu.total_mass() == pytest.approx((2 * outer) ** 2, rel=1e-12)
-    assert mu.support_radius() == pytest.approx(outer * math.sqrt(2), rel=1e-12)
     # cells tile without overlap: mass of the inner quarter matches Lebesgue
     assert mu.ball_mass([0.0, 0.0], 0.5) == pytest.approx(math.pi * 0.25, rel=2e-3)
 
@@ -420,6 +418,23 @@ def test_non_finite_measure_fields_rejected(field, bad):
     # misplaced by the overlap sweep's sort without any error
     with pytest.raises(ValueError, match=field):
         NON_FINITE_FIELDS[field](bad)
+
+
+NON_FINITE_FIELDS_1D = {
+    "atom positions must be finite": lambda b: BaseMeasure1D(atoms=[(b, 1.0)]),
+    "atom weights must be finite": lambda b: BaseMeasure1D(atoms=[(0.5, b)]),
+    "density pieces need finite bounds": lambda b: BaseMeasure1D(pieces=[(0.0, b, 1.0)]),
+    "densities must be finite": lambda b: BaseMeasure1D(pieces=[(0.0, 1.0, b)]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", list(NON_FINITE_FIELDS_1D))
+def test_non_finite_1d_measure_fields_rejected(field, bad):
+    # a NaN atom constructed with support bounds (nan, nan) and interval mass
+    # 0.0; a NaN or infinite piece gave a NaN or infinite total mass
+    with pytest.raises(ValueError, match=field):
+        NON_FINITE_FIELDS_1D[field](bad)
 
 
 SCALED_MEASURES = {
