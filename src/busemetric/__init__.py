@@ -16,8 +16,7 @@ from .hyperplane_measures import (OffsetDirection, PositionDirection, SamplerMea
 from .evaluate import (ClosedForm, EmbeddingConstant, EmbeddingMap, Exact2D, MonteCarlo,
                        PairIntegrals, RegionMass, UnsupportedBackendError, box_mass,
                        calibrate_embedding_constant, cube_mass, default_backend,
-                       embed_unit_kernel, mc_estimate, pair_integrals, seg_mass,
-                       transversal_integral)
+                       embed_unit_kernel, pair_integrals, seg_mass)
 from .diagnostics import DiagnosticsReport, SamplingPlan, run_diagnostics
 from .scenarios import (GridImage, Scenario, beurling_ahlfors, crofton, degenerate_caps,
                         doubling_pushforward, grid_export)
@@ -27,13 +26,13 @@ __all__ = [
     "DegenerateConfigurationError", "DiagnosticsReport", "DimensionMismatchError",
     "EmbeddingConstant", "EmbeddingMap", "Exact2D", "GridImage", "Hyperplane",
     "MonteCarlo", "OffsetDirection", "PairIntegrals", "PositionDirection", "RegionMass",
-    "SamplerMeasure", "SamplingPlan", "Scenario", "UniformDirections",
+    "SamplerMeasure", "SamplingPlan", "Scenario", "SymmetricCap", "UniformDirections",
     "UnsupportedBackendError", "ValidationReport", "alpha", "beurling_ahlfors",
     "box_mass", "calibrate_embedding_constant", "crofton", "cube_mass",
     "cube_vertices", "default_backend", "degenerate_caps", "doubling_pushforward",
     "doubling_ratio", "embed_unit_kernel", "grid_export", "hits_segment",
-    "mc_estimate", "oriented_normal", "pair_integrals", "run_diagnostics",
-    "seg_mass", "signed_gap", "tail1_check", "transversal_integral", "validate",
+    "oriented_normal", "pair_integrals", "run_diagnostics", "seg_mass", "signed_gap",
+    "tail1_check", "validate",
 ]
 
 __version__ = "0.1.0"

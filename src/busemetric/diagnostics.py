@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import evaluate
-from .geometry import Cube, cube_vertices
+from .geometry import Cube, cube_vertices, require_int
 
 TAU_GRID = np.round(np.arange(1, 101) * 0.01, 2)
 ETA_BUCKET_EDGES = np.logspace(-2.0, 2.0, 33)
@@ -57,9 +57,7 @@ class SamplingPlan:
             count = getattr(self, key)
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {count!r}")
-        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
-                or self.seed < 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         lo = np.asarray(self.region_lo, dtype=float)
         hi = np.asarray(self.region_hi, dtype=float)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -70,23 +68,14 @@ class SamplingPlan:
             raise ValueError("scale range must be positive and ordered")
         object.__setattr__(self, "region_lo", tuple(float(v) for v in lo))
         object.__setattr__(self, "region_hi", tuple(float(v) for v in hi))
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def dim(self) -> int:
         return len(self.region_lo)
 
     def to_dict(self) -> dict:
-        return {
-            "region_lo": list(self.region_lo),
-            "region_hi": list(self.region_hi),
-            "pair_count": self.pair_count,
-            "cycle_count": self.cycle_count,
-            "cube_count": self.cube_count,
-            "triple_count": self.triple_count,
-            "scale_range": list(self.scale_range),
-            "seed": self.seed,
-        }
+        # tuples as lists, so the dict equals its JSON round trip
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def _streams(plan: SamplingPlan, count: int = 5):

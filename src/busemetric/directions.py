@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .geometry import require_int
+
 PI = math.pi
 
 
@@ -78,9 +80,11 @@ def normalize_pieces(raw) -> np.ndarray:
         raise ValueError("direction measure needs at least one density piece")
     if pieces.shape[1] != 3:
         raise ValueError("pieces must be (lo, hi, density) triples")
-    if np.any(pieces[:, 2] < 0):
-        raise ValueError("densities must be nonnegative")
-    if np.any(pieces[:, 0] < 0) or np.any(pieces[:, 1] > PI + 1e-15) or np.any(pieces[:, 0] >= pieces[:, 1]):
+    # each test is stated so that NaN fails it
+    if not np.all((pieces[:, 2] >= 0) & (pieces[:, 2] < math.inf)):
+        raise ValueError("densities must be finite and nonnegative")
+    if not np.all((pieces[:, 0] >= 0) & (pieces[:, 0] < pieces[:, 1])
+                  & (pieces[:, 1] <= PI + 1e-15)):
         raise ValueError("pieces must satisfy 0 <= lo < hi <= pi")
     cuts = np.unique(np.concatenate([pieces[:, 0], pieces[:, 1]]))
     out = []
@@ -117,8 +121,7 @@ class UniformDirections:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dimension must be >= 2")
+        object.__setattr__(self, "dim", require_int("dim", self.dim, 2))
 
     def total_mass(self) -> float:
         return 1.0
@@ -150,8 +153,8 @@ class SymmetricCap:
     def __init__(self, axis, half_angle: float):
         a = np.asarray(axis, dtype=float)
         nrm = float(np.linalg.norm(a))
-        if a.ndim != 1 or a.size < 2 or nrm == 0.0:
-            raise ValueError("cap axis must be a nonzero vector of dimension >= 2")
+        if a.ndim != 1 or a.size < 2 or not 0.0 < nrm < math.inf:
+            raise ValueError("cap axis must be a finite nonzero vector of dimension >= 2")
         if not 0.0 < half_angle <= 0.5 * PI:
             raise ValueError("cap half angle must lie in (0, pi/2]")
         a = a / nrm

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import arcs
 from .directions import UniformDirections, abs_moment, partial_abs_moment, unit_kernel_constant
-from .geometry import Cube, DegenerateConfigurationError, as_point
+from .geometry import Cube, DegenerateConfigurationError, as_point, require_int
 from .hyperplane_measures import (HyperplaneMeasure, OffsetDirection, PositionDirection,
                                   SamplerMeasure)
 
@@ -450,12 +450,8 @@ class MonteCarlo(Backend):
     estimates_se = True
 
     def __init__(self, budget: int = 100_000, seed: int = 0):
-        for key, value, least in (("budget", budget, 1), ("seed", seed, 0)):
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or value < least):
-                raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
-        self.budget = int(budget)
-        self.seed = int(seed)
+        self.budget = require_int("budget", budget, 1)
+        self.seed = require_int("seed", seed, 0)
         self._batches: OrderedDict[int, tuple] = OrderedDict()
 
     def supports(self, nu: HyperplaneMeasure) -> bool:
@@ -489,11 +485,8 @@ class MonteCarlo(Backend):
             base = nu.omega.total_mass() / m
             batch = ("offset", normals, base)
         else:
-            normals, offsets, weights = nu.sample_fn(rng, m)
-            if len(np.atleast_1d(offsets)) == 0:
-                raise DegenerateConfigurationError("sampler produced zero effective samples")
-            batch = ("hits", np.asarray(normals, dtype=float),
-                     np.asarray(offsets, dtype=float), np.asarray(weights, dtype=float) / m)
+            normals, offsets, weights = nu.sample(rng, m)
+            batch = ("hits", normals, offsets, weights / m)
         self._batches[key] = (nu, batch)
         if len(self._batches) > BATCH_CACHE_SIZE:
             self._batches.popitem(last=False)
@@ -661,11 +654,6 @@ def seg_mass(nu, x, y, *, backend=None) -> float:
     return pair_integrals(nu, x, y, backend=backend).mass
 
 
-def transversal_integral(nu, x, y, *, backend=None) -> float:
-    """Integral of sin(alpha(x - y, H)) over the hyperplanes hitting [x, y]."""
-    return pair_integrals(nu, x, y, backend=backend).transversal
-
-
 def cube_mass(nu, q: Cube, *, backend=None) -> float:
     return (backend or default_backend(nu)).cube_mass(nu, q).mass
 
@@ -696,50 +684,16 @@ class EmbeddingMap:
         object.__setattr__(self, "basepoint", o)
         object.__setattr__(self, "backend", backend)
 
-    @property
-    def dim(self) -> int:
-        return self.basepoint.size
-
     def eval(self, x) -> np.ndarray:
         return self.backend.pair(self.measure, x, self.basepoint).embed
 
     def eval_many(self, points) -> np.ndarray:
         return np.stack([self.eval(p) for p in np.asarray(points, dtype=float)])
 
-    def pair(self, x, y, taus=None) -> PairIntegrals:
-        return self.backend.pair(self.measure, x, y, taus=taus)
-
 
 # ---------------------------------------------------------------------------
-# generic Monte Carlo estimation and kernel-constant calibration
+# kernel-constant calibration
 # ---------------------------------------------------------------------------
-
-def mc_estimate(nu, query, budget: int, seed: int):
-    """Unbiased seeded estimate of one integral query: (value, standard error).
-
-    ``query`` is a tuple: ("seg_mass", x, y), ("transversal", x, y),
-    ("embed", o, x), ("angle_mass", x, y, tau), ("cube_mass", cube) or
-    ("box_mass", lo, hi).
-    """
-    mc = MonteCarlo(budget=budget, seed=seed)
-    kind = query[0]
-    if kind in ("seg_mass", "transversal", "embed"):
-        a, b = (query[1], query[2]) if kind != "embed" else (query[2], query[1])
-        res = mc.pair(nu, a, b)
-        if kind == "seg_mass":
-            return res.mass, res.mass_se
-        if kind == "transversal":
-            return res.transversal, res.transversal_se
-        return res.embed, res.embed_se
-    if kind == "angle_mass":
-        res = mc.pair(nu, query[1], query[2], taus=[query[3]])
-        return float(res.angle[0]), float(res.angle_se[0])
-    if kind == "cube_mass":
-        return mc.cube_mass(nu, query[1])
-    if kind == "box_mass":
-        return mc.box_mass(nu, query[1], query[2])
-    raise ValueError(f"unknown query kind {kind!r}")
-
 
 class CalibrationError(RuntimeError):
     """The distance-independence check of the kernel constant failed."""

@@ -43,6 +43,14 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def require_int(key: str, value, least: int) -> int:
+    """``value`` as an int, refused unless it is an integer (a numpy one too, never a
+    bool) of at least ``least``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[-1] != b.shape[-1]:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
@@ -76,10 +84,6 @@ class Hyperplane:
         v.setflags(write=False)
         object.__setattr__(self, "normal", v)
         object.__setattr__(self, "offset", off)
-
-    @property
-    def dim(self) -> int:
-        return self.normal.size
 
     def flipped(self) -> "Hyperplane":
         """Same hyperplane built from the negated (normal, offset) pair."""

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .directions import DirectionMeasure
+from .geometry import UNIT_NORM_TOL, require_int
 from .measures import BaseMeasure1D, BaseMeasureND
 
 
@@ -42,9 +43,6 @@ class PositionDirection:
     @property
     def dim(self) -> int:
         return self.mu.dim
-
-    def total_mass(self) -> float:
-        return self.mu.total_mass() * self.omega.total_mass()
 
     def scaled(self, factor: float) -> "PositionDirection":
         return PositionDirection(self.mu.scaled(factor), self.omega)
@@ -90,16 +88,46 @@ class SamplerMeasure:
     bounding_hi: np.ndarray
 
     def __init__(self, dim, sample_fn, bounding_lo=None, bounding_hi=None):
+        dim = require_int("dim", dim, 2)
         if bounding_lo is None or bounding_hi is None:
             raise ValueError("sampler measure requires a declared bounding region")
-        lo = np.asarray(bounding_lo, dtype=float)
-        hi = np.asarray(bounding_hi, dtype=float)
+        lo = np.array(bounding_lo, dtype=float)
+        hi = np.array(bounding_hi, dtype=float)
+        for key, corner in (("bounding_lo", lo), ("bounding_hi", hi)):
+            if corner.shape != (dim,):
+                raise ValueError(f"{key} must have shape ({dim},), got {corner.shape}")
+            if not np.isfinite(corner).all():
+                raise ValueError(f"{key} must be finite")
+        if np.any(lo > hi):
+            raise ValueError("bounding_lo must not exceed bounding_hi")
         lo.setflags(write=False)
         hi.setflags(write=False)
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "sample_fn", sample_fn)
         object.__setattr__(self, "bounding_lo", lo)
         object.__setattr__(self, "bounding_hi", hi)
+
+    def sample(self, rng: np.random.Generator, size: int) -> tuple:
+        """``sample_fn(rng, size)`` as float arrays: k >= 1 unit normals of shape
+        ``(k, dim)`` (within ``UNIT_NORM_TOL``), and k offsets and k weights >= 0,
+        all finite; anything else is refused with a ValueError naming the field."""
+        normals, offsets, weights = (np.asarray(a, dtype=float)
+                                     for a in self.sample_fn(rng, size))
+        if offsets.ndim != 1 or len(offsets) < 1:
+            raise ValueError(f"sampler offsets must have shape (k,) with k >= 1, "
+                             f"got {offsets.shape}")
+        k = len(offsets)
+        for key, arr, shape in (("normals", normals, (k, self.dim)), ("weights", weights, (k,))):
+            if arr.shape != shape:
+                raise ValueError(f"sampler {key} must have shape {shape}, got {arr.shape}")
+        for key, arr in (("normals", normals), ("offsets", offsets), ("weights", weights)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"sampler {key} must be finite")
+        if np.any(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > UNIT_NORM_TOL):
+            raise ValueError(f"sampler normals must be unit length within {UNIT_NORM_TOL}")
+        if np.any(weights < 0):
+            raise ValueError("sampler weights must be nonnegative")
+        return normals, offsets, weights
 
 
 HyperplaneMeasure = PositionDirection | OffsetDirection | SamplerMeasure
@@ -183,6 +211,6 @@ def _point_mass(nu: HyperplaneMeasure, p: np.ndarray, rng: np.random.Generator) 
     if isinstance(nu, OffsetDirection):
         # an offset atom spreads over a sphere-null set of directions per point
         return 0.0
-    normals, offsets, weights = nu.sample_fn(rng, 4096)
+    normals, offsets, weights = nu.sample(rng, 4096)
     gaps = normals @ p - offsets
     return float(np.mean(weights * (gaps == 0.0)))

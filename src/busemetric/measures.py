@@ -92,12 +92,6 @@ class BaseMeasure1D:
                            - np.clip(np.minimum(s, hi) - lo, 0.0, None))
         return out
 
-    def total_mass(self) -> float:
-        tot = float(np.sum(self.atom_weights))
-        if self.pieces.size:
-            tot += float(np.sum((self.pieces[:, 1] - self.pieces[:, 0]) * self.pieces[:, 2]))
-        return tot
-
     def support_bounds(self) -> tuple[float, float]:
         los, his = [], []
         if self.atom_positions.size:
@@ -382,30 +376,21 @@ def doubling_ratio(m: BaseMeasureND, region_lo, region_hi, *, count: int = 64,
     return worst
 
 
-def tail1_check(m: BaseMeasureND, *, refine_level: int = 0) -> float:
+def tail1_check(m: BaseMeasureND) -> float:
     """Integral of |x|^-1 against the measure.
 
     Atoms are summed exactly (an atom at the origin is an error); realized
-    cell nodes are summed directly, optionally refined by splitting every
-    cell ``refine_level`` extra times for stability studies; line densities
-    integrate in closed form and yield +inf when the segment passes through
-    the origin.
+    cell nodes are summed directly; line densities integrate in closed form
+    and yield +inf when the segment passes through the origin.
     """
     total = 0.0
-    if m.atom_points.size:
-        r = np.linalg.norm(m.atom_points, axis=1)
-        if np.any(r == 0.0):
-            raise DegenerateConfigurationError("atom at the origin: |x|^-1 undefined")
-        total += float(np.sum(m.atom_weights / r))
-    if m.cells.size:
-        cells = m.cells
-        if refine_level > 0:
-            cells = _split_cells(cells, m.dim, refine_level)
-        pts, wts = BaseMeasureND._realize_cells(m.dim, cells, m.gauss_order)
-        r = np.linalg.norm(pts, axis=1)
-        if np.any(r == 0.0):
-            raise DegenerateConfigurationError("cell node at the origin")
-        total += float(np.sum(wts / r))
+    for pts, wts, what in ((m.atom_points, m.atom_weights, "atom at the origin: |x|^-1 undefined"),
+                           (m.node_points, m.node_weights, "cell node at the origin")):
+        if pts.size:
+            r = np.linalg.norm(pts, axis=1)
+            if np.any(r == 0.0):
+                raise DegenerateConfigurationError(what)
+            total += float(np.sum(wts / r))
     t = m.segment_table
     for p0, u, ln, dens in zip(t.p0s, t.us, t.lengths.tolist(), t.denss.tolist()):
         t0 = float(-(p0 @ u))            # parameter of the closest point to the origin
@@ -419,20 +404,7 @@ def tail1_check(m: BaseMeasureND, *, refine_level: int = 0) -> float:
 
 def _asinh_safe(t: float, h: float) -> float:
     if h == 0.0:
-        # degenerate: line through origin, away from t = 0
-        return math.copysign(math.log(abs(t)), t) if t != 0.0 else 0.0
+        # degenerate: line through origin, away from t = 0; sign(t) log|t| is an
+        # antiderivative of 1/|t| (copysign would also flip log|t| < 0 for |t| < 1)
+        return math.copysign(1.0, t) * math.log(abs(t)) if t != 0.0 else 0.0
     return math.asinh(t / h)
-
-
-def _split_cells(cells: np.ndarray, dim: int, level: int) -> np.ndarray:
-    """Halve every cell on every axis ``level`` times: cell-major, each cell's
-    2**dim children in corner-mask order (bit k set takes the upper half of axis k)."""
-    bits = ((np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1).astype(bool)
-    out = cells
-    for _ in range(level):
-        lo, hi, dens = out[:, None, :dim], out[:, None, dim:2 * dim], out[:, None, -1:]
-        mid = 0.5 * (lo + hi)
-        out = np.concatenate([np.where(bits, mid, lo), np.where(bits, hi, mid),
-                              np.broadcast_to(dens, (len(out), len(bits), 1))],
-                             axis=2).reshape(-1, 2 * dim + 1)
-    return out

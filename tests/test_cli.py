@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from busemetric.cli import JSON_MARKER, ConfigError, load_config, main
+from busemetric.cli import (JSON_MARKER, ConfigError, _pick_backend, _plan_from_config,
+                            build_scenario, load_config, main)
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -257,3 +258,43 @@ def test_module_entry_point_help():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "run" in done.stdout and "calibrate" in done.stdout
+
+
+# bundled config -> the backend `run` picks for it when the config names none
+DEFAULT_BACKENDS = {"crofton2": "closed_form", "crofton3": "closed_form",
+                    "doubling_atoms": "closed_form", "doubling_box": "closed_form",
+                    "ba_lebesgue": "exact2d", "ba_inv_sqrt": "exact2d",
+                    "degenerate_caps_02": "exact2d"}
+
+
+def _built(name, backend=None):
+    """The bundled config's scenario, plan and backend, as `run` builds them."""
+    cfg = load_config(str(SRC_DIR.parent / "configs" / f"{name}.json"))
+    if backend is not None:
+        cfg["backend"] = backend
+    scenario = build_scenario(cfg["scenario"], cfg["seed"])
+    return scenario, _plan_from_config(cfg), _pick_backend(scenario.measure, cfg)
+
+
+@pytest.mark.parametrize("name", list(DEFAULT_BACKENDS))
+def test_bundled_configs_build_with_their_default_backend(name):
+    scenario, plan, backend = _built(name)
+    assert backend.name == DEFAULT_BACKENDS[name]
+    assert plan.dim == scenario.dim
+
+
+@pytest.mark.parametrize("name, backend", [("crofton2", "closed_form"),
+                                           ("ba_lebesgue", "exact2d"),
+                                           ("doubling_box", "monte_carlo")])
+def test_run_takes_a_named_backend(name, backend):
+    _, plan, picked = _built(name, {"name": backend, "budget": 1234})
+    assert picked.name == backend
+    if backend == "monte_carlo":
+        assert (picked.budget, picked.seed) == (1234, plan.seed)
+
+
+@pytest.mark.parametrize("name, backend", [("crofton2", "exact2d"),
+                                           ("ba_lebesgue", "closed_form")])
+def test_run_refuses_a_backend_that_does_not_support_the_measure(name, backend):
+    with pytest.raises(ConfigError, match=f"backend '{backend}' does not support"):
+        _built(name, {"name": backend})

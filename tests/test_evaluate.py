@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from busemetric import (BaseMeasure1D, BaseMeasureND, ClosedForm, Cube,
                         OffsetDirection, PositionDirection, SamplerMeasure,
                         SymmetricCap, UniformDirections, UnsupportedBackendError,
                         box_mass, calibrate_embedding_constant, cube_mass, embed_unit_kernel,
-                        hits_segment, mc_estimate, pair_integrals, seg_mass,
-                        transversal_integral)
+                        hits_segment, pair_integrals, seg_mass)
 from busemetric import arcs, evaluate
 from busemetric.directions import ArcDensity2D, unit_kernel_constant
 from busemetric.scenarios import lebesgue_box_measure
@@ -360,7 +360,7 @@ def test_basepoint_change_is_additive_constant():
 def test_transversal_crofton():
     nu = crofton2()
     L = 2.5
-    val = transversal_integral(nu, [0.0, 0.0], [L, 0.0], backend=CF)
+    val = CF.pair(nu, [0.0, 0.0], [L, 0.0]).transversal
     est, se = oracle_offset_uniform([0.0, 0.0], [L, 0.0],
                                     lambda v, p: np.abs(v @ np.array([1.0, 0.0])))
     assert abs(val - est) <= 4.0 * se
@@ -681,6 +681,40 @@ def test_translation_equivariance():
         assert np.allclose(q.embed, p.embed, atol=1e-10)
 
 
+def test_translation_equivariance_with_cells():
+    nu = PositionDirection(lebesgue_box_measure(2, inner_half=0.4, levels=2), UniformDirections(2))
+    shift = np.array([13.0, -7.0])
+    moved = nu.translated(shift)
+    rng = np.random.default_rng(20)
+    for backend in (CF, E2):
+        for _ in range(10):
+            x, y = rng.uniform(-0.8, 0.8, (2, 2))
+            p = backend.pair(nu, x, y)
+            q = backend.pair(moved, x + shift, y + shift)
+            assert q.mass == pytest.approx(p.mass, rel=1e-12)
+
+
+# the families the query_churn benchmark scales, by the bundled config each is built from
+@pytest.mark.parametrize("config", ["crofton2", "doubling_box", "ba_lebesgue",
+                                    "degenerate_caps_02"])
+def test_scaled_families_scale_pair_and_box_masses(config):
+    from busemetric.cli import build_scenario, load_config
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / f"{config}.json"))
+    sc = build_scenario(cfg["scenario"], cfg["seed"])
+    lo, hi = (np.array(c) for c in cfg["plan"]["region"])
+    nu, c, backend = sc.measure, 1.7, sc.backend()
+    copies = [nu.scaled(c)]
+    if isinstance(nu.omega, ArcDensity2D):
+        copies.append(PositionDirection(nu.mu, nu.omega.scaled(c)))
+    pairs = np.random.default_rng(21).uniform(lo, hi, (4, 2, len(lo)))
+    for scaled in copies:
+        for x, y in pairs:
+            assert backend.pair(scaled, x, y).mass == pytest.approx(
+                c * backend.pair(nu, x, y).mass, rel=1e-12)
+        assert backend.box_mass(scaled, lo, hi).mass == pytest.approx(
+            c * backend.box_mass(nu, lo, hi).mass, rel=1e-12)
+
+
 def test_thin_wedge_from_extremely_far_atom():
     # the hit arc subtends ~1e-8 radians here; picking the complementary arc
     # by mistake would inflate the mass by ~pi
@@ -732,30 +766,29 @@ def test_mc_pair_is_structurally_consistent():
 # Monte Carlo estimator contracts
 # ---------------------------------------------------------------------------
 
-def test_mc_estimate_quarter_circle():
+def test_mc_quarter_circle():
     nu = atom_measure([((0.0, 0.0), 1.0)])
-    val, se = mc_estimate(nu, ("seg_mass", np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-                          budget=200_000, seed=20)
-    assert abs(val - 0.5) <= 3.0 * se
+    res = MonteCarlo(budget=200_000, seed=20).pair(nu, [1.0, 0.0], [0.0, 1.0])
+    assert abs(res.mass - 0.5) <= 3.0 * res.mass_se
 
 
-def test_mc_estimate_determinism():
+def test_mc_determinism():
     nu = crofton2()
-    q = ("seg_mass", np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-    a = mc_estimate(nu, q, budget=50_000, seed=21)
-    b = mc_estimate(nu, q, budget=50_000, seed=21)
-    assert a == b
-    c = mc_estimate(nu, q, budget=50_000, seed=22)
-    assert a != c
+
+    def estimate(seed):
+        res = MonteCarlo(budget=50_000, seed=seed).pair(nu, [0.0, 0.0], [1.0, 0.0])
+        return res.mass, res.mass_se
+
+    assert estimate(21) == estimate(21)
+    assert estimate(21) != estimate(22)
 
 
 def test_mc_error_scaling_with_budget():
     nu = crofton2()
-    q = ("seg_mass", np.array([0.0, 0.0]), np.array([1.0, 0.3]))
     ratios = []
     for seed in range(30):
-        _, se1 = mc_estimate(nu, q, budget=4_000, seed=seed)
-        _, se2 = mc_estimate(nu, q, budget=8_000, seed=seed)
+        se1, se2 = (MonteCarlo(budget=budget, seed=seed).pair(nu, [0.0, 0.0], [1.0, 0.3]).mass_se
+                    for budget in (4_000, 8_000))
         ratios.append(se2 / se1)
     mean_ratio = float(np.mean(ratios))
     assert abs(mean_ratio - 1.0 / math.sqrt(2.0)) <= 0.2 * (1.0 / math.sqrt(2.0))
@@ -763,10 +796,9 @@ def test_mc_error_scaling_with_budget():
 
 def test_mc_embed_and_cube_queries():
     nu = crofton2()
-    val, se = mc_estimate(nu, ("embed", np.array([0.0, 0.0]), np.array([2.0, 0.0])),
-                          budget=200_000, seed=23)
-    assert np.all(np.abs(val - np.array([1.0, 0.0])) <= 4.0 * se)
-    vc, sec = mc_estimate(nu, ("cube_mass", Cube([0.0, 0.0], 1.0)), budget=200_000, seed=24)
+    res = MonteCarlo(budget=200_000, seed=23).pair(nu, [2.0, 0.0], [0.0, 0.0])
+    assert np.all(np.abs(res.embed - np.array([1.0, 0.0])) <= 4.0 * res.embed_se)
+    vc, sec = MonteCarlo(budget=200_000, seed=24).cube_mass(nu, Cube([0.0, 0.0], 1.0))
     assert abs(vc - 4.0 / math.pi) <= 4.0 * sec
 
 

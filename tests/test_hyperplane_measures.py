@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from busemetric import (BaseMeasure1D, BaseMeasureND, MonteCarlo, OffsetDirection,
-                        PositionDirection, SamplerMeasure, UniformDirections, validate)
+from busemetric import (ArcDensity2D, BaseMeasure1D, BaseMeasureND, MonteCarlo,
+                        OffsetDirection, PositionDirection, SamplerMeasure, SymmetricCap,
+                        UniformDirections, validate)
 from busemetric.directions import abs_moment
 
 
@@ -80,3 +81,80 @@ def test_validate_sampler_measure():
     val, se = mc.box_mass(nu, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     # same slab-width oracle as the product-form measure above
     assert abs(val - 2.0 * abs_moment(2)) <= 4.0 * se
+
+
+def _vertical_lines(rng, m):
+    """Lines x = c for c uniform in [-1, 1], each of weight 2."""
+    return np.tile([1.0, 0.0], (m, 1)), rng.uniform(-1.0, 1.0, m), np.full(m, 2.0)
+
+
+def _spoiled(spoil):
+    def sample(rng, m):
+        return spoil(*_vertical_lines(rng, m))
+    return SamplerMeasure(2, sample, bounding_lo=(-1.0, -1.0), bounding_hi=(1.0, 1.0))
+
+
+# sampler outputs that once gave a silent answer or numpy's own error
+# (NaN normals: mass 0.0; weights of -1: mass -0.5; normals of length 3: no error)
+SPOILED_SAMPLES = {
+    "nan_normals": ("normals", lambda v, p, w: (np.full_like(v, math.nan), p, w)),
+    "long_normals": ("normals", lambda v, p, w: (3.0 * v, p, w)),
+    "narrow_normals": ("normals", lambda v, p, w: (v[:, :1], p, w)),
+    "inf_offsets": ("offsets", lambda v, p, w: (v, np.full_like(p, math.inf), w)),
+    "column_offsets": ("offsets", lambda v, p, w: (v, p[:, None], w)),
+    "no_samples": ("offsets", lambda v, p, w: (v[:0], p[:0], w[:0])),
+    "negative_weights": ("weights", lambda v, p, w: (v, p, -w / 2.0)),
+    "short_weights": ("weights", lambda v, p, w: (v, p, w[1:])),
+    "nan_weights": ("weights", lambda v, p, w: (v, p, np.full_like(w, math.nan))),
+}
+
+
+@pytest.mark.parametrize("case", list(SPOILED_SAMPLES))
+def test_monte_carlo_refuses_bad_sampler_output(case):
+    field, spoil = SPOILED_SAMPLES[case]
+    with pytest.raises(ValueError, match=f"sampler {field}"):
+        MonteCarlo(1000, 0).pair(_spoiled(spoil), [-0.5, 0.0], [0.5, 0.0])
+
+
+def test_validate_refuses_bad_sampler_output():
+    # the point-mass probe draws its own samples, checked the same way
+    with pytest.raises(ValueError, match="sampler normals"):
+        validate(_spoiled(SPOILED_SAMPLES["nan_normals"][1]), (-1.0, -1.0), (1.0, 1.0),
+                 point_count=2, segment_count=2)
+
+
+def test_sampler_output_passes_through_unchanged():
+    nu = SamplerMeasure(2, _vertical_lines, bounding_lo=(-1.0, -1.0), bounding_hi=(1.0, 1.0))
+    got = nu.sample(np.random.default_rng(4), 50)
+    want = _vertical_lines(np.random.default_rng(4), 50)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert MonteCarlo(1000, 0).pair(nu, [-0.5, 0.0], [0.5, 0.0]).mass == pytest.approx(1.0, rel=0.1)
+
+
+def _sampler(dim=2, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
+    return SamplerMeasure(dim, _vertical_lines, bounding_lo=lo, bounding_hi=hi)
+
+
+# constructor arguments that once built a measure, each with the field its refusal names
+BAD_CONSTRUCTIONS = {
+    "cap_nan_axis_3d": ("axis", lambda: SymmetricCap([math.nan, 1.0, 0.0], 0.3)),
+    "cap_inf_axis_3d": ("axis", lambda: SymmetricCap([math.inf, 1.0, 0.0], 0.3)),
+    "cap_nan_axis_2d": ("axis", lambda: SymmetricCap([math.nan, 1.0], 0.3)),
+    "arc_inf_density": ("densities", lambda: ArcDensity2D([(0.0, 1.0, math.inf)])),
+    "arc_nan_density": ("densities", lambda: ArcDensity2D([(0.0, 1.0, math.nan)])),
+    "arc_nan_bound": ("pieces", lambda: ArcDensity2D([(math.nan, 1.0, 1.0)])),
+    "uniform_fractional_dim": ("dim", lambda: UniformDirections(2.5)),
+    "sampler_dim_1": ("dim", lambda: _sampler(dim=1, lo=(-1.0,), hi=(1.0,))),
+    "sampler_nan_corner": ("bounding_lo", lambda: _sampler(lo=(math.nan, -1.0))),
+    "sampler_inf_corner": ("bounding_hi", lambda: _sampler(hi=(1.0, math.inf))),
+    "sampler_short_corner": ("bounding_hi", lambda: _sampler(hi=(1.0,))),
+    "sampler_3d_corner": ("bounding_lo", lambda: _sampler(lo=(-1.0, -1.0, -1.0))),
+    "sampler_crossed_corners": ("bounding_lo", lambda: _sampler(lo=(2.0, -1.0))),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONSTRUCTIONS))
+def test_constructors_refuse_bad_fields_by_name(case):
+    field, build = BAD_CONSTRUCTIONS[case]
+    with pytest.raises(ValueError, match=field):
+        build()

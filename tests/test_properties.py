@@ -68,7 +68,7 @@ def test_embedding_lipschitz_and_identity(name, data):
     sc, backend, lo, hi = bundled(name)
     x, y = draw_point(data, lo, hi), draw_point(data, lo, hi)
     assume(separated(x, y, lo, hi))
-    res = sc.embedding(backend=backend).pair(x, y)
+    res = backend.pair(sc.measure, x, y)
     step = res.embed                       # f(x) - f(y)
     assert np.linalg.norm(step) <= res.mass * (1.0 + SLACK)
     lhs = float(step @ (x - y))
