@@ -142,13 +142,57 @@ def _pair_core(dx, dy, w, pieces, delta, *, taus=None, on_segment="error"):
     mass = float(wr @ len_r)
     trans = float(wr @ tr_r)
     emb = np.array([float(wr @ e0_r), float(wr @ e1_r)])
-    angle = None
-    if taus is not None:
-        t = np.asarray(taus, dtype=float)
-        blo = np.maximum(lo_r[:, None], t[None, :])
-        bhi = np.minimum(hi_r[:, None], PI - t[None, :])
-        angle = np.einsum("k,kt->t", wr * rho_r, np.clip(bhi - blo, 0.0, None))
+    angle = None if taus is None else arc_threshold_sums(wr * rho_r, lo_r, hi_r, taus)
     return mass, trans, emb, angle
+
+
+ANGLE_BLOCK_ELEMENTS = 1 << 16    # the most elements in one cache-sized block of angle rows
+
+
+def threshold_sums(weights, taus, fill):
+    """Per threshold t, the sum over rows k of ``w[k] * v[k, t]`` for each ``w`` in
+    ``weights``; ``fill(start, stop, out, tmp)`` writes ``v[start:stop]`` into ``out``.
+
+    With two or more thresholds ``einsum("k,kt->t")`` adds rows in order, so rows
+    go a block at a time into two buffers allocated once, behind the running sums
+    in row 0 (weight 1.0), with the bits of one sum over all rows.  One column is
+    not added in order, so a single threshold takes all rows at once.
+    """
+    count, width = len(weights[0]), len(taus)
+    if width < 2:
+        vals, tmp = np.empty((2, count, width))
+        fill(0, count, vals, tmp)
+        return [np.einsum("k,kt->t", w, vals) for w in weights]
+    rows = max(ANGLE_BLOCK_ELEMENTS // width, 1)
+    vals, tmp = np.empty((2, min(rows, count) + 1, width))
+    wbuf = np.ones(len(vals))       # row 0 keeps weight 1.0
+    sums = [np.zeros(width) for _ in weights]
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        n = stop - start + 1
+        fill(start, stop, vals[1:n], tmp[1:n])
+        for j, w in enumerate(weights):
+            vals[0], wbuf[1:n] = sums[j], w[start:stop]
+            sums[j] = np.einsum("k,kt->t", wbuf[:n], vals[:n])
+    return sums
+
+
+def arc_threshold_sums(w, lo, hi, taus, anti=None) -> np.ndarray:
+    """Per threshold t, the sum over rows k of ``w[k] * (F(a) - F(b))``, [a, b] the part of
+    the arc [lo[k], hi[k]] in [t, pi - t] (no term where it is empty) and F ``anti``;
+    without ``anti``, F(x) = -x and each term weighs the part's length."""
+    taus = np.asarray(taus, dtype=float)
+
+    def fill(start, stop, a, b):
+        np.maximum(lo[start:stop, None], taus, out=a)
+        np.minimum(hi[start:stop, None], PI - taus, out=b)
+        if anti is not None:
+            np.copyto(a, np.where(b > a, anti(a) - anti(b), 0.0))
+        else:       # F(a) - F(b) = b - a, which is <= 0 just where the part is empty
+            np.subtract(b, a, out=a)
+            np.maximum(a, 0.0, out=a)
+
+    return threshold_sums([w], taus, fill)[0]
 
 
 def box_corners(lo, hi) -> np.ndarray:

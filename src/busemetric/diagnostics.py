@@ -54,9 +54,7 @@ class SamplingPlan:
 
     def __post_init__(self):
         for key in ("pair_count", "cycle_count", "cube_count", "triple_count"):
-            count = getattr(self, key)
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {count!r}")
+            object.__setattr__(self, key, require_int(key, getattr(self, key), 1))
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         lo = np.asarray(self.region_lo, dtype=float)
         hi = np.asarray(self.region_hi, dtype=float)
@@ -163,8 +161,7 @@ def _segment_sweep(nu, plan: SamplingPlan, backend) -> _SegmentSweep:
     emb = np.empty((len(xs), plan.dim))
     angle = np.empty((len(xs), len(TAU_GRID)))
     mass_se = np.empty(len(xs))
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        p = backend.pair(nu, x, y, taus=TAU_GRID)
+    for i, p in enumerate(evaluate.pair_many(backend, nu, xs, ys, taus=TAU_GRID)):
         mass[i], trans[i], emb[i], angle[i] = p.mass, p.transversal, p.embed, p.angle
         mass_se[i] = math.nan if p.mass_se is None else p.mass_se
     return _SegmentSweep(xs, ys, mass, trans, emb, angle, mass_se)
@@ -268,12 +265,12 @@ def _bilip_from_sweep(sweep: _SegmentSweep):
 def cyclic_audit(f: evaluate.EmbeddingMap, plan: SamplingPlan):
     """Worst cyclic sum, normalized by the cycle's natural magnitude."""
     rng = _streams(plan)[1]
+    cycles = [_sample_points(plan, rng, int(rng.integers(2, 9))) for _ in range(plan.cycle_count)]
+    images = np.split(f.eval_many(np.concatenate(cycles)),
+                      np.cumsum([len(pts) for pts in cycles[:-1]]))
     worst = -math.inf
     witness = None
-    for _ in range(plan.cycle_count):
-        m = int(rng.integers(2, 9))
-        pts = _sample_points(plan, rng, m)
-        vals = f.eval_many(pts)
+    for pts, vals in zip(cycles, images):
         nxt = np.roll(pts, -1, axis=0)
         total = float(np.einsum("ij,ij->", vals, nxt - pts))
         scale = float(np.sum(np.linalg.norm(vals, axis=1) * np.linalg.norm(nxt - pts, axis=1)))
@@ -287,14 +284,20 @@ def cyclic_audit(f: evaluate.EmbeddingMap, plan: SamplingPlan):
 def cube_audit(f: evaluate.EmbeddingMap, nu, plan: SamplingPlan):
     """Worst ratio (diameter of the embedded vertex set) / (cube hyperplane mass)."""
     rng = _streams(plan)[2]
+    cubes = _sample_cubes(plan, rng)
+    calls = []
+    for q in cubes:
+        calls.append((f.backend.cube_mass, nu, q))
+        calls.extend((f.backend.pair, f.measure, v, f.basepoint) for v in cube_vertices(q))
+    # taken in query order: a cube without mass ends the audit, and no later answer is read
+    answers = evaluate.fan_out(nu, calls)
     worst = math.inf
     witness = None
-    for q in _sample_cubes(plan, rng):
-        mass = evaluate.cube_mass(nu, q, backend=f.backend)
+    for q in cubes:
+        mass = next(answers).mass
         if mass <= 0.0:
             return 0.0, {"center": q.center.tolist(), "edge": q.edge, "mass": mass}
-        verts = cube_vertices(q)
-        imgs = f.eval_many(verts)
+        imgs = np.stack([next(answers).embed for _ in range(2 ** q.dim)])
         diam = float(np.max(np.linalg.norm(imgs[:, None, :] - imgs[None, :, :], axis=2)))
         ratio = diam / mass
         if ratio < worst:
@@ -335,15 +338,13 @@ def _sample_triples(nu, backend, plan):
     coincides with a or b; both envelopes are built from these answers.
     """
     rng = _streams(plan)[3]
-    answered = []
-    skipped = 0
-    for _ in range(plan.triple_count):
-        x, a, b = _sample_points(plan, rng, 3)
-        if np.all(x == a) or np.all(x == b):
-            skipped += 1
-            continue
-        answered.append((x, a, b, backend.pair(nu, x, a), backend.pair(nu, x, b)))
-    return answered, skipped
+    triples = [_sample_points(plan, rng, 3) for _ in range(plan.triple_count)]
+    kept = [(x, a, b) for x, a, b in triples if not (np.all(x == a) or np.all(x == b))]
+    answers = evaluate.pair_many(backend, nu, [x for x, _, _ in kept for _ in (0, 1)],
+                                 [p for _, a, b in kept for p in (a, b)])
+    # zip takes pair(x, a), then pair(x, b), from the one stream of answers
+    answered = [(*t, pa, pb) for t, pa, pb in zip(kept, answers, answers)]
+    return answered, len(triples) - len(kept)
 
 
 def _envelope(triples, metric: str, image: str):

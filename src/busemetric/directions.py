@@ -223,13 +223,6 @@ class ArcDensity2D:
     def arc_pieces(self) -> np.ndarray:
         return self.pieces
 
-    def scaled(self, factor: float) -> "ArcDensity2D":
-        if not 0 < factor < math.inf:
-            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
-        p = self.pieces.copy()
-        p[:, 2] *= factor
-        return ArcDensity2D(p)
-
     def sample_normals(self, rng: np.random.Generator, size: int) -> np.ndarray:
         lengths = (self.pieces[:, 1] - self.pieces[:, 0]) * self.pieces[:, 2]
         cum = np.cumsum(lengths)

@@ -33,6 +33,8 @@ Backends:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -221,15 +223,7 @@ class ClosedForm(Backend):
         a0, a1 = emb_anti(a)
         b0, b1 = emb_anti(b)
         emb = s0 * rho * r * np.array([float(np.sum(dens * (b0 - a0))), float(np.sum(dens * (b1 - a1)))])
-
-        angle = None
-        if taus is not None:
-            t = np.asarray(taus, dtype=float)
-            blo = np.maximum(a[:, None], t[None, :])
-            bhi = np.minimum(b[:, None], PI - t[None, :])
-            good = bhi > blo
-            seg = np.where(good, np.cos(blo) - np.cos(np.maximum(bhi, blo)), 0.0)
-            angle = rho * r * np.einsum("j,jt->t", dens, seg)
+        angle = None if taus is None else rho * r * arcs.arc_threshold_sums(dens, a, b, taus, np.cos)
         return PairIntegrals(mass, trans, emb, angle, backend=self.name)
 
     def _position_pair(self, nu, x, y, taus):
@@ -271,22 +265,19 @@ class ClosedForm(Backend):
         between = psi >= PI
         xi_lo = np.where(between, 0.0, xi_lo)
         xi_hi = np.minimum(xi_lo + psi, PI)
-        t = np.asarray(taus, dtype=float)
-        lo = np.maximum(xi_lo[:, None], t[None, :])
-        hi = np.minimum(xi_hi[:, None], PI - t[None, :])
         if n == 2:
-            return np.einsum("i,it->t", w, np.clip(hi - lo, 0.0, None)) / PI
+            return arcs.arc_threshold_sums(w, xi_lo, xi_hi, taus) / PI
         # n = 3: P(in-plane radius >= sin tau / sin xi) = sqrt(1 - (sin tau / sin xi)^2)
         # integrated over [lo, hi]; in c = cos xi it is sqrt(cos^2 tau - c^2) / (1 - c^2),
         # whose antiderivative F is elementary, so the integral is F(cos lo) - F(cos hi)
-        sin_t, cos2_t = np.sin(t), np.cos(t) ** 2
+        sin_t, cos2_t = np.sin(taus), np.cos(taus) ** 2
 
-        def anti(c):
+        def anti(xi):
+            c = np.cos(xi)
             r = np.sqrt(np.maximum(cos2_t - c * c, 0.0))
             return np.arctan2(c, r) - sin_t * np.arctan2(c * sin_t, r)
 
-        inner = np.where(hi > lo, anti(np.cos(lo)) - anti(np.cos(hi)), 0.0)
-        return np.einsum("i,it->t", w, inner) / PI
+        return arcs.arc_threshold_sums(w, xi_lo, xi_hi, taus, anti) / PI
 
     # -- region queries -----------------------------------------------------
 
@@ -453,6 +444,7 @@ class MonteCarlo(Backend):
         self.budget = require_int("budget", budget, 1)
         self.seed = require_int("seed", seed, 0)
         self._batches: OrderedDict[int, tuple] = OrderedDict()
+        self._lock = threading.Lock()   # queries from several threads share the cache
 
     def supports(self, nu: HyperplaneMeasure) -> bool:
         return isinstance(nu, (PositionDirection, OffsetDirection, SamplerMeasure))
@@ -469,28 +461,29 @@ class MonteCarlo(Backend):
         integrated analytically.  The cache holds the measure with its
         batch, so its ``id`` stays unique while the entry lives.
         """
-        key = id(nu)
-        if key in self._batches:
-            self._batches.move_to_end(key)
-            return self._batches[key][1]
-        rng = np.random.default_rng(self.seed)
-        m = self.budget
-        if isinstance(nu, PositionDirection):
-            pts = _sample_positions(nu.mu, rng, m)
-            normals = nu.omega.sample_normals(rng, m)
-            weight = nu.mu.total_mass() * nu.omega.total_mass() / m
-            batch = ("hits", normals, np.einsum("ij,ij->i", pts, normals), weight)
-        elif isinstance(nu, OffsetDirection):
-            normals = nu.omega.sample_normals(rng, m)
-            base = nu.omega.total_mass() / m
-            batch = ("offset", normals, base)
-        else:
-            normals, offsets, weights = nu.sample(rng, m)
-            batch = ("hits", normals, offsets, weights / m)
-        self._batches[key] = (nu, batch)
-        if len(self._batches) > BATCH_CACHE_SIZE:
-            self._batches.popitem(last=False)
-        return batch
+        with self._lock:
+            key = id(nu)
+            if key in self._batches:
+                self._batches.move_to_end(key)
+                return self._batches[key][1]
+            rng = np.random.default_rng(self.seed)
+            m = self.budget
+            if isinstance(nu, PositionDirection):
+                pts = _sample_positions(nu.mu, rng, m)
+                normals = nu.omega.sample_normals(rng, m)
+                weight = nu.mu.total_mass() * nu.omega.total_mass() / m
+                batch = ("hits", normals, np.einsum("ij,ij->i", pts, normals), weight)
+            elif isinstance(nu, OffsetDirection):
+                normals = nu.omega.sample_normals(rng, m)
+                base = nu.omega.total_mass() / m
+                batch = ("offset", normals, base)
+            else:
+                normals, offsets, weights = nu.sample(rng, m)
+                batch = ("hits", normals, offsets, weights / m)
+            self._batches[key] = (nu, batch)
+            if len(self._batches) > BATCH_CACHE_SIZE:
+                self._batches.popitem(last=False)
+            return batch
 
     # -- queries -------------------------------------------------------------
 
@@ -570,33 +563,17 @@ class MonteCarlo(Backend):
         return RegionMass(*_sum_with_se(_slab_mass(nu, batch, mid - reach, mid + reach)))
 
 
-# the most elements in one block of Monte Carlo angle rows, so an angle profile's
-# working set is bounded whatever the number of samples and thresholds.  The
-# blocks keep the bits of one sum over all rows: numpy's sum over axis 0 adds
-# rows in order, and each block's rows are added behind the running sums
-ANGLE_BLOCK_ELEMENTS = 1 << 18
-
-
 def _angle_sums(mass_i, avd, sin_t):
     """Per threshold t, the sums over samples of ``mass_i * (avd >= sin_t[t])`` and of
-    its square, over the samples that carry mass (a miss adds an exact +0.0), a
-    bounded block of rows at a time with the running sums in the block's row 0."""
+    its square, over the samples that carry mass (a miss adds an exact +0.0).  The
+    row values are 0 or 1, so ``mass_i`` and its square weigh them exactly."""
     hit = np.flatnonzero(mass_i)
     w, a = mass_i[hit], avd[hit]
-    rows = max(ANGLE_BLOCK_ELEMENTS // len(sin_t), 1)
-    vals = np.empty((min(rows, len(hit)) + 1, len(sin_t)))
-    sq = np.empty_like(vals)
-    total, total_sq = np.zeros(len(sin_t)), np.zeros(len(sin_t))
-    for start in range(0, len(hit), rows):
-        stop = min(start + rows, len(hit))
-        n = stop - start
-        vals[0], sq[0] = total, total_sq
-        block = vals[1:n + 1]
-        np.greater_equal(a[start:stop, None], sin_t[None, :], out=block)
-        block *= w[start:stop, None]
-        np.multiply(block, block, out=sq[1:n + 1])
-        total, total_sq = np.sum(vals[:n + 1], axis=0), np.sum(sq[:n + 1], axis=0)
-    return total, total_sq
+
+    def fill(start, stop, out, tmp):
+        np.greater_equal(a[start:stop, None], sin_t, out=out)
+
+    return arcs.threshold_sums([w, w * w], sin_t, fill)
 
 
 def _slab_mass(nu, batch, lo, hi) -> np.ndarray:
@@ -662,6 +639,60 @@ def box_mass(nu, lo, hi, *, backend=None) -> float:
     return (backend or default_backend(nu)).box_mass(nu, lo, hi).mass
 
 
+# the support nodes from which batched queries run on every core: on 2 cores, fanned sweeps
+# over 1024-, 2048- and 4096-atom Exact2D clouds ran 0.87x, 1.15x and 1.42x as fast as a
+# loop (medians of 5; a later run read 0.97x, 1.07x and 1.04x)
+FAN_OUT_NODES = 2048
+_POOL = [None, None]           # the pid that made the thread pool, and the pool
+_POOL_LOCK = threading.Lock()
+_IN_WORKER = threading.local()
+
+
+def _worker_count() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _support_size(nu) -> int:
+    """Atoms, realized cell nodes and ``SEGMENT_ORDER`` nodes per density segment."""
+    if not isinstance(nu, PositionDirection):
+        return 0
+    mu = nu.mu
+    return (len(mu.atom_points) + len(mu.node_points)
+            + arcs.SEGMENT_ORDER * len(mu.segment_table.lengths))
+
+
+def fan_out(nu, calls):
+    """Yield ``fn(*args)`` for each ``(fn, *args)`` in ``calls``, in call order.
+
+    When ``nu``'s support is large the calls run on a thread pool, one worker per
+    usable core (numpy kernels release the GIL); the first error in call order is
+    raised and calls not yet started are dropped.  Otherwise, and in a worker
+    (waiting on its own pool could deadlock), each runs in the caller's thread.
+    """
+    calls, workers = list(calls), _worker_count()
+    if (workers < 2 or len(calls) < 2 or _support_size(nu) < FAN_OUT_NODES
+            or getattr(_IN_WORKER, "active", False)):
+        yield from (fn(*args) for fn, *args in calls)
+        return
+    with _POOL_LOCK:
+        if _POOL[0] != os.getpid():    # no pool yet, or one made before this process forked
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL[:] = os.getpid(), ThreadPoolExecutor(
+                workers, initializer=setattr, initargs=(_IN_WORKER, "active", True))
+        futures = [_POOL[1].submit(*call) for call in calls]
+    try:
+        yield from (future.result() for future in futures)
+    finally:
+        for future in futures:
+            future.cancel()
+
+
+def pair_many(backend, nu, xs, ys, taus=None):
+    """Yield ``backend.pair(nu, x, y, taus)`` for each row of ``xs`` and ``ys``, in order;
+    see ``fan_out``.  Taken one at a time, the answers need not all be held at once."""
+    return fan_out(nu, ((backend.pair, nu, x, y, taus) for x, y in zip(xs, ys)))
+
+
 @dataclass(frozen=True)
 class EmbeddingMap:
     """The basepoint-anchored embedding x |-> integral of oriented normals.
@@ -688,7 +719,8 @@ class EmbeddingMap:
         return self.backend.pair(self.measure, x, self.basepoint).embed
 
     def eval_many(self, points) -> np.ndarray:
-        return np.stack([self.eval(p) for p in np.asarray(points, dtype=float)])
+        answers = pair_many(self.backend, self.measure, points, [self.basepoint] * len(points))
+        return np.stack([p.embed for p in answers])
 
 
 # ---------------------------------------------------------------------------

@@ -180,14 +180,12 @@ def validate(nu: HyperplaneMeasure, region_lo, region_hi, *, point_count: int = 
 
     min_mass = math.inf
     witness = None
-    for _ in range(segment_count):
-        a = lo + rng.random(lo.size) * (hi - lo)
-        b = lo + rng.random(lo.size) * (hi - lo)
-        if np.all(a == b):
-            continue
-        mass = evaluate.seg_mass(nu, a, b, backend=backend)
-        if mass < min_mass:
-            min_mass, witness = mass, (tuple(a.tolist()), tuple(b.tolist()))
+    draws = [lo + rng.random(lo.size) * (hi - lo) for _ in range(2 * segment_count)]
+    ends = [(a, b) for a, b in zip(draws[0::2], draws[1::2]) if not np.all(a == b)]
+    answers = evaluate.pair_many(backend, nu, [a for a, _ in ends], [b for _, b in ends])
+    for (a, b), p in zip(ends, answers):
+        if p.mass < min_mass:
+            min_mass, witness = p.mass, (tuple(a.tolist()), tuple(b.tolist()))
 
     region_mass = evaluate.box_mass(nu, lo, hi, backend=backend)
     ok = all(not f for _, _, f in point_masses) and min_mass > 0.0 and math.isfinite(region_mass)

@@ -315,12 +315,19 @@ def test_plan_validation():
     # an empty pool makes its audit pass on an infinite extremum, and a
     # silently truncated count runs another plan than the one asked for
     for key in ("pair_count", "cycle_count", "cube_count", "triple_count"):
-        for bad in (0, -3, 2.5, 3.0, True, "3", None, np.int64(3)):
+        for bad in (0, -3, 2.5, 3.0, True, "3", None, np.int64(0)):
             with pytest.raises(ValueError, match=key):
                 SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0), **{key: bad})
     plan = SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0), pair_count=1,
                         cycle_count=1, cube_count=1, triple_count=1)
     assert plan.to_dict()["pair_count"] == 1
+    # numpy integer counts are taken, as the seed is, and stored as Python ints
+    counts = ("pair_count", "cycle_count", "cube_count", "triple_count")
+    plan = SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0),
+                        **{key: np.int64(3) for key in counts})
+    d = plan.to_dict()
+    assert all(type(getattr(plan, key)) is int and d[key] == 3 for key in counts)
+    assert json.loads(json.dumps(d)) == d
 
 
 BAD_PLANS = {
@@ -511,3 +518,21 @@ def test_converse_at_a_grid_point_widens_the_bound():
         [1.0, 1.0], profiles, tau_star, single={1: low - c1})
     assert ok and margin == low - tau_star < c0 - tau_star
     assert asked == [0, 1]
+
+
+def test_fanned_and_serial_runs_give_the_same_report(monkeypatch):
+    # the audits' batches run on every core or in a loop with the same bits
+    from busemetric import evaluate
+    from busemetric.cli import _plan_from_config, build_scenario, load_config
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "doubling_box.json"))
+    sc = build_scenario(cfg["scenario"], cfg["seed"])
+    assert evaluate._support_size(sc.measure) >= evaluate.FAN_OUT_NODES
+    plan = SamplingPlan(**{**_plan_from_config(cfg).to_dict(), "pair_count": 24,
+                           "cycle_count": 6, "cube_count": 4, "triple_count": 10})
+
+    def report(workers):
+        monkeypatch.setattr(evaluate, "_worker_count", lambda: workers)
+        return json.dumps(run_diagnostics(sc.measure, sc.basepoint, plan, name=sc.name,
+                                          backend=sc.backend()).to_dict(), sort_keys=True)
+
+    assert report(2) == report(1)

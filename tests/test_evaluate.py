@@ -703,16 +703,13 @@ def test_scaled_families_scale_pair_and_box_masses(config):
     sc = build_scenario(cfg["scenario"], cfg["seed"])
     lo, hi = (np.array(c) for c in cfg["plan"]["region"])
     nu, c, backend = sc.measure, 1.7, sc.backend()
-    copies = [nu.scaled(c)]
-    if isinstance(nu.omega, ArcDensity2D):
-        copies.append(PositionDirection(nu.mu, nu.omega.scaled(c)))
+    scaled = nu.scaled(c)
     pairs = np.random.default_rng(21).uniform(lo, hi, (4, 2, len(lo)))
-    for scaled in copies:
-        for x, y in pairs:
-            assert backend.pair(scaled, x, y).mass == pytest.approx(
-                c * backend.pair(nu, x, y).mass, rel=1e-12)
-        assert backend.box_mass(scaled, lo, hi).mass == pytest.approx(
-            c * backend.box_mass(nu, lo, hi).mass, rel=1e-12)
+    for x, y in pairs:
+        assert backend.pair(scaled, x, y).mass == pytest.approx(
+            c * backend.pair(nu, x, y).mass, rel=1e-12)
+    assert backend.box_mass(scaled, lo, hi).mass == pytest.approx(
+        c * backend.box_mass(nu, lo, hi).mass, rel=1e-12)
 
 
 def test_thin_wedge_from_extremely_far_atom():
@@ -1329,18 +1326,20 @@ def _sampler_with_hits(k):
     return SamplerMeasure(2, sample, bounding_lo=(-4.0, -4.0), bounding_hi=(4.0, 4.0))
 
 
-# a hundred unsorted thresholds with repeats: the block holds this many rows
+# a hundred unsorted thresholds with repeats
 _BLOCK_TAUS = np.random.default_rng(12).permutation(np.r_[np.linspace(0.0, 3.0, 90),
                                                           [0.3] * 5, [1.2] * 5])
-_BLOCK_ROWS = evaluate.ANGLE_BLOCK_ELEMENTS // len(_BLOCK_TAUS)
 
 
-@pytest.mark.parametrize("hits", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+# hit counts over several blocks of rows (655 rows of these 100 thresholds),
+# each ending inside a block; the block boundaries themselves are covered by
+# test_threshold_sums_match_the_one_shot_forms_bits
+@pytest.mark.parametrize("hits", [0, 1, 2621, 2622, 7870])
 def test_mc_angle_blocks_match_dense_reference_bits(hits):
     # the rows are summed a bounded block at a time behind the running sums;
-    # at every block boundary the bits are those of one sum over all samples
+    # whatever the number of blocks, the bits are those of one sum over all samples
     nu = _sampler_with_hits(hits)
-    mc = MonteCarlo(budget=4 * _BLOCK_ROWS, seed=3)
+    mc = MonteCarlo(budget=10_484, seed=3)
     got = mc.pair(nu, [0.0, 0.0], _HIT_Y, taus=_BLOCK_TAUS)
     angle, angle_se = _ref_mc_angle(mc, nu, [0.0, 0.0], _HIT_Y, _BLOCK_TAUS)
     assert np.count_nonzero(_slab_mass_of(mc, nu, [0.0, 0.0], _HIT_Y)) == hits
@@ -1401,3 +1400,302 @@ def test_empty_taus_give_an_empty_profile(backend):
     for y in ([0.5, 0.6], [0.1, 0.4]):
         p = b.pair(make(), [0.1, 0.4], y, taus=[])
         assert p.angle.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# angle profiles summed in row blocks: the one-shot forms they replace
+# ---------------------------------------------------------------------------
+
+def _ref_arc_sums(w, lo, hi, taus):
+    """The one-shot angle sum of ``arcs._pair_core`` and of the n = 2 position profile."""
+    t = np.asarray(taus, dtype=float)
+    blo = np.maximum(lo[:, None], t[None, :])
+    bhi = np.minimum(hi[:, None], math.pi - t[None, :])
+    return np.einsum("k,kt->t", w, np.clip(bhi - blo, 0.0, None))
+
+
+def _ref_offset_sums(dens, a, b, taus):
+    """The one-shot angle sum of ``ClosedForm``'s n = 2 offset profile, before its factor."""
+    t = np.asarray(taus, dtype=float)
+    blo = np.maximum(a[:, None], t[None, :])
+    bhi = np.minimum(b[:, None], math.pi - t[None, :])
+    seg = np.where(bhi > blo, np.cos(blo) - np.cos(np.maximum(bhi, blo)), 0.0)
+    return np.einsum("j,jt->t", dens, seg)
+
+
+def _ref_position_profile(n, w, rx, ry, dot_u, sin_psi, psi, taus):
+    """``ClosedForm._position_angle_profile`` with every row at once."""
+    dxr = np.stack([rx, np.zeros_like(rx)], axis=1)
+    dyr = np.stack([ry * dot_u, ry * sin_psi], axis=1)
+    dr = dxr - dyr
+    p_d = (np.arctan2(dr[:, 1], dr[:, 0]) + 0.5 * math.pi) % math.pi
+    xi_lo = np.where(psi >= math.pi, 0.0, (0.5 * math.pi - p_d) % math.pi)
+    xi_hi = np.minimum(xi_lo + psi, math.pi)
+    t = np.asarray(taus, dtype=float)
+    lo = np.maximum(xi_lo[:, None], t[None, :])
+    hi = np.minimum(xi_hi[:, None], math.pi - t[None, :])
+    if n == 2:
+        return np.einsum("i,it->t", w, np.clip(hi - lo, 0.0, None)) / math.pi
+    sin_t, cos2_t = np.sin(t), np.cos(t) ** 2
+
+    def anti(c):
+        r = np.sqrt(np.maximum(cos2_t - c * c, 0.0))
+        return np.arctan2(c, r) - sin_t * np.arctan2(c * sin_t, r)
+
+    inner = np.where(hi > lo, anti(np.cos(lo)) - anti(np.cos(hi)), 0.0)
+    return np.einsum("i,it->t", w, inner) / math.pi
+
+
+def _ref_mc_sums(mass_i, avd, sin_t):
+    """The Monte Carlo sums and sums of squares over all hit rows at once."""
+    hit = np.flatnonzero(mass_i)
+    vals = mass_i[hit, None] * (avd[hit, None] >= sin_t[None, :])
+    return np.sum(vals, axis=0), np.sum(vals * vals, axis=0)
+
+
+def _block_row_counts(width):
+    block = arcs.ANGLE_BLOCK_ELEMENTS // width
+    return [0, 1, block - 1, block, block + 1, 3 * block + 7]
+
+
+_SUM_WIDTHS = [1, 2, 3, 100, 300]
+
+
+@pytest.mark.parametrize("width", _SUM_WIDTHS)
+def test_threshold_sums_match_the_one_shot_forms_bits(width):
+    # rows summed a cache-sized block at a time behind the running sums keep the
+    # bits of one sum over all rows, at and around every block boundary
+    rng = np.random.default_rng(width)
+    taus = rng.permutation(np.r_[np.linspace(0.0, 1.5, width - width // 3),
+                                 rng.choice([0.2, 0.7], width // 3)])
+    sin_t = np.sin(taus)
+    for rows in _block_row_counts(width):
+        w = rng.uniform(0.1, 2.0, rows)
+        lo = rng.uniform(0.0, math.pi, rows)
+        hi = lo + rng.uniform(0.0, math.pi, rows) * (rng.random(rows) < 0.9)
+        assert (arcs.arc_threshold_sums(w, lo, hi, taus).tobytes()
+                == _ref_arc_sums(w, lo, hi, taus).tobytes())
+        assert (arcs.arc_threshold_sums(w, lo, hi, taus, np.cos).tobytes()
+                == _ref_offset_sums(w, lo, hi, taus).tobytes())
+        psi = rng.uniform(0.0, math.pi, rows)
+        psi[rng.random(rows) < 0.05] = math.pi
+        geometry = (rng.uniform(0.1, 3.0, rows), rng.uniform(0.1, 3.0, rows),
+                    np.cos(psi), np.sin(psi), psi)
+        for n in (2, 3):
+            got = ClosedForm._position_angle_profile(n, w, *geometry, taus)
+            assert got.tobytes() == _ref_position_profile(n, w, *geometry, taus).tobytes()
+        if width >= 2:
+            # Monte Carlo rows: a tenth of the samples miss and add nothing
+            mass_i = w * (rng.random(rows) < 0.9)
+            pad = rng.uniform(0.1, 2.0, max(rows - np.count_nonzero(mass_i), 0))
+            mass_i = np.concatenate([mass_i, pad]) if pad.size else mass_i
+            avd = rng.random(len(mass_i))
+            got = evaluate._angle_sums(mass_i, avd, sin_t)
+            ref = _ref_mc_sums(mass_i, avd, sin_t)
+            assert np.count_nonzero(mass_i) == rows
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+
+def _config_scenario(name):
+    from busemetric.cli import build_scenario, load_config
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
+    return build_scenario(cfg["scenario"], cfg["seed"]), cfg
+
+
+@pytest.mark.parametrize("config,x,y,limit", [
+    ("doubling_box", [-0.21, 0.13], [0.17, -0.08], 5e6),
+    ("ba_inv_sqrt", [0.2, 0.1], [0.75, 0.4], 6e6),
+], ids=["doubling_box", "ba_inv_sqrt"])
+def test_tau_grid_pair_memory_is_bounded(config, x, y, limit):
+    # the one-shot profiles held several node x threshold arrays: about 19 MB
+    # at peak on doubling_box's 5632-node cloud, 40 MB on ba_inv_sqrt's nodes
+    from busemetric.diagnostics import TAU_GRID
+    sc, _ = _config_scenario(config)
+    backend = sc.backend()
+    backend.pair(sc.measure, x, y, taus=TAU_GRID)
+    assert _peak_bytes(lambda: backend.pair(sc.measure, x, y, taus=TAU_GRID)) < limit
+
+
+# ---------------------------------------------------------------------------
+# batched queries on every core
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fanned(monkeypatch):
+    """Every batch fans out on two workers, whatever the measure and the machine."""
+    monkeypatch.setattr(evaluate, "FAN_OUT_NODES", 0)
+    monkeypatch.setattr(evaluate, "_worker_count", lambda: 2)
+
+
+class _StubBackend:
+    """Records the thread of each query; raises where ``fail`` says, after ``delay[k]``."""
+
+    name = "stub"
+
+    def __init__(self, fail=(), delay=None, inner=None):
+        self.fail, self.delay, self.inner = set(fail), delay or {}, inner
+        self.threads = []
+
+    def pair(self, nu, x, y, taus=None):
+        import threading
+        import time
+        k = int(x[0])
+        self.threads.append(threading.get_ident())
+        time.sleep(self.delay.get(k, 0.0))
+        if k in self.fail:
+            raise ValueError(f"query {k} failed")
+        mass = float(k)
+        if self.inner is not None:
+            mass = sum(p.mass for p in evaluate.pair_many(self.inner, nu, [x] * 4, [y] * 4))
+        return evaluate.PairIntegrals(mass, 0.0, np.zeros(2))
+
+
+def _queries(count):
+    xs = np.column_stack([np.arange(count, dtype=float), np.zeros(count)])
+    return xs, np.zeros((count, 2))
+
+
+@pytest.mark.parametrize("config", ["ba_inv_sqrt", "degenerate_caps_02", "doubling_box"])
+def test_pair_many_matches_a_serial_loop_bits(config, monkeypatch):
+    from busemetric.diagnostics import TAU_GRID
+    monkeypatch.setattr(evaluate, "_worker_count", lambda: 2)
+    sc, cfg = _config_scenario(config)
+    nu, backend = sc.measure, sc.backend()
+    assert evaluate._support_size(nu) >= evaluate.FAN_OUT_NODES
+    lo, hi = (np.array(c) for c in cfg["plan"]["region"])
+    xs, ys = np.random.default_rng(4).uniform(lo, hi, (2, 6, 2))
+    for taus in (None, TAU_GRID):
+        got = evaluate.pair_many(backend, nu, xs, ys, taus=taus)
+        assert [_bits(p) for p in got] == [_bits(backend.pair(nu, x, y, taus=taus))
+                                           for x, y in zip(xs, ys)]
+
+
+def test_fan_out_raises_the_first_error_in_query_order(fanned):
+    # query 5 fails first in time, query 3 first in query order
+    stub = _StubBackend(fail={3, 5}, delay={3: 0.2})
+    with pytest.raises(ValueError, match="query 3 failed"):
+        list(evaluate.pair_many(stub, atom_measure([((2.0, 0.3), 1.0)]), *_queries(8)))
+
+
+def test_small_measures_are_asked_in_the_callers_thread(monkeypatch):
+    import threading
+    monkeypatch.setattr(evaluate, "_worker_count", lambda: 2)
+    small = atom_measure([((2.0, 0.3), 1.0)])
+    assert evaluate._support_size(small) < evaluate.FAN_OUT_NODES
+    stub = _StubBackend()
+    got = [p.mass for p in evaluate.pair_many(stub, small, *_queries(6))]
+    assert got == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert set(stub.threads) == {threading.get_ident()}
+    monkeypatch.setattr(evaluate, "FAN_OUT_NODES", 0)
+    list(evaluate.pair_many(stub, small, *_queries(6)))
+    assert len(stub.threads) == 12 and threading.get_ident() not in stub.threads[6:]
+
+
+def test_a_fan_out_inside_a_worker_runs_serially(fanned):
+    # each worker's query fans out again; waiting on the pool it runs on
+    # would deadlock both workers
+    import threading
+    stub = _StubBackend(inner=_StubBackend())
+    out = []
+    runner = threading.Thread(target=lambda: out.append(
+        list(evaluate.pair_many(stub, atom_measure([((2.0, 0.3), 1.0)]), *_queries(6)))))
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "nested fan-out deadlocked"
+    assert [p.mass for p in out[0]] == [0.0, 4.0, 8.0, 12.0, 16.0, 20.0]
+
+
+def test_a_forked_child_fans_out_on_its_own_pool(fanned):
+    import multiprocessing
+    nu = atom_measure([((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0)])
+    xs, ys = np.array([[0.1, 0.2], [0.5, -0.3], [-0.4, 0.9]]), np.zeros((3, 2))
+    want = [p.mass for p in evaluate.pair_many(CF, nu, xs, ys)]   # the parent's pool
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=lambda: queue.put(
+        [p.mass for p in evaluate.pair_many(CF, nu, xs, ys)]))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert got == want
+    assert child.exitcode == 0
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo batches shared between threads
+# ---------------------------------------------------------------------------
+
+def _counting_sampler(builds, pause=0.0):
+    """A sampler measure that counts its batch builds, each taking ``pause`` seconds."""
+    import threading
+    import time
+    lock = threading.Lock()
+
+    def sample(rng, m):
+        with lock:
+            builds.append(1)
+        time.sleep(pause)
+        phi = rng.uniform(-0.3, 0.3, m)
+        return np.column_stack([np.cos(phi), np.sin(phi)]), rng.uniform(-1.0, 1.0, m), \
+            1.0 + rng.random(m)
+
+    return SamplerMeasure(2, sample, bounding_lo=(-1.0, -1.0), bounding_hi=(1.0, 1.0))
+
+
+def test_mc_first_queries_from_several_threads_build_one_batch():
+    import threading
+    builds = []
+    nu = _counting_sampler(builds, pause=0.1)
+    mc = MonteCarlo(budget=4_000, seed=9)
+    x, y = [-0.5, 0.1], [0.6, 0.3]
+    start = threading.Barrier(4)
+    answers = []
+
+    def first_query():
+        start.wait(timeout=30)
+        answers.append(mc.pair(nu, x, y, taus=[0.2, 0.9]))
+
+    threads = [threading.Thread(target=first_query) for _ in range(4)]
+    [t.start() for t in threads]
+    [t.join(timeout=30) for t in threads]
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    want = _bits(MonteCarlo(budget=4_000, seed=9).pair(nu, x, y, taus=[0.2, 0.9]))
+    assert [_bits(p) for p in answers] == [want] * 4
+
+
+def test_mc_batch_cache_shared_between_threads_raises_nothing():
+    # with 6 measures over a cache of 4, lookups, builds and evictions interleave;
+    # an eviction between one thread's lookup and its move_to_end would raise KeyError
+    import sys
+    import threading
+    builds = []
+    measures = [_counting_sampler(builds) for _ in range(6)]
+    mc = MonteCarlo(budget=500, seed=2)
+    assert evaluate.BATCH_CACHE_SIZE == 4
+    errors, masses = [], {}
+
+    def churn(seed):
+        order = np.random.default_rng(seed).integers(0, 6, 60)
+        try:
+            for k in order:
+                masses.setdefault(k, set()).add(mc.pair(measures[k], [-0.5, 0.1], [0.6, 0.3]).mass)
+        except Exception as exc:   # noqa: BLE001 - any error fails the test below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn, args=(s,)) for s in range(8)]
+        [t.start() for t in threads]
+        [t.join(timeout=60) for t in threads]
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # a rebuilt batch draws the same samples: one answer per measure
+    assert all(len(v) == 1 for v in masses.values()) and len(masses) == 6

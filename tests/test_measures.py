@@ -5,7 +5,6 @@ import pytest
 
 from busemetric import (BaseMeasure1D, BaseMeasureND, DegenerateConfigurationError,
                         doubling_ratio, tail1_check)
-from busemetric.directions import ArcDensity2D
 from busemetric.scenarios import inv_sqrt_density, lebesgue_box_measure
 
 
@@ -415,7 +414,6 @@ def test_non_finite_1d_measure_fields_rejected(field, bad):
 SCALED_MEASURES = {
     "1d": lambda: BaseMeasure1D(atoms=[(0.5, 1.0)], pieces=[(0.0, 1.0, 2.0)]),
     "nd": lambda: BaseMeasureND(2, atoms=[((0.5, 0.5), 1.0)], cells=[(0.0, 0.0, 1.0, 1.0, 2.0)]),
-    "arc": lambda: ArcDensity2D([(0.0, 1.0, 2.0)]),
 }
 
 
