@@ -63,12 +63,14 @@ def _arc_overlaps(arc_lo, arc_hi, dens):
     two non-wrapping intervals first.  Returns ``(ii, lo, hi, rho)``: one
     entry per nonempty (arc, arc piece, density piece) overlap, in arc order.
     """
-    lo2 = np.stack([arc_lo, np.zeros(len(arc_lo))], axis=1)
-    hi2 = np.stack([np.minimum(arc_hi, PI), np.clip(arc_hi - PI, 0.0, None)], axis=1)
-    glo = np.maximum(lo2[:, :, None], dens[None, None, :, 0])
-    ghi = np.minimum(hi2[:, :, None], dens[None, None, :, 1])
-    ii, pp, jj = np.nonzero(ghi > glo)
-    return ii, glo[ii, pp, jj], ghi[ii, pp, jj], dens[jj, 2]
+    glo, ghi = np.empty((2, len(arc_lo), 2, len(dens)))
+    parts_lo = np.stack([arc_lo, np.zeros(len(arc_lo))])[:, None]
+    parts_hi = np.stack([np.minimum(arc_hi, PI), np.clip(arc_hi - PI, 0.0, None)])[:, None]
+    # written through (part, piece, arc) views in C order, so each loop runs along the arcs
+    np.maximum(parts_lo, dens[:, :1], out=glo.transpose(1, 2, 0), order="C")
+    np.minimum(parts_hi, dens[:, 1:2], out=ghi.transpose(1, 2, 0), order="C")
+    flat = np.flatnonzero(ghi > glo)
+    return flat // glo[0].size, glo.ravel()[flat], ghi.ravel()[flat], dens[flat % len(dens), 2]
 
 
 def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
@@ -116,25 +118,25 @@ def _pair_core(dx, dy, w, pieces, delta, *, taus=None, on_segment="error"):
     uy = dy / np.sqrt(np.where(ry2 == 0.0, 1.0, ry2))[:, None]
     psi = 2.0 * np.arctan2(np.hypot(ux[:, 0] - uy[:, 0], ux[:, 1] - uy[:, 1]),
                            np.hypot(ux[:, 0] + uy[:, 0], ux[:, 1] + uy[:, 1]))
-    first_matches = np.abs(w1 - psi) <= np.abs((PI - w1) - psi)
-    mid = px + 0.5 * w1
-    cmid, smid = np.cos(mid), np.sin(mid)
-    prod = (cmid * dx[:, 0] + smid * dx[:, 1]) * (cmid * dy[:, 0] + smid * dy[:, 1])
-    use_first = np.where(np.abs(psi - 0.5 * PI) < 1e-6, prod <= 0.0, first_matches)
+    use_first = np.abs(w1 - psi) <= np.abs((PI - w1) - psi)
+    tie = np.flatnonzero(np.abs(psi - 0.5 * PI) < 1e-6)
+    if tie.size:
+        mid = px[tie] + 0.5 * w1[tie]
+        cmid, smid = np.cos(mid), np.sin(mid)
+        use_first[tie] = ((cmid * dx[tie, 0] + smid * dx[tie, 1])
+                          * (cmid * dy[tie, 0] + smid * dy[tie, 1])) <= 0.0
     lo = np.where(use_first, px, (px + w1) % PI)
     width = np.where(use_first, w1, PI - w1)
-    width = np.where(collinear, np.where(between, PI, 0.0), width)
+    width[collinear] = 0.0
+    width[between] = PI
 
     p_delta, s0 = _query_frame(delta)
     xi_lo = (lo - p_delta) % PI
-    xi_lo = np.where(between, 0.0, xi_lo)
-    xi_lo = np.where(width == 0.0, 0.0, xi_lo)
+    xi_lo[between] = 0.0    # the whole circle from 0; a zero-width arc overlaps nothing anyway
     ii, lo_r, hi_r, rho_r = _arc_overlaps(xi_lo, xi_lo + width, _wrap_pieces_to_xi(pieces, p_delta))
     len_r = rho_r * (hi_r - lo_r)
-    cos_lo, cos_hi = np.cos(lo_r), np.cos(hi_r)
-    phi_lo = p_delta + lo_r
-    phi_hi = p_delta + hi_r
-    tr_r = rho_r * (cos_lo - cos_hi)
+    phi_lo, phi_hi = p_delta + lo_r, p_delta + hi_r
+    tr_r = rho_r * (np.cos(lo_r) - np.cos(hi_r))
     e0_r = s0 * rho_r * (np.sin(phi_hi) - np.sin(phi_lo))
     e1_r = s0 * rho_r * (np.cos(phi_lo) - np.cos(phi_hi))
 

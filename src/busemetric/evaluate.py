@@ -489,26 +489,25 @@ class MonteCarlo(Backend):
 
     def _pair(self, nu, x, y, taus):
         delta = x - y
-        r = float(np.linalg.norm(delta))
-        udelta = delta / r
         batch = self._batch(nu)
         normals = batch[1]
-        px = normals @ x
-        py = normals @ y
+        px, py = normals @ x, normals @ y
         mass_i = _slab_mass(nu, batch, np.minimum(px, py), np.maximum(px, py))
-        vd = normals @ udelta
-        trans_i = mass_i * np.abs(vd)
-        emb_i = (mass_i * np.sign(vd))[:, None] * normals
+        vd = normals @ (delta / float(np.linalg.norm(delta)))
         m = len(mass_i)
         mass, mass_se = _sum_with_se(mass_i)
-        trans, trans_se = _sum_with_se(trans_i)
-        emb = np.sum(emb_i, axis=0)
+        trans, trans_se = _sum_with_se(mass_i * np.abs(vd))
+        # row sums in order from +0.0, to which a missed sample's row adds an exact +-0.0
+        carry = mass_i != 0.0
+        hit = slice(None) if carry.all() else np.flatnonzero(carry)
+        emb_i = (mass_i[hit] * np.sign(vd[hit]))[:, None] * normals[hit]
+        emb = np.einsum("ij->j", emb_i)
         emb_se = _standard_error(emb, np.einsum("ij,ij->j", emb_i, emb_i), m, m)
         angle = angle_se = None
         if taus is not None:
             avd, sin_t = np.abs(vd), np.sin(taus)
             if len(taus) >= 2:
-                angle, angle_sq = _angle_sums(mass_i, avd, sin_t)
+                angle, angle_sq = _angle_sums(mass_i, avd, sin_t, hit)
             else:
                 # numpy sums a single threshold's column pairwise, so it keeps every row
                 vals = mass_i[:, None] * (avd[:, None] >= sin_t[None, :])
@@ -563,11 +562,10 @@ class MonteCarlo(Backend):
         return RegionMass(*_sum_with_se(_slab_mass(nu, batch, mid - reach, mid + reach)))
 
 
-def _angle_sums(mass_i, avd, sin_t):
+def _angle_sums(mass_i, avd, sin_t, hit):
     """Per threshold t, the sums over samples of ``mass_i * (avd >= sin_t[t])`` and of
-    its square, over the samples that carry mass (a miss adds an exact +0.0).  The
-    row values are 0 or 1, so ``mass_i`` and its square weigh them exactly."""
-    hit = np.flatnonzero(mass_i)
+    its square, over the samples ``hit`` that carry mass (a miss adds an exact +0.0).
+    The row values are 0 or 1, so ``mass_i`` and its square weigh them exactly."""
     w, a = mass_i[hit], avd[hit]
 
     def fill(start, stop, out, tmp):
@@ -690,6 +688,8 @@ def fan_out(nu, calls):
 def pair_many(backend, nu, xs, ys, taus=None):
     """Yield ``backend.pair(nu, x, y, taus)`` for each row of ``xs`` and ``ys``, in order;
     see ``fan_out``.  Taken one at a time, the answers need not all be held at once."""
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} segment starts but {len(ys)} segment ends")
     return fan_out(nu, ((backend.pair, nu, x, y, taus) for x, y in zip(xs, ys)))
 
 
@@ -720,7 +720,7 @@ class EmbeddingMap:
 
     def eval_many(self, points) -> np.ndarray:
         answers = pair_many(self.backend, self.measure, points, [self.basepoint] * len(points))
-        return np.stack([p.embed for p in answers])
+        return np.array([p.embed for p in answers]).reshape(-1, self.measure.dim)
 
 
 # ---------------------------------------------------------------------------

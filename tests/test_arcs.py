@@ -7,6 +7,7 @@ import pytest
 
 from busemetric import arcs, diagnostics
 from busemetric.cli import _plan_from_config, build_scenario
+from busemetric.directions import ArcDensity2D
 from busemetric.hyperplane_measures import PositionDirection
 from busemetric.measures import BaseMeasureND
 
@@ -324,3 +325,119 @@ def test_segment_table_is_read_only_and_matches_segments():
     assert table.bulk_wts.ravel().tobytes() == bulk_wts.tobytes()
     with pytest.raises(ValueError):
         table.p0s[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the pair kernel in its dense form: the psi = pi/2 tie-break taken on every
+# node, the collinear cases by nested np.where, the overlaps by a 3-index
+# nonzero over stacked arrays
+# ---------------------------------------------------------------------------
+
+def _ref_arc_overlaps(arc_lo, arc_hi, dens):
+    lo2 = np.stack([arc_lo, np.zeros(len(arc_lo))], axis=1)
+    hi2 = np.stack([np.minimum(arc_hi, math.pi), np.clip(arc_hi - math.pi, 0.0, None)], axis=1)
+    glo = np.maximum(lo2[:, :, None], dens[None, None, :, 0])
+    ghi = np.minimum(hi2[:, :, None], dens[None, None, :, 1])
+    ii, pp, jj = np.nonzero(ghi > glo)
+    return ii, glo[ii, pp, jj], ghi[ii, pp, jj], dens[jj, 2]
+
+
+def _ref_pair_core(dx, dy, w, pieces, delta, taus=None):
+    """``arcs._pair_core`` for nodes ("full" on the segment), every step on every node."""
+    PI = math.pi
+    rx2 = np.einsum("ij,ij->i", dx, dx)
+    ry2 = np.einsum("ij,ij->i", dy, dy)
+    cross = dx[:, 0] * dy[:, 1] - dx[:, 1] * dy[:, 0]
+    dot = np.einsum("ij,ij->i", dx, dy)
+    collinear = cross == 0.0
+    between = collinear & (dot <= 0.0)
+    px = (np.arctan2(dx[:, 1], dx[:, 0]) + 0.5 * PI) % PI
+    py = (np.arctan2(dy[:, 1], dy[:, 0]) + 0.5 * PI) % PI
+    w1 = (py - px) % PI
+    ux = dx / np.sqrt(np.where(rx2 == 0.0, 1.0, rx2))[:, None]
+    uy = dy / np.sqrt(np.where(ry2 == 0.0, 1.0, ry2))[:, None]
+    psi = 2.0 * np.arctan2(np.hypot(ux[:, 0] - uy[:, 0], ux[:, 1] - uy[:, 1]),
+                           np.hypot(ux[:, 0] + uy[:, 0], ux[:, 1] + uy[:, 1]))
+    first_matches = np.abs(w1 - psi) <= np.abs((PI - w1) - psi)
+    mid = px + 0.5 * w1
+    cmid, smid = np.cos(mid), np.sin(mid)
+    prod = (cmid * dx[:, 0] + smid * dx[:, 1]) * (cmid * dy[:, 0] + smid * dy[:, 1])
+    use_first = np.where(np.abs(psi - 0.5 * PI) < 1e-6, prod <= 0.0, first_matches)
+    lo = np.where(use_first, px, (px + w1) % PI)
+    width = np.where(use_first, w1, PI - w1)
+    width = np.where(collinear, np.where(between, PI, 0.0), width)
+    p_delta, s0 = arcs._query_frame(delta)
+    xi_lo = (lo - p_delta) % PI
+    xi_lo = np.where(between, 0.0, xi_lo)
+    xi_lo = np.where(width == 0.0, 0.0, xi_lo)
+    ii, lo_r, hi_r, rho_r = _ref_arc_overlaps(xi_lo, xi_lo + width,
+                                              arcs._wrap_pieces_to_xi(pieces, p_delta))
+    len_r = rho_r * (hi_r - lo_r)
+    phi_lo, phi_hi = p_delta + lo_r, p_delta + hi_r
+    tr_r = rho_r * (np.cos(lo_r) - np.cos(hi_r))
+    e0_r = s0 * rho_r * (np.sin(phi_hi) - np.sin(phi_lo))
+    e1_r = s0 * rho_r * (np.cos(phi_lo) - np.cos(phi_hi))
+    wr = w[ii]
+    angle = None if taus is None else arcs.arc_threshold_sums(wr * rho_r, lo_r, hi_r, taus)
+    return (float(wr @ len_r), float(wr @ tr_r),
+            np.array([float(wr @ e0_r), float(wr @ e1_r)]), angle)
+
+
+def _assert_core_bits(points, weights, pieces, x, y, taus):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    args = (x - points, y - points, weights, pieces, x - y)
+    got = arcs._pair_core(*args, taus=taus, on_segment="full")
+    ref = _ref_pair_core(*args, taus=taus)
+    assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in ref]
+    return got
+
+
+@pytest.mark.parametrize("name", ["ba_inv_sqrt", "degenerate_caps_02", "ba_lebesgue"])
+def test_pair_core_matches_dense_reference_bits(name):
+    from busemetric.diagnostics import TAU_GRID
+    from busemetric.evaluate import _point_support
+    nu, plan = _scenario(name)
+    pieces = nu.omega.arc_pieces()
+    for x, y in _pairs(plan, 61, 4):
+        for points, weights in (_point_support(nu.mu),
+                                arcs.segment_pair_nodes(nu.mu.segment_table, pieces, x, y)):
+            if len(points):
+                for taus in (None, TAU_GRID):
+                    _assert_core_bits(points, weights, pieces, x, y, taus)
+
+
+def test_pair_core_tie_collinear_and_between_nodes_match_dense_reference_bits():
+    # a node at the apex of a right angle over [x, y] sees the segment at
+    # psi = pi/2, where both arcs are as wide and the midpoint test picks one;
+    # nodes on the query line beyond it and on it (endpoints included); and a
+    # ring of nodes whose hit arcs run past pi in the query frame
+    pieces = ArcDensity2D([(0.2, 1.0, 1.5), (1.3, 2.9, 0.5), (3.0, math.pi, 2.0)]).pieces
+    rng = np.random.default_rng(9)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 40)
+    ring = 0.5 * np.column_stack([np.cos(angles), np.sin(angles)])
+    special = np.array([[0.0, 1.0], [0.0, -1.0], [3.0, 0.0], [-2.0, 0.0],
+                        [0.25, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    points = np.concatenate([special, ring])
+    weights = rng.uniform(0.5, 2.0, len(points))
+    for x, y in (([-1.0, 0.0], [1.0, 0.0]), ([1.0, 0.0], [-1.0, 0.0])):
+        for taus in (None, [0.4], np.linspace(0.0, 3.0, 7)):
+            _assert_core_bits(points, weights, pieces, x, y, taus)
+        # the apex node alone, under a uniform direction density: it is hit by the
+        # lines crossing the x axis between x and y, normals within pi/4 of it
+        uniform = np.array([[0.0, math.pi, 1.0]])
+        mass, _, emb, _ = _assert_core_bits(special[:1], np.ones(1), uniform, x, y, None)
+        assert mass == pytest.approx(0.5 * math.pi, rel=1e-14)
+        assert abs(emb[0]) == pytest.approx(math.sqrt(2.0), rel=1e-14) and abs(emb[1]) < 1e-15
+
+
+def test_arc_overlaps_match_dense_reference_bits():
+    # arcs of zero width, of width pi and past pi, against pieces that touch
+    rng = np.random.default_rng(31)
+    dens = np.array([[0.0, 0.4, 1.0], [0.4, 1.1, 2.0], [1.5, 2.5, 0.5], [2.9, math.pi, 3.0]])
+    lo = np.r_[rng.uniform(0.0, math.pi, 200), 0.0, 0.4, 2.0, math.pi - 1e-9]
+    width = np.r_[rng.uniform(0.0, math.pi, 200) * (rng.random(200) < 0.9), math.pi, 0.0,
+                  math.pi, 1e-9]
+    got = arcs._arc_overlaps(lo, lo + width, dens)
+    ref = _ref_arc_overlaps(lo, lo + width, dens)
+    assert np.any(lo + width > math.pi)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]

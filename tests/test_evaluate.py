@@ -1350,6 +1350,58 @@ def test_mc_angle_blocks_match_dense_reference_bits(hits):
     assert got.angle.base is None
 
 
+def _ref_mc_embed(mc, nu, x, y):
+    """The dense embed sums and their standard errors: one row per sample, hit
+    or not, summed over all rows with ``np.sum(axis=0)``."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    mass_i = _slab_mass_of(mc, nu, x, y)
+    delta = x - y
+    normals = mc._batch(nu)[1]
+    vd = normals @ (delta / float(np.linalg.norm(delta)))
+    emb_i = (mass_i * np.sign(vd))[:, None] * normals
+    emb = np.sum(emb_i, axis=0)
+    m = len(mass_i)
+    return emb, evaluate._standard_error(emb, np.einsum("ij,ij->j", emb_i, emb_i), m, m)
+
+
+def _doubling_box():
+    return _config_scenario("doubling_box")[0].measure
+
+
+# (measure, budget, pairs, hit samples of the first pair: None for "some")
+MC_EMBED_CASES = {
+    "sampler_no_hits": (lambda: _sampler_with_hits(0), 3000, [([0.0, 0.0], _HIT_Y)], 0),
+    "sampler_some_hits": (lambda: _sampler_with_hits(417), 3000, [([0.0, 0.0], _HIT_Y)], 417),
+    "sampler_all_hits": (lambda: _sampler_with_hits(3000), 3000, [([0.0, 0.0], _HIT_Y)], 3000),
+    "doubling_box": (_doubling_box, 100_000, [([-0.21, 0.13], [0.17, -0.08]),
+                                             ([0.3, 0.3], [0.31, 0.29]),
+                                             ([-0.3, -0.1], [0.2, 0.33])], None),
+    "crofton2": (crofton2, 100_000, [([-0.9, 0.1], [0.7, 0.6]), ([0.2, 0.2], [0.2, 0.21])],
+                 100_000),
+    "cells_3d": (_cloud_3d, 20_000, [([-0.5, 0.1, 0.2], [0.4, -0.3, 0.6])], None),
+}
+
+
+@pytest.mark.parametrize("case", list(MC_EMBED_CASES))
+def test_mc_embed_matches_dense_reference_bits(case):
+    # the embed sums take only the rows of samples that carry mass: rows are added
+    # in order from +0.0 and a missed sample's row is an exact +-0.0, so the bits
+    # are those of the sum over every sample
+    make, budget, pairs, hits = MC_EMBED_CASES[case]
+    nu = make()
+    mc = MonteCarlo(budget=budget, seed=5)
+    for k, (x, y) in enumerate(pairs):
+        got = mc.pair(nu, x, y)
+        emb, emb_se = _ref_mc_embed(mc, nu, x, y)
+        assert got.embed.tobytes() == emb.tobytes()
+        assert got.embed_se.tobytes() == emb_se.tobytes()
+        count = np.count_nonzero(_slab_mass_of(mc, nu, x, y))
+        if k == 0 and hits is not None:
+            assert count == hits
+        elif k == 0:
+            assert 0 < count < budget
+
+
 # ---------------------------------------------------------------------------
 # constructor and angle-threshold checks
 # ---------------------------------------------------------------------------
@@ -1490,7 +1542,7 @@ def test_threshold_sums_match_the_one_shot_forms_bits(width):
             pad = rng.uniform(0.1, 2.0, max(rows - np.count_nonzero(mass_i), 0))
             mass_i = np.concatenate([mass_i, pad]) if pad.size else mass_i
             avd = rng.random(len(mass_i))
-            got = evaluate._angle_sums(mass_i, avd, sin_t)
+            got = evaluate._angle_sums(mass_i, avd, sin_t, np.flatnonzero(mass_i))
             ref = _ref_mc_sums(mass_i, avd, sin_t)
             assert np.count_nonzero(mass_i) == rows
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
@@ -1568,6 +1620,21 @@ def test_pair_many_matches_a_serial_loop_bits(config, monkeypatch):
         got = evaluate.pair_many(backend, nu, xs, ys, taus=taus)
         assert [_bits(p) for p in got] == [_bits(backend.pair(nu, x, y, taus=taus))
                                            for x, y in zip(xs, ys)]
+
+
+def test_pair_many_refuses_unequal_starts_and_ends():
+    # zipping them answered only as many pairs as the shorter side holds
+    xs, ys = _queries(3)
+    with pytest.raises(ValueError, match="3 segment starts but 1 segment ends"):
+        evaluate.pair_many(CF, crofton2(), xs, ys[:1])
+
+
+@pytest.mark.parametrize("points", [[], np.zeros((0, 2))], ids=["list", "array"])
+def test_eval_many_on_no_points_is_empty(points):
+    f = EmbeddingMap(crofton2(), [0.1, 0.2])
+    out = f.eval_many(points)
+    assert out.shape == (0, 2) and out.dtype == np.float64
+    assert f.eval_many([[0.5, 0.5]]).tobytes() == f.eval([0.5, 0.5]).tobytes()
 
 
 def test_fan_out_raises_the_first_error_in_query_order(fanned):
