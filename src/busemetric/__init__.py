@@ -7,8 +7,7 @@ concrete measure families.
 """
 
 from .geometry import (Cube, DegenerateConfigurationError, DimensionMismatchError,
-                       Hyperplane, alpha, cube_vertices, hits_segment, oriented_normal,
-                       signed_gap)
+                       cube_vertices)
 from .directions import ArcDensity2D, SymmetricCap, UniformDirections
 from .measures import BaseMeasure1D, BaseMeasureND, doubling_ratio, tail1_check
 from .hyperplane_measures import (OffsetDirection, PositionDirection, SamplerMeasure,
@@ -24,14 +23,13 @@ from .scenarios import (GridImage, Scenario, beurling_ahlfors, crofton, degenera
 __all__ = [
     "ArcDensity2D", "BaseMeasure1D", "BaseMeasureND", "ClosedForm", "Cube",
     "DegenerateConfigurationError", "DiagnosticsReport", "DimensionMismatchError",
-    "EmbeddingConstant", "EmbeddingMap", "Exact2D", "GridImage", "Hyperplane",
-    "MonteCarlo", "OffsetDirection", "PairIntegrals", "PositionDirection", "RegionMass",
+    "EmbeddingConstant", "EmbeddingMap", "Exact2D", "GridImage", "MonteCarlo",
+    "OffsetDirection", "PairIntegrals", "PositionDirection", "RegionMass",
     "SamplerMeasure", "SamplingPlan", "Scenario", "SymmetricCap", "UniformDirections",
-    "UnsupportedBackendError", "ValidationReport", "alpha", "beurling_ahlfors",
-    "box_mass", "calibrate_embedding_constant", "crofton", "cube_mass",
-    "cube_vertices", "default_backend", "degenerate_caps", "doubling_pushforward",
-    "doubling_ratio", "embed_unit_kernel", "grid_export", "hits_segment",
-    "oriented_normal", "pair_integrals", "run_diagnostics", "seg_mass", "signed_gap",
+    "UnsupportedBackendError", "ValidationReport", "beurling_ahlfors", "box_mass",
+    "calibrate_embedding_constant", "crofton", "cube_mass", "cube_vertices",
+    "default_backend", "degenerate_caps", "doubling_pushforward", "doubling_ratio",
+    "embed_unit_kernel", "grid_export", "pair_integrals", "run_diagnostics", "seg_mass",
     "tail1_check", "validate",
 ]
 

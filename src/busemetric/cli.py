@@ -30,24 +30,25 @@ class ConfigError(ValueError):
 
 
 # each table maps a key to (required, type): an int key takes an int that is
-# not a bool, a float key any int or float that is not a bool, and an object
-# key leaves the value to the code that reads it
+# not a bool, a float key any int or float that is not a bool, a list key a
+# JSON array, and an object key leaves the value to the code that reads it
 _TOP_KEYS = {"seed": (True, int), "scenario": (True, object), "plan": (True, object),
              "expect": (False, object), "outputs": (False, object), "backend": (False, object)}
-_PLAN_KEYS = {"region": (True, object), "pair_count": (False, object),
+_PLAN_KEYS = {"region": (True, list), "pair_count": (False, object),
               "cycle_count": (False, object), "cube_count": (False, object),
-              "triple_count": (False, object), "scale_range": (False, object)}
+              "triple_count": (False, object), "scale_range": (False, list)}
 _BACKEND_KEYS = {"name": (False, str), "budget": (False, int)}
 _OUTPUT_KEYS = {"report": (False, str), "grid": (False, object)}
-_GRID_KEYS = {"path": (True, str), "resolution": (True, int), "window": (True, object)}
+_GRID_KEYS = {"path": (True, str), "resolution": (True, int), "window": (True, list)}
 _EXPECT_KEYS = {key: (False, float) for key in EXPECTATIONS}
+_TYPE_NAMES = {float: "number", list: "array"}
 
 _SCENARIO_KEYS = {
     "crofton": {"dimension": (True, int), "half_extent": (False, float)},
     "doubling_box": {"window_half": (False, float), "inner_half": (False, float),
                      "levels": (False, int), "cell": (False, float),
                      "gauss_order": (False, int)},
-    "doubling_atoms": {"atoms": (True, object), "window": (True, object),
+    "doubling_atoms": {"atoms": (True, list), "window": (True, list),
                        "basepoint": (False, object)},
     "beurling_ahlfors": {"density": (False, str), "support_half": (False, float),
                          "pieces": (False, int), "cap_half_angle": (False, float),
@@ -74,7 +75,15 @@ def _check_keys(obj: dict, spec: dict, path: str) -> None:
             raise ConfigError(f"missing required key '{path}{key}'")
         if key in obj and not _has_type(obj[key], kind):
             raise ConfigError(f"'{path}{key}' must be of type "
-                              f"{'number' if kind is float else kind.__name__}, got {obj[key]!r}")
+                              f"{_TYPE_NAMES.get(kind, kind.__name__)}, got {obj[key]!r}")
+
+
+def _check_rows(rows: list, path: str, count: int = 0) -> None:
+    """Refuse unless ``rows`` is ``count`` (one or more when 0) nonempty arrays of numbers."""
+    if (len(rows) != count if count else not rows) or not all(
+            isinstance(r, list) and r and all(_has_type(v, float) for v in r) for r in rows):
+        raise ConfigError(f"'{path}' must hold {count or 'one or more'} nonempty arrays of "
+                          f"numbers, got {rows!r}")
 
 
 def load_config(path: str) -> dict:
@@ -93,13 +102,18 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"unknown scenario '{sc['name']}'; "
                           f"choose from {sorted(_SCENARIO_KEYS)}")
     _check_keys(sc, {"name": (True, str), **_SCENARIO_KEYS[sc["name"]]}, "scenario.")
-    _check_keys(cfg["plan"], _PLAN_KEYS, "plan.")
+    plan = cfg["plan"]
+    _check_keys(plan, _PLAN_KEYS, "plan.")
+    _check_rows(plan["region"], "plan.region", 2)
+    if not all(_has_type(v, float) for v in plan.get("scale_range", [])):
+        raise ConfigError(f"'plan.scale_range' must hold numbers, got {plan['scale_range']!r}")
     if "backend" in cfg:
         _check_keys(cfg["backend"], _BACKEND_KEYS, "backend.")
     if "outputs" in cfg:
         _check_keys(cfg["outputs"], _OUTPUT_KEYS, "outputs.")
         if "grid" in cfg["outputs"]:
             _check_keys(cfg["outputs"]["grid"], _GRID_KEYS, "outputs.grid.")
+            _check_rows(cfg["outputs"]["grid"]["window"], "outputs.grid.window", 2)
     if "expect" in cfg:
         _check_keys(cfg["expect"], _EXPECT_KEYS, "expect.")
     return cfg
@@ -121,6 +135,8 @@ def build_scenario(spec: dict, seed: int) -> scenarios.Scenario:
         return scenarios.doubling_pushforward(mu, window_lo=(-w, -w), window_hi=(w, w),
                                               name="doubling_box", seed=seed)
     if name == "doubling_atoms":
+        _check_rows(spec["atoms"], "scenario.atoms")
+        _check_rows(spec["window"], "scenario.window", 2)
         atoms = [(row[:-1], row[-1]) for row in spec["atoms"]]
         dim = len(spec["atoms"][0]) - 1
         mu = BaseMeasureND(dim, atoms=atoms)

@@ -62,8 +62,9 @@ class SamplingPlan:
             raise ValueError("plan region corners must be finite")
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise ValueError("plan region must be a nonempty box")
-        if not 0.0 < self.scale_range[0] <= self.scale_range[1]:
-            raise ValueError("scale range must be positive and ordered")
+        sr = self.scale_range
+        if not (len(sr) == 2 and 0.0 < sr[0] <= sr[1] < math.inf):
+            raise ValueError(f"scale_range must be two finite numbers with 0 < lo <= hi, got {sr}")
         object.__setattr__(self, "region_lo", tuple(float(v) for v in lo))
         object.__setattr__(self, "region_hi", tuple(float(v) for v in hi))
 
@@ -178,8 +179,8 @@ def _witness_pair(sweep: _SegmentSweep, i: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# individual estimators (each redraws its pool from the plan seed;
-# run_diagnostics draws each pool once and shares it between its audits)
+# estimators and audits (each redraws its pool from the plan seed; run_diagnostics
+# draws each pool once, shares it between its audits, and alone reports tau and delta)
 # ---------------------------------------------------------------------------
 
 def kappa_hat(nu, plan: SamplingPlan, *, backend=None):
@@ -207,13 +208,6 @@ def _kappa_from_sweep(sweep: _SegmentSweep):
     return float(ratios[i]), _witness_pair(sweep, i)
 
 
-def tau_hat(nu, plan: SamplingPlan, *, backend=None) -> float:
-    """Largest grid threshold passing the angle-concentration test on all segments."""
-    backend = backend or evaluate.default_backend(nu, seed=plan.seed)
-    sweep = _segment_sweep(nu, plan, backend)
-    return _tau_from_sweep(sweep)[0]
-
-
 def _tau_from_sweep(sweep: _SegmentSweep):
     ok = np.all(sweep.angle >= TAU_GRID[None, :] * sweep.mass[:, None], axis=0)
     idx = np.nonzero(ok)[0]
@@ -228,12 +222,6 @@ def _tau_from_sweep(sweep: _SegmentSweep):
     witness["blocked_tau"] = float(TAU_GRID[nxt])
     witness["margin"] = float(margins[i])
     return tau, witness
-
-
-def delta_hat(f: evaluate.EmbeddingMap, plan: SamplingPlan):
-    """Worst sampled monotonicity ratio <f(x)-f(y), x-y> / (|f(x)-f(y)| |x-y|)."""
-    sweep = _segment_sweep(f.measure, plan, f.backend)
-    return _delta_from_sweep(sweep)
 
 
 def _delta_from_sweep(sweep: _SegmentSweep):

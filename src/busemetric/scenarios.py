@@ -299,8 +299,7 @@ class GridImage:
 def grid_export(scenario: Scenario, resolution: int, window_lo, window_hi, *,
                 backend=None) -> GridImage:
     """Evaluate the embedding on a lattice; any degenerate or non-finite node fails."""
-    lo = np.asarray(window_lo, dtype=float)
-    hi = np.asarray(window_hi, dtype=float)
+    lo, hi = evaluate.as_point(window_lo, scenario.dim), evaluate.as_point(window_hi, scenario.dim)
     if np.any(lo < scenario.domain_lo) or np.any(hi > scenario.domain_hi):
         raise ValueError("export window must lie inside the scenario domain")
     if resolution < 2:

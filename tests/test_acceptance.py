@@ -13,9 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from busemetric import (BaseMeasure1D, BaseMeasureND, Cube, Hyperplane, MonteCarlo,
-                        alpha, beurling_ahlfors, calibrate_embedding_constant, crofton,
-                        cube_mass, degenerate_caps, doubling_pushforward, seg_mass)
+from busemetric import (BaseMeasure1D, BaseMeasureND, Cube, MonteCarlo, beurling_ahlfors,
+                        calibrate_embedding_constant, crofton, cube_mass, degenerate_caps,
+                        doubling_pushforward, seg_mass)
 from busemetric.cli import JSON_MARKER, main as cli_main
 from busemetric.diagnostics import SamplingPlan, bilip_bounds, cube_bound, kappa_hat, run_diagnostics
 from busemetric.scenarios import inv_sqrt_density, lebesgue_box_measure
@@ -259,7 +259,9 @@ def test_criterion_07_axis_extension(roster, chain_reports):
         assert np.all(np.abs(normals @ np.array([1.0, 0.0]))
                       >= math.sin(math.pi / 3.0) - 1e-12)
         for v in normals[:100]:
-            assert alpha([1.0, 0.0], Hyperplane(v, 0.42)) >= math.pi / 3.0 - 1e-12
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert math.asin(min(1.0, abs(float(np.array([1.0, 0.0]) @ v)))) \
+                >= math.pi / 3.0 - 1e-12
         assert chain_reports[name].delta_hat > 0.0
     report_line(7, "axis extension reproduces interval masses to 1e-6 with "
                    "vanishing second coordinate (1e-8); support lines cross "

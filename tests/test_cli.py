@@ -215,6 +215,9 @@ def test_run_rejects_empty_or_non_integer_counts(tmp_path, capsys, counts):
 
 DEGENERATE_CAPS = {"name": "degenerate_caps", "theta0": 0.2, "window_half": 0.4}
 MC = {"name": "monte_carlo"}
+SMALL_PLAN = dict(BASE_CONFIG["plan"], region=[[-0.3, -0.3], [0.3, 0.3]])
+ATOMS = {"name": "doubling_atoms", "atoms": [[2.0, 0.3, 1.0], [-1.1, 1.7, 2.0], [0.4, -2.2, 1.5]],
+         "window": [[-0.35, -0.35], [0.35, 0.35]]}
 
 
 @pytest.mark.parametrize("key, changes", [
@@ -225,12 +228,21 @@ MC = {"name": "monte_carlo"}
                                            "half_extent": "5"}}),
     ("backend.budget", {"backend": dict(MC, budget=True)}),
     ("backend.budget", {"backend": dict(MC, budget=20000.7)}),
+    ("plan.region", {"plan": dict(SMALL_PLAN, region=5)}),
+    ("plan.region", {"plan": dict(SMALL_PLAN, region=[[-1.0, -1.0]])}),
+    ("plan.scale_range", {"plan": dict(SMALL_PLAN, scale_range=5)}),
+    ("scenario.atoms", {"scenario": dict(ATOMS, atoms=5)}),
+    ("scenario.atoms", {"scenario": dict(ATOMS, atoms=[])}),
+    ("scenario.window", {"scenario": dict(ATOMS, window=5)}),
+    ("outputs.grid.window", {"outputs": {"report": "report.txt", "grid": {
+        "path": "grid.csv", "resolution": 3, "window": 5}}}),
 ])
 def test_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, changes):
     # each of these used to be coerced and run: a boolean seed as seed 1, a
-    # fractional dimension, level count or budget truncated, a string parsed
-    cfg = dict(BASE_CONFIG, **changes)
-    cfg["plan"] = dict(cfg["plan"], region=[[-0.3, -0.3], [0.3, 0.3]])
+    # fractional dimension, level count or budget truncated, a string parsed;
+    # an array key of the wrong shape failed with a traceback instead, the
+    # grid window only after the report was written
+    cfg = {**BASE_CONFIG, "plan": SMALL_PLAN, **changes}
     path = write_config(tmp_path, cfg)
     assert main(["run", path, "--out", str(tmp_path)]) == 1
     assert f"'{key}'" in capsys.readouterr().err

@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # transversality_sweep is left out: it takes about 14 s and exercises only
-# the segment sweep, which the diagnostics tests cover
+# the segment sweep, which the diagnostics tests cover; CI runs it in its own
+# step after Tier-1
 DEMOS = ("axis_measure_extension", "monotonicity_audits",
          "metric_from_hyperplane_measure", "kernel_constant_calibration")
 

@@ -10,8 +10,8 @@ from busemetric import (BaseMeasure1D, EmbeddingMap, MonteCarlo, OffsetDirection
                         SymmetricCap, UniformDirections, cli, crofton, degenerate_caps,
                         diagnostics, run_diagnostics)
 from busemetric.diagnostics import (TAU_GRID, SamplingPlan, _SegmentSweep, bilip_bounds,
-                                    cube_bound, cyclic_audit, delta_hat, eta_hat,
-                                    id_qs_probe, kappa_hat, tau_hat)
+                                    cube_bound, cyclic_audit, eta_hat, id_qs_probe,
+                                    kappa_hat)
 
 
 def crofton_plan(seed=11, **kw):
@@ -93,10 +93,12 @@ def test_individual_estimators_share_the_pool():
     sc = crofton(2)
     plan = crofton_plan(seed=23)
     k, kw = kappa_hat(sc.measure, plan)
-    t = tau_hat(sc.measure, plan)
     f = EmbeddingMap(sc.measure, sc.basepoint)
-    d, dw = delta_hat(f, plan)
     lo, hi, _ = bilip_bounds(f, sc.measure, plan)
+    rep = run_diagnostics(sc.measure, sc.basepoint, plan)
+    t, d = rep.tau_hat, rep.delta_hat
+    assert (k, kw) == (rep.kappa_hat, rep.kappa_witness)
+    assert (lo, hi) == (rep.c_low, rep.c_high)
     assert k == pytest.approx(math.pi / 4, abs=1e-12)
     assert d == pytest.approx(1.0, abs=1e-9)
     assert lo <= hi <= 1.0
@@ -310,8 +312,11 @@ def test_degenerate_segment_is_surfaced():
 def test_plan_validation():
     with pytest.raises(ValueError):
         SamplingPlan(region_lo=(0.0, 0.0), region_hi=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0), scale_range=(0.0, 1.0))
+    # (0.05, inf) once overflowed the length sampler mid-run, and a third or a
+    # missing entry broke its unpacking
+    for bad in ((0.0, 1.0), (0.05, math.inf), (0.05, 0.5, 0.7), (0.1,)):
+        with pytest.raises(ValueError, match="scale_range"):
+            SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0), scale_range=bad)
     # an empty pool makes its audit pass on an infinite extremum, and a
     # silently truncated count runs another plan than the one asked for
     for key in ("pair_count", "cycle_count", "cube_count", "triple_count"):

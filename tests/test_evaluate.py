@@ -6,11 +6,11 @@ import pytest
 
 from busemetric import (BaseMeasure1D, BaseMeasureND, ClosedForm, Cube,
                         DegenerateConfigurationError, DimensionMismatchError,
-                        EmbeddingConstant, EmbeddingMap, Exact2D, Hyperplane, MonteCarlo,
+                        EmbeddingConstant, EmbeddingMap, Exact2D, MonteCarlo,
                         OffsetDirection, PositionDirection, SamplerMeasure,
                         SymmetricCap, UniformDirections, UnsupportedBackendError,
                         box_mass, calibrate_embedding_constant, cube_mass, embed_unit_kernel,
-                        hits_segment, pair_integrals, seg_mass)
+                        pair_integrals, seg_mass)
 from busemetric import arcs, evaluate
 from busemetric.directions import ArcDensity2D, unit_kernel_constant
 from busemetric.scenarios import lebesgue_box_measure
@@ -1189,10 +1189,11 @@ def test_mc_pair_and_box_share_the_slab_test():
 
     nu = SamplerMeasure(2, on_axis, bounding_lo=(-1.0, -1.0), bounding_hi=(1.0, 1.0))
     mc = MonteCarlo(budget=1_000, seed=3)
-    line = Hyperplane([1.0, 0.0], 0.0)
     for x, y, hit in (([1e-170, 0.5], [2e-170, 0.0], False),
                       ([-1e-170, 0.5], [2e-170, 0.0], True)):
-        assert hits_segment(line, x, y) is hit
+        # the closed segment meets x = 0 iff an endpoint lies on it or the
+        # endpoints' signs differ; signs, unlike the product, cannot underflow
+        assert (x[0] == 0.0 or y[0] == 0.0 or (x[0] > 0.0) != (y[0] > 0.0)) is hit
         box = mc.box_mass(nu, np.minimum(x, y), np.maximum(x, y)).mass
         assert mc.pair(nu, x, y).mass == box == pytest.approx(float(hit))
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from busemetric import (BaseMeasure1D, BaseMeasureND, Hyperplane, MonteCarlo, alpha,
-                        beurling_ahlfors, crofton, degenerate_caps, doubling_pushforward,
-                        grid_export, pair_integrals, seg_mass)
+from busemetric import (BaseMeasure1D, BaseMeasureND, MonteCarlo, beurling_ahlfors, crofton,
+                        degenerate_caps, doubling_pushforward, grid_export, pair_integrals,
+                        seg_mass)
 from busemetric.scenarios import GridImage, inv_sqrt_density, lebesgue_box_measure
 
 
@@ -107,8 +107,9 @@ def test_ba_support_lines_cross_steeply(ba_lebesgue):
     rng = np.random.default_rng(6)
     normals = omega.sample_normals(rng, 2000)
     for v in normals[:200]:
-        h = Hyperplane(v, rng.normal())
-        assert alpha([1.0, 0.0], h) >= math.pi / 3.0 - 1e-12
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        assert math.asin(min(1.0, abs(float(np.array([1.0, 0.0]) @ v)))) \
+            >= math.pi / 3.0 - 1e-12
     assert np.all(np.abs(normals @ np.array([1.0, 0.0])) >= math.cos(math.pi / 6) - 1e-12)
 
 
@@ -240,3 +241,6 @@ def test_grid_export_window_check():
         grid_export(sc, 5, (-10.0, -10.0), (10.0, 10.0))
     with pytest.raises(ValueError):
         grid_export(sc, 1, (-1.0, -1.0), (1.0, 1.0))
+    # a corner short of the scenario dimension once failed with an IndexError
+    with pytest.raises(ValueError, match="dimension 2"):
+        grid_export(sc, 5, (-1.0,), (1.0,))
