@@ -73,6 +73,17 @@ def _arc_overlaps(arc_lo, arc_hi, dens):
     return flat // glo[0].size, glo.ravel()[flat], ghi.ravel()[flat], dens[flat % len(dens), 2]
 
 
+def _mod_pi(a: np.ndarray) -> np.ndarray:
+    """``a % PI`` bit for bit for ``a`` in [-pi, 2 pi], by a shift of +pi, 0, -pi or
+    -2 pi picked by comparisons.
+
+    Subtracting pi or 2 pi from a value at least that large is exact there
+    (Sterbenz), as ``%`` is; adding pi to a negative value rounds once, as
+    ``%`` does; adding 0.0 maps -0.0 to +0.0, as ``%`` does.
+    """
+    return a + PI * ((a < 0.0).view(np.int8) - (a >= PI) - (a >= TWO_PI))
+
+
 def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
                          on_segment: str = "error"):
     """Mass, sin-alpha integral, oriented-normal integral over hits of [x, y].
@@ -83,62 +94,59 @@ def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
     "full" assigns the full direction circle (density-node semantics).
     Returns the weighted totals (mass, transversal, embed[2], angle_masses).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(weights, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    delta = x - y
-    if not np.any(delta != 0.0):
+    if not np.any(x != y):
         raise DegenerateConfigurationError("pair query needs x != y")
-    dx = x - pts
-    dy = y - pts
-    return _pair_core(dx, dy, w, np.asarray(pieces, dtype=float), delta,
-                      taus=taus, on_segment=on_segment)
+    return _pair_core(np.atleast_2d(np.asarray(points, dtype=float)),
+                      np.asarray(weights, dtype=float), np.asarray(pieces, dtype=float),
+                      x, y, taus=taus, on_segment=on_segment)
 
 
-def _pair_core(dx, dy, w, pieces, delta, *, taus=None, on_segment="error"):
-    rx2 = np.einsum("ij,ij->i", dx, dx)
-    ry2 = np.einsum("ij,ij->i", dy, dy)
-    cross = dx[:, 0] * dy[:, 1] - dx[:, 1] * dy[:, 0]
-    dot = np.einsum("ij,ij->i", dx, dy)
-    collinear = cross == 0.0
+def _pair_core(pts, w, pieces, x, y, *, taus=None, on_segment="error"):
+    # coordinate columns: row 0 of c0 is x[0] - p[:, 0], row 1 is y[0] - p[:, 0]
+    ends = np.stack([x, y])
+    c0, c1 = ends[:, :1] - pts[:, 0], ends[:, 1:] - pts[:, 1]
+    (dx0, dy0), (dx1, dy1) = c0, c1
+    collinear = dx0 * dy1 - dx1 * dy0 == 0.0
     # a point on the closed segment, an endpoint included, is hit by every
     # line through it, oriented as for a point just inside the segment
-    between = collinear & (dot <= 0.0)
+    between = collinear & (dx0 * dy0 + dx1 * dy1 <= 0.0)
     if on_segment == "error" and np.any(between):
         raise DegenerateConfigurationError("atom lies on the closed query segment")
 
-    px = (np.arctan2(dx[:, 1], dx[:, 0]) + 0.5 * PI) % PI
-    py = (np.arctan2(dy[:, 1], dy[:, 0]) + 0.5 * PI) % PI
-    w1 = (py - px) % PI
+    px, py = _mod_pi(np.arctan2(c1, c0) + 0.5 * PI)
+    w1 = _mod_pi(py - px)
+    w2 = PI - w1
     # the hit arc's width equals the angle subtended by the segment, which
     # identifies the candidate robustly even for extremely thin wedges; the
     # midpoint sign test breaks ties at psi = pi/2 where widths coincide
-    ux = dx / np.sqrt(np.where(rx2 == 0.0, 1.0, rx2))[:, None]
-    uy = dy / np.sqrt(np.where(ry2 == 0.0, 1.0, ry2))[:, None]
-    psi = 2.0 * np.arctan2(np.hypot(ux[:, 0] - uy[:, 0], ux[:, 1] - uy[:, 1]),
-                           np.hypot(ux[:, 0] + uy[:, 0], ux[:, 1] + uy[:, 1]))
-    use_first = np.abs(w1 - psi) <= np.abs((PI - w1) - psi)
+    r2 = c0 * c0 + c1 * c1
+    r = np.sqrt(np.where(r2 == 0.0, 1.0, r2))
+    (ux0, uy0), (ux1, uy1) = c0 / r, c1 / r
+    psi = 2.0 * np.arctan2(np.hypot(ux0 - uy0, ux1 - uy1), np.hypot(ux0 + uy0, ux1 + uy1))
+    use_first = np.abs(w1 - psi) <= np.abs(w2 - psi)
     tie = np.flatnonzero(np.abs(psi - 0.5 * PI) < 1e-6)
     if tie.size:
         mid = px[tie] + 0.5 * w1[tie]
         cmid, smid = np.cos(mid), np.sin(mid)
-        use_first[tie] = ((cmid * dx[tie, 0] + smid * dx[tie, 1])
-                          * (cmid * dy[tie, 0] + smid * dy[tie, 1])) <= 0.0
-    lo = np.where(use_first, px, (px + w1) % PI)
-    width = np.where(use_first, w1, PI - w1)
+        use_first[tie] = ((cmid * dx0[tie] + smid * dx1[tie])
+                          * (cmid * dy0[tie] + smid * dy1[tie])) <= 0.0
+    lo = np.where(use_first, px, _mod_pi(px + w1))
+    width = np.where(use_first, w1, w2)
     width[collinear] = 0.0
     width[between] = PI
 
-    p_delta, s0 = _query_frame(delta)
-    xi_lo = (lo - p_delta) % PI
+    p_delta, s0 = _query_frame(x - y)
+    xi_lo = _mod_pi(lo - p_delta)
     xi_lo[between] = 0.0    # the whole circle from 0; a zero-width arc overlaps nothing anyway
     ii, lo_r, hi_r, rho_r = _arc_overlaps(xi_lo, xi_lo + width, _wrap_pieces_to_xi(pieces, p_delta))
     len_r = rho_r * (hi_r - lo_r)
     phi_lo, phi_hi = p_delta + lo_r, p_delta + hi_r
     tr_r = rho_r * (np.cos(lo_r) - np.cos(hi_r))
-    e0_r = s0 * rho_r * (np.sin(phi_hi) - np.sin(phi_lo))
-    e1_r = s0 * rho_r * (np.cos(phi_lo) - np.cos(phi_hi))
+    srho_r = s0 * rho_r
+    e0_r = srho_r * (np.sin(phi_hi) - np.sin(phi_lo))
+    e1_r = srho_r * (np.cos(phi_lo) - np.cos(phi_hi))
 
     wr = w[ii]
     mass = float(wr @ len_r)

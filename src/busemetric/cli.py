@@ -86,6 +86,16 @@ def _check_rows(rows: list, path: str, count: int = 0) -> None:
                           f"numbers, got {rows!r}")
 
 
+def _check_box(rows: list, path: str, scenario) -> None:
+    """Refuse a box whose two corners do not have the scenario's dimension or leave its domain."""
+    if any(len(row) != scenario.dim for row in rows):
+        raise ConfigError(f"'{path}' corners must have {scenario.dim} coordinates, got {rows!r}")
+    if np.any(np.asarray(rows[0]) < scenario.domain_lo) or \
+            np.any(np.asarray(rows[1]) > scenario.domain_hi):
+        raise ConfigError(f"'{path}' must lie inside the scenario domain "
+                          f"[{scenario.domain_lo.tolist()}, {scenario.domain_hi.tolist()}]")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -220,11 +230,15 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         scenario = build_scenario(cfg["scenario"], cfg["seed"])
+        _check_box(cfg["plan"]["region"], "plan.region", scenario)
         plan = _plan_from_config(cfg)
-        if np.any(np.asarray(plan.region_lo) < scenario.domain_lo) or \
-                np.any(np.asarray(plan.region_hi) > scenario.domain_hi):
-            raise ConfigError("plan.region must lie inside the scenario domain "
-                              f"[{scenario.domain_lo.tolist()}, {scenario.domain_hi.tolist()}]")
+        grid = cfg.get("outputs", {}).get("grid")
+        if grid is not None:
+            # checked now, so a bad grid never follows a whole audit run
+            _check_box(grid["window"], "outputs.grid.window", scenario)
+            if grid["resolution"] < 2:
+                raise ConfigError(f"'outputs.grid.resolution' must be at least 2, "
+                                  f"got {grid['resolution']}")
         backend = _pick_backend(scenario.measure, cfg)
     except (ConfigError, ValueError, DegenerateConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

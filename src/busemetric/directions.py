@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .geometry import require_int
 
@@ -36,8 +35,13 @@ def abs_moment(n: int) -> float:
     """E|<u, v>| for v uniform on S^(n-1) and any fixed unit u.
 
     Equals Gamma(n/2) / (sqrt(pi) * Gamma((n+1)/2)); 2/pi for n = 2,
-    1/2 for n = 3.
+    1/2 for n = 3, which are returned with the bits of the general form.
     """
+    if n == 2:
+        return 2.0 / PI
+    if n == 3:
+        return 0.5
+    from scipy import special     # imported here: the planar and 3-D runs never load scipy
     return float(math.exp(special.gammaln(n / 2.0) - special.gammaln((n + 1) / 2.0)) / math.sqrt(PI))
 
 
@@ -49,6 +53,7 @@ def partial_abs_moment(n: int, s: float) -> float:
 
 def tail_mass(n: int, s: float) -> float:
     """P(|<u, v>| >= s) for v uniform on S^(n-1)."""
+    from scipy import special
     s = min(max(s, 0.0), 1.0)
     return float(special.betainc((n - 1) / 2.0, 0.5, 1.0 - s * s))
 
@@ -192,6 +197,7 @@ class SymmetricCap:
             phi0 = math.atan2(self.axis[1], self.axis[0])
             phi = phi0 + (rng.random(size) * 2.0 - 1.0) * self.half_angle
             return np.column_stack([np.cos(phi), np.sin(phi)])
+        from scipy import special
         # |<v, axis>|^2 is Beta(1/2, (n-1)/2) truncated to [cos^2 theta0, 1]
         f_lo = float(special.betainc(0.5, (n - 1) / 2.0, math.cos(self.half_angle) ** 2))
         u = f_lo + rng.random(size) * (1.0 - f_lo)

@@ -229,11 +229,12 @@ class ClosedForm(Backend):
     def _position_pair(self, nu, x, y, taus):
         n = nu.dim
         pts, w = _point_support(nu.mu)
-        rx, ry, ux, uy = _unit_frames(pts, x, y)
+        dist, units = _unit_frames(pts, x, y)
         # psi = 2 atan2(|u - w|, |u + w|) is stable at both angle extremes,
         # unlike arccos of the inner product
-        diff = np.linalg.norm(ux - uy, axis=1)
-        summ = np.linalg.norm(ux + uy, axis=1)
+        kern = [u[0] - u[1] for u in units]
+        diff = _column_norms(kern)
+        summ = _column_norms([u[0] + u[1] for u in units])
         psi = 2.0 * np.arctan2(diff, summ)
         delta = x - y
         r = float(np.linalg.norm(delta))
@@ -241,29 +242,26 @@ class ClosedForm(Backend):
         c_n = unit_kernel_constant(n)
 
         mass = float(w @ psi) / PI
-        kern = ux - uy
+        # the matvec and the einsums read (points, dim) rows: they add a row's
+        # products in an order that column sums would not keep in 3-D
+        kern = np.stack(kern, axis=1)
         trans = c_n * float(w @ (kern @ udelta))
         emb = c_n * np.einsum("i,ij->j", w, kern)
 
         angle = None
         if taus is not None:
-            dot_u = np.einsum("ij,ij->i", ux, uy)
+            dot_u = np.einsum("ij,ij->i", *np.stack(units, axis=-1))
             sin_psi = 0.5 * diff * summ
-            angle = self._position_angle_profile(n, w, rx, ry, dot_u, sin_psi, psi, taus)
+            angle = self._position_angle_profile(n, w, *dist, dot_u, sin_psi, psi, taus)
         return PairIntegrals(mass, trans, emb, angle, backend=self.name)
 
     @staticmethod
     def _position_angle_profile(n, w, rx, ry, dot_u, sin_psi, psi, taus):
-        # reduce to the plane spanned by (dx, dy): the hit arc sits at
-        # xi in [xi_lo, xi_lo + psi] past the normal angle of delta
-        dxr = np.stack([rx, np.zeros_like(rx)], axis=1)
-        dyr = np.stack([ry * dot_u, ry * sin_psi], axis=1)
-        dr = dxr - dyr
-        theta_d = np.arctan2(dr[:, 1], dr[:, 0])
-        p_d = (theta_d + 0.5 * PI) % PI
-        xi_lo = (0.5 * PI - p_d) % PI
-        between = psi >= PI
-        xi_lo = np.where(between, 0.0, xi_lo)
+        # reduce to the plane spanned by (dx, dy), dx along the first axis: the
+        # hit arc sits at xi in [xi_lo, xi_lo + psi] past the normal angle of delta
+        p_d = arcs._mod_pi(np.arctan2(0.0 - ry * sin_psi, rx - ry * dot_u) + 0.5 * PI)
+        xi_lo = arcs._mod_pi(0.5 * PI - p_d)
+        xi_lo[psi >= PI] = 0.0
         xi_hi = np.minimum(xi_lo + psi, PI)
         if n == 2:
             return arcs.arc_threshold_sums(w, xi_lo, xi_hi, taus) / PI
@@ -301,19 +299,32 @@ def _uniform_point_measure(nu) -> bool:
 
 
 def _unit_frames(pts, x, y):
-    """Distances and unit directions from each support point to x and to y; a point
-    at one endpoint gets minus its direction to the other, as if just inside [x, y]."""
-    dx = x - pts
-    dy = y - pts
-    rx = np.linalg.norm(dx, axis=1)
-    ry = np.linalg.norm(dy, axis=1)
-    at_x = rx == 0.0
-    at_y = ry == 0.0
-    ux = dx / np.where(at_x, 1.0, rx)[:, None]
-    uy = dy / np.where(at_y, 1.0, ry)[:, None]
-    ux[at_x] = -uy[at_x]
-    uy[at_y] = -ux[at_y]
-    return rx, ry, ux, uy
+    """Distances and unit directions from each support point to x (row 0) and to y
+    (row 1): ``dist`` of shape (2, points) and one such array per coordinate in
+    ``units``.  A point at one endpoint gets minus its direction to the other, as
+    if just inside [x, y]."""
+    ends = np.stack([x, y])
+    cols = [ends[:, k:k + 1] - pts[:, k] for k in range(len(x))]
+    dist = _column_norms(cols)
+    at_end = dist == 0.0
+    scale = np.where(at_end, 1.0, dist)
+    units = [c / scale for c in cols]
+    at_x, at_y = np.flatnonzero(at_end[0]), np.flatnonzero(at_end[1])
+    if at_x.size or at_y.size:
+        for u in units:
+            u[0, at_x] = -u[1, at_x]
+        for u in units:
+            u[1, at_y] = -u[0, at_y]
+    return dist, units
+
+
+def _column_norms(cols):
+    """Row norms of the matrix with columns ``cols``, summed in column order as
+    ``np.linalg.norm(axis=1)`` sums them."""
+    total = cols[0] * cols[0]
+    for c in cols[1:]:
+        total += c * c
+    return np.sqrt(total)
 
 
 def _box_width_integral_2d(pieces, sides) -> float:
@@ -834,6 +845,6 @@ def embed_unit_kernel(nu: PositionDirection, o, x, constant: EmbeddingConstant |
     if nu.mu.atoms_on_segment(x, o).size:
         raise DegenerateConfigurationError("mu-atom lies on the closed query segment")
     pts, w = _point_support(nu.mu)
-    _, _, ux, uo = _unit_frames(pts, x, o)
-    kern = ux - uo
+    _, units = _unit_frames(pts, x, o)
+    kern = np.stack([u[0] - u[1] for u in units], axis=1)
     return constant.value * nu.omega.total_mass() * np.einsum("i,ij->j", w, kern)

@@ -385,9 +385,8 @@ def _ref_pair_core(dx, dy, w, pieces, delta, taus=None):
 
 def _assert_core_bits(points, weights, pieces, x, y, taus):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    args = (x - points, y - points, weights, pieces, x - y)
-    got = arcs._pair_core(*args, taus=taus, on_segment="full")
-    ref = _ref_pair_core(*args, taus=taus)
+    got = arcs._pair_core(points, weights, pieces, x, y, taus=taus, on_segment="full")
+    ref = _ref_pair_core(x - points, y - points, weights, pieces, x - y, taus=taus)
     assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in ref]
     return got
 
@@ -428,6 +427,27 @@ def test_pair_core_tie_collinear_and_between_nodes_match_dense_reference_bits():
         mass, _, emb, _ = _assert_core_bits(special[:1], np.ones(1), uniform, x, y, None)
         assert mass == pytest.approx(0.5 * math.pi, rel=1e-14)
         assert abs(emb[0]) == pytest.approx(math.sqrt(2.0), rel=1e-14) and abs(emb[1]) < 1e-15
+
+
+def test_mod_pi_matches_the_remainder_bits():
+    # the shift by comparisons gives the bits of ``% pi`` on [-pi, 2 pi]: at the
+    # signed zeros, the multiples of pi/2 and their neighbours, and over each
+    # call site's input range, the arctangent sums of axis-aligned points included
+    PI = math.pi
+    marks = [-0.0, 0.0, -PI, -0.5 * PI, 0.5 * PI, PI, 1.5 * PI, 2.0 * PI]
+    near = [np.nextafter(v, side) for v in marks for side in (-np.inf, np.inf)]
+    edge = np.array([v for v in marks + near if -PI <= v <= 2.0 * PI])
+    assert arcs._mod_pi(edge).tobytes() == (edge % PI).tobytes()
+    rng = np.random.default_rng(23)
+    axes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1.0, -0.0]])
+    ranges = {"arctan2 + pi/2": (-0.5 * PI, 1.5 * PI), "differences": (-PI, PI),
+              "px + w1": (0.0, 2.0 * PI), "pi/2 - p_d": (-0.5 * PI, 0.5 * PI)}
+    for lo, hi in ranges.values():
+        a = np.r_[rng.uniform(lo, hi, 10**6), lo, hi]
+        assert arcs._mod_pi(a).tobytes() == (a % PI).tobytes()
+    a = np.r_[np.arctan2(*rng.normal(size=(2, 10**6))), np.arctan2(axes[:, 1], axes[:, 0])]
+    a += 0.5 * PI
+    assert arcs._mod_pi(a).tobytes() == (a % PI).tobytes()
 
 
 def test_arc_overlaps_match_dense_reference_bits():

@@ -236,6 +236,18 @@ ATOMS = {"name": "doubling_atoms", "atoms": [[2.0, 0.3, 1.0], [-1.1, 1.7, 2.0], 
     ("scenario.window", {"scenario": dict(ATOMS, window=5)}),
     ("outputs.grid.window", {"outputs": {"report": "report.txt", "grid": {
         "path": "grid.csv", "resolution": 3, "window": 5}}}),
+    # corners of another dimension than the scenario's, a window outside its
+    # domain and a one-point grid, all refused before any audit runs
+    ("plan.region", {"plan": dict(SMALL_PLAN, region=[[-0.3], [0.3]])}),
+    ("plan.region", {"plan": dict(SMALL_PLAN, region=[[-0.3, -0.3, 0.0], [0.3, 0.3, 0.0]])}),
+    ("outputs.grid.window", {"outputs": {"report": "report.txt", "grid": {
+        "path": "grid.csv", "resolution": 3, "window": [[-0.3], [0.3]]}}}),
+    ("outputs.grid.window", {"outputs": {"report": "report.txt", "grid": {
+        "path": "grid.csv", "resolution": 3, "window": [[-0.3, -0.3, 0.0], [0.3, 0.3, 0.0]]}}}),
+    ("outputs.grid.window", {"outputs": {"report": "report.txt", "grid": {
+        "path": "grid.csv", "resolution": 3, "window": [[-50.0, -50.0], [50.0, 50.0]]}}}),
+    ("outputs.grid.resolution", {"outputs": {"report": "report.txt", "grid": {
+        "path": "grid.csv", "resolution": 1, "window": [[-0.3, -0.3], [0.3, 0.3]]}}}),
 ])
 def test_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, changes):
     # each of these used to be coerced and run: a boolean seed as seed 1, a
@@ -270,6 +282,26 @@ def test_module_entry_point_help():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "run" in done.stdout and "calibrate" in done.stdout
+
+
+def test_bundled_runs_never_import_scipy(tmp_path):
+    # scipy.special serves only dimensions and caps no bundled config uses, and
+    # importing it costs about half of a light config's run; a fresh process,
+    # because the test session itself has scipy loaded
+    names = sorted(p.stem for p in (SRC_DIR.parent / "configs").glob("*.json"))
+    script = "\n".join([
+        "import sys",
+        "from busemetric import cli",
+        f"for path in {[str(SRC_DIR.parent / 'configs' / f'{n}.json') for n in names]!r}:",
+        f"    assert cli.main(['run', path, '--out', {str(tmp_path)!r}]) == 0, path",
+        "    assert 'scipy' not in sys.modules, path",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert len(names) == 7
+    assert done.returncode == 0, done.stderr
 
 
 # bundled config -> the backend `run` picks for it when the config names none

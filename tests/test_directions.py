@@ -107,3 +107,10 @@ def test_wrap_interval():
     total = sum(hi - lo for lo, hi in parts)
     assert total == pytest.approx(0.5, rel=1e-12)
 
+
+def test_abs_moment_constants_keep_the_bits_of_the_gamma_form():
+    # n = 2 and n = 3 skip scipy; their constants are the general form's bits
+    from scipy import special
+    for n, value in ((2, 2.0 / math.pi), (3, 0.5)):
+        general = math.exp(special.gammaln(n / 2.0) - special.gammaln((n + 1) / 2.0))
+        assert abs_moment(n).hex() == float(general / math.sqrt(math.pi)).hex() == value.hex()

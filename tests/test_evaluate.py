@@ -1549,6 +1549,69 @@ def test_threshold_sums_match_the_one_shot_forms_bits(width):
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
 
+# ---------------------------------------------------------------------------
+# the closed-form position pair on coordinate columns: the row forms it replaces
+# ---------------------------------------------------------------------------
+
+def _ref_unit_frames(pts, x, y):
+    """``evaluate._unit_frames`` on (points, dim) rows."""
+    dx, dy = x - pts, y - pts
+    rx, ry = np.linalg.norm(dx, axis=1), np.linalg.norm(dy, axis=1)
+    at_x, at_y = rx == 0.0, ry == 0.0
+    ux = dx / np.where(at_x, 1.0, rx)[:, None]
+    uy = dy / np.where(at_y, 1.0, ry)[:, None]
+    ux[at_x] = -uy[at_x]
+    uy[at_y] = -ux[at_y]
+    return rx, ry, ux, uy
+
+
+def _ref_position_pair(nu, x, y, taus):
+    """``ClosedForm._position_pair`` on rows, as (mass, transversal, embed, angle)."""
+    pts, w = evaluate._point_support(nu.mu)
+    rx, ry, ux, uy = _ref_unit_frames(pts, x, y)
+    diff = np.linalg.norm(ux - uy, axis=1)
+    summ = np.linalg.norm(ux + uy, axis=1)
+    psi = 2.0 * np.arctan2(diff, summ)
+    c_n = unit_kernel_constant(nu.dim)
+    kern = ux - uy
+    angle = None
+    if taus is not None:
+        angle = _ref_position_profile(nu.dim, w, rx, ry, np.einsum("ij,ij->i", ux, uy),
+                                      0.5 * diff * summ, psi, taus)
+    return (float(w @ psi) / math.pi, c_n * float(w @ (kern @ ((x - y) / np.linalg.norm(x - y)))),
+            c_n * np.einsum("i,ij->j", w, kern), angle)
+
+
+def _atoms_3d():
+    return PositionDirection(BaseMeasureND(3, atoms=[((1.0, 0.5, -0.4), 1.0),
+                                                     ((-0.8, 1.2, 0.6), 2.0),
+                                                     ((0.3, -1.1, 0.9), 1.5)]),
+                             UniformDirections(3))
+
+
+@pytest.mark.parametrize("case", ["doubling_box", "atoms_3d", "cloud_3d"])
+def test_position_pair_on_columns_matches_the_row_forms_bits(case):
+    from busemetric.diagnostics import TAU_GRID
+    nu = {"doubling_box": _doubling_box, "atoms_3d": _atoms_3d, "cloud_3d": _cloud_3d}[case]()
+    pts, w = evaluate._point_support(nu.mu)
+    n = nu.dim
+    rng = np.random.default_rng(41)
+    # random pairs, then a support point at x and one at y
+    pairs = [tuple(rng.uniform(-0.35, 0.35, (2, n))) for _ in range(3)]
+    pairs += [(pts[0], rng.uniform(-0.35, 0.35, n)), (rng.uniform(-0.35, 0.35, n), pts[-1]),
+              (pts[1], pts[2])]
+    for x, y in pairs:
+        for taus in (None, TAU_GRID):
+            got = CF._position_pair(nu, x, y, taus)
+            ref = _ref_position_pair(nu, x, y, taus)
+            assert _bits(got)[:4] == [None if v is None else np.asarray(v).tobytes() for v in ref]
+        _, _, ux, uy = _ref_unit_frames(pts, x, y)
+        ref = (EmbeddingConstant.analytic(n).value * nu.omega.total_mass()
+               * np.einsum("i,ij->j", w, ux - uy))
+        if not nu.mu.atoms_on_segment(x, y).size:
+            assert embed_unit_kernel(nu, y, x).tobytes() == ref.tobytes()
+
+
 def _config_scenario(name):
     from busemetric.cli import build_scenario, load_config
     cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
