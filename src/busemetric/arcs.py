@@ -30,6 +30,7 @@ its segments as arrays in one pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -247,13 +248,7 @@ def box_cloud_mass(points, weights, pieces, box_lo, box_hi):
 
 SEGMENT_ORDER = 8          # Gauss-Legendre nodes per smooth span of a density segment
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+_gl = functools.cache(np.polynomial.legendre.leggauss)   # (nodes, weights) of an order
 
 
 def _gl_spans(edges: np.ndarray, order: int):

@@ -26,7 +26,6 @@ from .geometry import Cube, cube_vertices, require_int
 TAU_GRID = np.round(np.arange(1, 101) * 0.01, 2)
 ETA_BUCKET_EDGES = np.logspace(-2.0, 2.0, 33)
 CHAIN_SLACK = 1e-10
-PAIR_SLACK = 1e-12
 LIP_SLACK = 1e-12
 IDENTITY_REL = 1e-8
 # widening of the converse check's bracket, relative to max(mass, 1): a sum
@@ -63,7 +62,7 @@ class SamplingPlan:
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise ValueError("plan region must be a nonempty box")
         sr = self.scale_range
-        if not (len(sr) == 2 and 0.0 < sr[0] <= sr[1] < math.inf):
+        if not (np.ndim(sr) == 1 and len(sr) == 2 and 0.0 < sr[0] <= sr[1] < math.inf):
             raise ValueError(f"scale_range must be two finite numbers with 0 < lo <= hi, got {sr}")
         object.__setattr__(self, "region_lo", tuple(float(v) for v in lo))
         object.__setattr__(self, "region_hi", tuple(float(v) for v in hi))

@@ -106,6 +106,16 @@ def normalize_pieces(raw) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
+def sample_pieces(weights: np.ndarray, rng: np.random.Generator, size: int):
+    """Draw ``size`` pieces with probability proportional to ``weights`` by the
+    inverse cdf: each draw's piece index and the fraction of that piece's weight
+    below it."""
+    cum = np.cumsum(weights)
+    u = rng.random(size) * cum[-1]
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    return idx, (u - (cum[idx] - weights[idx])) / weights[idx]
+
+
 def wrap_interval(lo: float, width: float) -> list[tuple[float, float]]:
     """Split [lo, lo+width) (angles mod pi) into non-wrapping subintervals of [0, pi)."""
     lo = lo % PI
@@ -230,13 +240,9 @@ class ArcDensity2D:
         return self.pieces
 
     def sample_normals(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        lengths = (self.pieces[:, 1] - self.pieces[:, 0]) * self.pieces[:, 2]
-        cum = np.cumsum(lengths)
-        u = rng.random(size) * cum[-1]
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.minimum(idx, len(cum) - 1)
-        frac = (u - (cum[idx] - lengths[idx])) / lengths[idx]
-        phi = self.pieces[idx, 0] + frac * (self.pieces[idx, 1] - self.pieces[idx, 0])
+        lo, hi = self.pieces[:, 0], self.pieces[:, 1]
+        idx, frac = sample_pieces((hi - lo) * self.pieces[:, 2], rng, size)
+        phi = lo[idx] + frac * (hi[idx] - lo[idx])
         return np.column_stack([np.cos(phi), np.sin(phi)])
 
 

@@ -32,6 +32,7 @@ Backends:
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -42,7 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import arcs
-from .directions import UniformDirections, abs_moment, partial_abs_moment, unit_kernel_constant
+from .directions import (UniformDirections, abs_moment, partial_abs_moment, sample_pieces,
+                         unit_kernel_constant)
 from .geometry import Cube, DegenerateConfigurationError, as_point, require_int
 from .hyperplane_measures import (HyperplaneMeasure, OffsetDirection, PositionDirection,
                                   SamplerMeasure)
@@ -598,11 +600,7 @@ def _sample_positions(mu, rng: np.random.Generator, size: int) -> np.ndarray:
     """Sample positions from the point support (atoms, realized cell nodes) and line densities."""
     pts, w = _point_support(mu)
     table = mu.segment_table
-    weights = np.concatenate([w, table.denss * table.lengths])
-    cum = np.cumsum(weights)
-    u = rng.random(size) * cum[-1]
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    frac = (u - (cum[idx] - weights[idx])) / weights[idx]
+    idx, frac = sample_pieces(np.concatenate([w, table.denss * table.lengths]), rng, size)
 
     out = np.empty((size, mu.dim))
     point = idx < len(w)
@@ -688,12 +686,8 @@ def fan_out(nu, calls):
             from concurrent.futures import ThreadPoolExecutor
             _POOL[:] = os.getpid(), ThreadPoolExecutor(
                 workers, initializer=setattr, initargs=(_IN_WORKER, "active", True))
-        futures = [_POOL[1].submit(*call) for call in calls]
-    try:
-        yield from (future.result() for future in futures)
-    finally:
-        for future in futures:
-            future.cancel()
+        answers = _POOL[1].map(lambda call: call[0](*call[1:]), calls)
+    yield from answers    # closing this generator closes ``answers``, cancelling unstarted calls
 
 
 def pair_many(backend, nu, xs, ys, taus=None):
@@ -777,10 +771,12 @@ def calibrate_embedding_constant(n: int, budget: int, seed: int) -> EmbeddingCon
     an error.  The ball radius keeps the finite-radius correction,
     of order radius^2 / (8 |x|^2), far below the statistical band.
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    n = require_int("dim", n, 2)
+    seed = require_int("seed", seed, 0)
+    # two samples per distance at least, so that each has a standard error
+    budget = require_int("budget", budget, 2 * len(CALIBRATION_DISTANCES))
     rng = np.random.default_rng(seed)
-    per = max(int(budget) // len(CALIBRATION_DISTANCES), 1)
+    per = budget // len(CALIBRATION_DISTANCES)
     results = []
     for dist in CALIBRATION_DISTANCES:
         xhat = np.zeros(n)
@@ -811,21 +807,19 @@ def calibrate_embedding_constant(n: int, budget: int, seed: int) -> EmbeddingCon
         var = max(total_sq / count - mean * mean, 0.0)
         se = math.sqrt(var / count)
         results.append((float(dist), mean, se))
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            gap = abs(results[i][1] - results[j][1])
-            lim = 4.0 * math.hypot(results[i][2], results[j][2])
-            if gap > lim:
-                raise CalibrationError(
-                    f"constant at |x|={results[i][0]:g} and |x|={results[j][0]:g} "
-                    f"differ by {gap:.3e} > 4 sigma = {lim:.3e}")
+    for (d1, v1, se1), (d2, v2, se2) in itertools.combinations(results, 2):
+        gap = abs(v1 - v2)
+        lim = 4.0 * math.hypot(se1, se2)
+        if gap > lim:
+            raise CalibrationError(f"constant at |x|={d1:g} and |x|={d2:g} "
+                                   f"differ by {gap:.3e} > 4 sigma = {lim:.3e}")
     wts = np.array([1.0 / max(se * se, 1e-300) for _, _, se in results])
     vals = np.array([v for _, v, _ in results])
     value = float(np.sum(wts * vals) / np.sum(wts))
     se_comb = float(1.0 / math.sqrt(np.sum(wts)))
     half = 4.0 * se_comb
     return EmbeddingConstant(dim=n, value=value, half_width=half, provenance="oracle",
-                             budget=int(budget), seed=int(seed),
+                             budget=budget, seed=seed,
                              per_distance=tuple(results),
                              warning=half > 0.05 * abs(value) if value else True)
 

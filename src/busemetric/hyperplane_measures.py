@@ -47,9 +47,6 @@ class PositionDirection:
     def scaled(self, factor: float) -> "PositionDirection":
         return PositionDirection(self.mu.scaled(factor), self.omega)
 
-    def translated(self, shift) -> "PositionDirection":
-        return PositionDirection(self.mu.translated(shift), self.omega)
-
 
 @dataclass(frozen=True)
 class OffsetDirection:
@@ -161,6 +158,8 @@ def validate(nu: HyperplaneMeasure, region_lo, region_hi, *, point_count: int = 
     """Check the admissibility bullets on sampled points/segments in a box region."""
     from . import evaluate  # deferred: evaluators consume these measure types
 
+    point_count = require_int("point_count", point_count, 1)
+    segment_count = require_int("segment_count", segment_count, 1)
     lo = np.asarray(region_lo, dtype=float)
     hi = np.asarray(region_hi, dtype=float)
     if np.any(hi <= lo):
@@ -168,8 +167,7 @@ def validate(nu: HyperplaneMeasure, region_lo, region_hi, *, point_count: int = 
     rng = np.random.default_rng(seed)
     backend = evaluate.default_backend(nu, budget=20000, seed=seed)
 
-    pts = lo + rng.random((point_count, lo.size)) * (hi - lo)
-    probe_pts = [p for p in pts]
+    probe_pts = list(lo + rng.random((point_count, lo.size)) * (hi - lo))
     if isinstance(nu, PositionDirection) and nu.mu.atom_points.size:
         inside = np.all((nu.mu.atom_points >= lo) & (nu.mu.atom_points <= hi), axis=1)
         probe_pts.extend(p for p in nu.mu.atom_points[inside])

@@ -29,6 +29,16 @@ from .arcs import SegmentTable, _gl, segment_table
 from .geometry import DegenerateConfigurationError
 
 
+def _check_atoms(positions: np.ndarray, weights: np.ndarray) -> None:
+    """Refuse atoms unless their positions are finite and their weights finite and positive."""
+    if not np.isfinite(positions).all():
+        raise ValueError("atom positions must be finite")
+    if not np.isfinite(weights).all():
+        raise ValueError("atom weights must be finite")
+    if np.any(weights <= 0):
+        raise ValueError("atom weights must be positive")
+
+
 @dataclass(frozen=True)
 class BaseMeasure1D:
     """Atoms plus piecewise constant density on the real line."""
@@ -40,12 +50,7 @@ class BaseMeasure1D:
     def __init__(self, atoms=(), pieces=()):
         pos = np.asarray([a[0] for a in atoms], dtype=float)
         wts = np.asarray([a[1] for a in atoms], dtype=float)
-        if not np.isfinite(pos).all():
-            raise ValueError("atom positions must be finite")
-        if not np.isfinite(wts).all():
-            raise ValueError("atom weights must be finite")
-        if np.any(wts <= 0):
-            raise ValueError("atom weights must be positive")
+        _check_atoms(pos, wts)
         pc = np.asarray(pieces, dtype=float).reshape(-1, 3)
         if pc.size:
             if not np.isfinite(pc[:, :2]).all():
@@ -144,12 +149,7 @@ class BaseMeasureND:
             raise ValueError("dimension must be >= 2")
         apts = np.asarray([a[0] for a in atoms], dtype=float).reshape(-1, dim)
         awts = np.asarray([a[1] for a in atoms], dtype=float)
-        if not np.isfinite(apts).all():
-            raise ValueError("atom positions must be finite")
-        if not np.isfinite(awts).all():
-            raise ValueError("atom weights must be finite")
-        if np.any(awts <= 0):
-            raise ValueError("atom weights must be positive")
+        _check_atoms(apts, awts)
         cl = np.array(cells, dtype=float).reshape(-1, 2 * dim + 1)
         if cl.size:
             # before the overlap sweep, whose sort would misplace a NaN cell
@@ -296,18 +296,6 @@ class BaseMeasureND:
         if cells.size:
             cells[:, -1] *= factor
         segments = [(p0, p1, dens * factor) for p0, p1, dens in self.segments]
-        return BaseMeasureND(self.dim, atoms=atoms, cells=cells, segments=segments,
-                             gauss_order=self.gauss_order)
-
-    def translated(self, shift) -> "BaseMeasureND":
-        t = np.asarray(shift, dtype=float)
-        atoms = [(p + t, w) for p, w in zip(self.atom_points, self.atom_weights)]
-        cells = self.cells.copy()
-        if cells.size:
-            n = self.dim
-            cells[:, :n] += t
-            cells[:, n:2 * n] += t
-        segments = [(p0 + t, p1 + t, dens) for p0, p1, dens in self.segments]
         return BaseMeasureND(self.dim, atoms=atoms, cells=cells, segments=segments,
                              gauss_order=self.gauss_order)
 

@@ -172,6 +172,15 @@ def test_calibrate_tiny_budget_warns_but_succeeds(tmp_path):
     assert payload["warning"] is True
 
 
+@pytest.mark.parametrize("budget", ["0", "-5", "2"])
+def test_calibrate_refuses_budgets_without_a_standard_error(tmp_path, capsys, budget):
+    # these once drew one sample per distance and failed the 4-sigma check at 0
+    assert main(["calibrate", "--dim", "2", "--budget", budget, "--seed", "9",
+                 "--out", str(tmp_path)]) == 1
+    assert "budget must be an integer >= 6" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_load_config_strictness(tmp_path):
     bad = dict(BASE_CONFIG, extra=1)
     path = write_config(tmp_path, bad)

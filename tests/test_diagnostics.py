@@ -275,9 +275,11 @@ def test_report_scale_equivariance():
 
 def test_report_translation_equivariance():
     from busemetric import BaseMeasureND, PositionDirection
-    mu = BaseMeasureND(2, atoms=[((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0), ((0.4, -2.2), 1.5)])
-    nu = PositionDirection(mu, UniformDirections(2))
+    atoms = [((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0), ((0.4, -2.2), 1.5)]
+    nu = PositionDirection(BaseMeasureND(2, atoms=atoms), UniformDirections(2))
     shift = np.array([11.0, -6.0])
+    moved = PositionDirection(BaseMeasureND(2, atoms=[(np.add(p, shift), w) for p, w in atoms]),
+                              UniformDirections(2))
     plan = SamplingPlan(region_lo=(-0.4, -0.4), region_hi=(0.4, 0.4), pair_count=50,
                         cycle_count=16, cube_count=10, triple_count=30,
                         scale_range=(0.02, 0.3), seed=39)
@@ -286,7 +288,7 @@ def test_report_translation_equivariance():
                                 pair_count=50, cycle_count=16, cube_count=10,
                                 triple_count=30, scale_range=(0.02, 0.3), seed=39)
     a = run_diagnostics(nu, np.zeros(2), plan, name="base")
-    b = run_diagnostics(nu.translated(shift), shift, plan_shifted, name="moved")
+    b = run_diagnostics(moved, shift, plan_shifted, name="moved")
     assert b.kappa_hat == pytest.approx(a.kappa_hat, abs=1e-10)
     assert b.tau_hat == a.tau_hat
     assert b.delta_hat == pytest.approx(a.delta_hat, abs=1e-10)
@@ -312,9 +314,9 @@ def test_degenerate_segment_is_surfaced():
 def test_plan_validation():
     with pytest.raises(ValueError):
         SamplingPlan(region_lo=(0.0, 0.0), region_hi=(0.0, 1.0))
-    # (0.05, inf) once overflowed the length sampler mid-run, and a third or a
-    # missing entry broke its unpacking
-    for bad in ((0.0, 1.0), (0.05, math.inf), (0.05, 0.5, 0.7), (0.1,)):
+    # (0.05, inf) once overflowed the length sampler mid-run, a third or a
+    # missing entry broke its unpacking, and a bare number raised a TypeError
+    for bad in ((0.0, 1.0), (0.05, math.inf), (0.05, 0.5, 0.7), (0.1,), 5):
         with pytest.raises(ValueError, match="scale_range"):
             SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0), scale_range=bad)
     # an empty pool makes its audit pass on an infinite extremum, and a

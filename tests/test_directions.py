@@ -94,6 +94,29 @@ def test_arc_density_merge_and_sampling():
     assert np.all((phi >= 0.0) & (phi <= 1.5 + 1e-12))
 
 
+def _ref_arc_normals(pieces, rng, size):
+    """``ArcDensity2D.sample_normals`` with its inverse-cdf draw written out, as the
+    reference for the bits of the shared ``sample_pieces``."""
+    lengths = (pieces[:, 1] - pieces[:, 0]) * pieces[:, 2]
+    cum = np.cumsum(lengths)
+    u = rng.random(size) * cum[-1]
+    idx = np.searchsorted(cum, u, side="right")
+    idx = np.minimum(idx, len(cum) - 1)
+    frac = (u - (cum[idx] - lengths[idx])) / lengths[idx]
+    phi = pieces[idx, 0] + frac * (pieces[idx, 1] - pieces[idx, 0])
+    return np.column_stack([np.cos(phi), np.sin(phi)])
+
+
+def test_arc_density_sampling_keeps_the_reference_bits():
+    om = ArcDensity2D([(0.0, 0.4, 1.0), (0.9, 1.7, 2.5), (2.0, 3.0, 0.3)])
+    assert len(om.pieces) == 3
+    for seed in (0, 1, 2):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = om.sample_normals(rng, 5000)
+        assert got.tobytes() == _ref_arc_normals(om.pieces, ref_rng, 5000).tobytes()
+        assert rng.random() == ref_rng.random()
+
+
 def test_normalize_pieces_merges_adjacent_runs():
     out = normalize_pieces([(0.0, 0.5, 1.0), (0.5, 1.0, 1.0)])
     assert out.shape == (1, 3)

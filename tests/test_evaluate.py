@@ -668,9 +668,10 @@ def test_scale_equivariance():
 
 
 def test_translation_equivariance():
-    nu = atom_measure([((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0)])
+    atoms = [((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0)]
+    nu = atom_measure(atoms)
     shift = np.array([13.0, -7.0])
-    moved = nu.translated(shift)
+    moved = atom_measure([(np.add(p, shift), w) for p, w in atoms])
     rng = np.random.default_rng(19)
     for _ in range(20):
         x, y = rng.uniform(-0.8, 0.8, (2, 2))
@@ -682,9 +683,11 @@ def test_translation_equivariance():
 
 
 def test_translation_equivariance_with_cells():
-    nu = PositionDirection(lebesgue_box_measure(2, inner_half=0.4, levels=2), UniformDirections(2))
+    mu = lebesgue_box_measure(2, inner_half=0.4, levels=2)
+    nu = PositionDirection(mu, UniformDirections(2))
     shift = np.array([13.0, -7.0])
-    moved = nu.translated(shift)
+    moved = PositionDirection(BaseMeasureND(2, cells=mu.cells + np.r_[shift, shift, 0.0],
+                                            gauss_order=mu.gauss_order), UniformDirections(2))
     rng = np.random.default_rng(20)
     for backend in (CF, E2):
         for _ in range(10):
@@ -895,6 +898,15 @@ def test_calibration_determinism_and_warning():
     assert a == b
     tiny = calibrate_embedding_constant(2, 60, seed=29)
     assert tiny.warning
+
+
+@pytest.mark.parametrize("key,args", [
+    ("dim", (1, 600, 0)), ("dim", (2.5, 600, 0)), ("seed", (2, 600, -1)),
+    ("seed", (2, 600, 1.0)), ("budget", (2, 5, 0)), ("budget", (2, 600.0, 0)),
+])
+def test_calibration_refuses_inputs_by_name(key, args):
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        calibrate_embedding_constant(*args)
 
 
 def test_unit_kernel_rejects_wrong_measures():
@@ -1589,6 +1601,44 @@ def _atoms_3d():
                              UniformDirections(3))
 
 
+def _ref_sample_positions(mu, rng, size):
+    """``evaluate._sample_positions`` with its inverse-cdf draw written out, as the
+    reference for the bits of the shared ``sample_pieces``."""
+    pts, w = evaluate._point_support(mu)
+    table = mu.segment_table
+    weights = np.concatenate([w, table.denss * table.lengths])
+    cum = np.cumsum(weights)
+    u = rng.random(size) * cum[-1]
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    frac = (u - (cum[idx] - weights[idx])) / weights[idx]
+    out = np.empty((size, mu.dim))
+    point = idx < len(w)
+    out[point] = pts[idx[point]]
+    seg = ~point
+    p0s, p1s = table.p0s[idx[seg] - len(w)], table.p1s[idx[seg] - len(w)]
+    out[seg] = p0s + frac[seg, None] * (p1s - p0s)
+    return out
+
+
+SAMPLED_SUPPORTS = {
+    "atoms": {"atoms": [((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0), ((0.4, -2.2), 1.5)]},
+    "cells": {"cells": [(-1.0, -1.0, 0.0, 0.5, 2.0), (0.0, -1.0, 1.5, 0.5, 0.7)]},
+    "segments": {"segments": [((-1.0, 0.0), (1.0, 0.0), 1.0), ((0.0, -2.0), (0.5, 1.0), 3.0)]},
+}
+SAMPLED_SUPPORTS["all"] = {k: v for d in SAMPLED_SUPPORTS.values() for k, v in d.items()}
+
+
+@pytest.mark.parametrize("support", list(SAMPLED_SUPPORTS))
+def test_sampled_positions_keep_the_reference_bits(support):
+    mu = BaseMeasureND(2, **SAMPLED_SUPPORTS[support])
+    for seed in (0, 1, 2):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = evaluate._sample_positions(mu, rng, 3000)
+        assert got.tobytes() == _ref_sample_positions(mu, ref_rng, 3000).tobytes()
+        # and the stream is left where the reference leaves it
+        assert rng.random() == ref_rng.random()
+
+
 @pytest.mark.parametrize("case", ["doubling_box", "atoms_3d", "cloud_3d"])
 def test_position_pair_on_columns_matches_the_row_forms_bits(case):
     from busemetric.diagnostics import TAU_GRID
@@ -1706,6 +1756,18 @@ def test_fan_out_raises_the_first_error_in_query_order(fanned):
     stub = _StubBackend(fail={3, 5}, delay={3: 0.2})
     with pytest.raises(ValueError, match="query 3 failed"):
         list(evaluate.pair_many(stub, atom_measure([((2.0, 0.3), 1.0)]), *_queries(8)))
+
+
+def test_a_fanned_batch_closed_early_cancels_its_unstarted_calls(fanned):
+    # the cube audit stops reading at a cube without mass; the queries behind it
+    # must not run on.  Run to the end, the 12 calls take 0.6 s on two workers.
+    import time
+    stub = _StubBackend(delay=dict.fromkeys(range(12), 0.1))
+    answers = evaluate.pair_many(stub, atom_measure([((2.0, 0.3), 1.0)]), *_queries(12))
+    assert next(answers).mass == 0.0
+    answers.close()
+    time.sleep(1.5)
+    assert len(stub.threads) < 12
 
 
 def test_small_measures_are_asked_in_the_callers_thread(monkeypatch):

@@ -135,7 +135,14 @@ def _sampler(dim=2, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
     return SamplerMeasure(dim, _vertical_lines, bounding_lo=lo, bounding_hi=hi)
 
 
-# constructor arguments that once built a measure, each with the field its refusal names
+def _validate_counts(**counts):
+    nu = PositionDirection(BaseMeasureND(2, atoms=[((5.0, 5.0), 1.0), ((-4.0, 3.0), 1.0)]),
+                           UniformDirections(2))
+    return validate(nu, (-1.0, -1.0), (1.0, 1.0), **counts)
+
+
+# constructor and validate arguments that once built a measure or returned a report
+# (segment_count=0: ok=True with no segment checked), each with the field its refusal names
 BAD_CONSTRUCTIONS = {
     "cap_nan_axis_3d": ("axis", lambda: SymmetricCap([math.nan, 1.0, 0.0], 0.3)),
     "cap_inf_axis_3d": ("axis", lambda: SymmetricCap([math.inf, 1.0, 0.0], 0.3)),
@@ -150,6 +157,9 @@ BAD_CONSTRUCTIONS = {
     "sampler_short_corner": ("bounding_hi", lambda: _sampler(hi=(1.0,))),
     "sampler_3d_corner": ("bounding_lo", lambda: _sampler(lo=(-1.0, -1.0, -1.0))),
     "sampler_crossed_corners": ("bounding_lo", lambda: _sampler(lo=(2.0, -1.0))),
+    "validate_no_segments": ("segment_count", lambda: _validate_counts(segment_count=0)),
+    "validate_negative_points": ("point_count", lambda: _validate_counts(point_count=-1)),
+    "validate_fractional_points": ("point_count", lambda: _validate_counts(point_count=2.5)),
 }
 
 

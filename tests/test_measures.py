@@ -204,8 +204,6 @@ def test_affine_rank_and_scaling():
     assert tri.affine_rank() == 2
     scaled = tri.scaled(3.0)
     assert scaled.total_mass() == pytest.approx(3.0 * tri.total_mass(), rel=1e-14)
-    moved = tri.translated([5.0, -1.0])
-    assert np.allclose(moved.atom_points, tri.atom_points + [5.0, -1.0])
 
 
 def test_lebesgue_box_measure_grading():
