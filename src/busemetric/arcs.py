@@ -74,15 +74,14 @@ def _arc_overlaps(arc_lo, arc_hi, dens):
     return flat // glo[0].size, glo.ravel()[flat], ghi.ravel()[flat], dens[flat % len(dens), 2]
 
 
-def _mod_pi(a: np.ndarray) -> np.ndarray:
-    """``a % PI`` bit for bit for ``a`` in [-pi, 2 pi], by a shift of +pi, 0, -pi or
-    -2 pi picked by comparisons.
-
-    Subtracting pi or 2 pi from a value at least that large is exact there
-    (Sterbenz), as ``%`` is; adding pi to a negative value rounds once, as
-    ``%`` does; adding 0.0 maps -0.0 to +0.0, as ``%`` does.
+def _mod_pi(a: np.ndarray, period: float = PI) -> np.ndarray:
+    """``a % period`` bit for bit for ``a`` in [-2 period, 2 period], by a shift of
+    -2 to 2 periods picked by comparisons: subtracting one or two periods from a
+    value at least that large is exact (Sterbenz), as ``%`` is; adding one to a
+    negative value, or two below -period (``%`` adds one exactly, then one
+    more), rounds once as ``%`` does; adding 0.0 maps -0.0 to +0.0, as ``%`` does.
     """
-    return a + PI * ((a < 0.0).view(np.int8) - (a >= PI) - (a >= TWO_PI))
+    return a + period * ((a < 0.0).view(np.int8) + (a < -period) - (a >= period) - (a >= 2 * period))
 
 
 def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
@@ -105,36 +104,43 @@ def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
 
 
 def _pair_core(pts, w, pieces, x, y, *, taus=None, on_segment="error"):
+    """``pair_cloud_integrals`` on float arrays: per node, the hit arc is picked by
+    the side of pi/2 its width w1 and the subtended angle lie on, near a tie by
+    the closer width and the midpoint sign test, and integrated in closed form."""
     # coordinate columns: row 0 of c0 is x[0] - p[:, 0], row 1 is y[0] - p[:, 0]
     ends = np.stack([x, y])
     c0, c1 = ends[:, :1] - pts[:, 0], ends[:, 1:] - pts[:, 1]
     (dx0, dy0), (dx1, dy1) = c0, c1
     collinear = dx0 * dy1 - dx1 * dy0 == 0.0
+    dot = dx0 * dy0 + dx1 * dy1
     # a point on the closed segment, an endpoint included, is hit by every
     # line through it, oriented as for a point just inside the segment
-    between = collinear & (dx0 * dy0 + dx1 * dy1 <= 0.0)
+    between = collinear & (dot <= 0.0)
     if on_segment == "error" and np.any(between):
         raise DegenerateConfigurationError("atom lies on the closed query segment")
 
     px, py = _mod_pi(np.arctan2(c1, c0) + 0.5 * PI)
     w1 = _mod_pi(py - px)
-    w2 = PI - w1
-    # the hit arc's width equals the angle subtended by the segment, which
-    # identifies the candidate robustly even for extremely thin wedges; the
-    # midpoint sign test breaks ties at psi = pi/2 where widths coincide
-    r2 = c0 * c0 + c1 * c1
-    r = np.sqrt(np.where(r2 == 0.0, 1.0, r2))
-    (ux0, uy0), (ux1, uy1) = c0 / r, c1 / r
-    psi = 2.0 * np.arctan2(np.hypot(ux0 - uy0, ux1 - uy1), np.hypot(ux0 + uy0, ux1 + uy1))
-    use_first = np.abs(w1 - psi) <= np.abs(w2 - psi)
-    tie = np.flatnonzero(np.abs(psi - 0.5 * PI) < 1e-6)
-    if tie.size:
+    # The hit arc [px, px + w1) or its complement is as wide as the angle psi
+    # the segment subtends, and w1 is psi or pi - psi to about 1e-15: where
+    # |w1 - pi/2| >= 1e-5 the width nearer psi is w1 just when both lie on one
+    # side of pi/2, and psi < pi/2 just when dot > 0 (off by a few eps r_x r_y).
+    use_first = (w1 < 0.5 * PI) == (dot > 0.0)
+    near = np.flatnonzero(np.abs(w1 - 0.5 * PI) < 1e-5)
+    if near.size:
+        n0, n1 = c0[:, near], c1[:, near]
+        r2 = n0 * n0 + n1 * n1
+        r = np.sqrt(np.where(r2 == 0.0, 1.0, r2))
+        (ux0, uy0), (ux1, uy1) = n0 / r, n1 / r
+        psi = 2.0 * np.arctan2(np.hypot(ux0 - uy0, ux1 - uy1), np.hypot(ux0 + uy0, ux1 + uy1))
+        use_first[near] = np.abs(w1[near] - psi) <= np.abs((PI - w1[near]) - psi)
+        tie = near[np.abs(psi - 0.5 * PI) < 1e-6]
         mid = px[tie] + 0.5 * w1[tie]
         cmid, smid = np.cos(mid), np.sin(mid)
         use_first[tie] = ((cmid * dx0[tie] + smid * dx1[tie])
                           * (cmid * dy0[tie] + smid * dy1[tie])) <= 0.0
     lo = np.where(use_first, px, _mod_pi(px + w1))
-    width = np.where(use_first, w1, w2)
+    width = np.where(use_first, w1, PI - w1)
     width[collinear] = 0.0
     width[between] = PI
 
@@ -214,6 +220,8 @@ def box_corners(lo, hi) -> np.ndarray:
 def box_cloud_hits(points, pieces, box_lo, box_hi):
     """Direction mass of the hyperplanes through each position that hit an axis box.
 
+    The wedge spans the corner directions, (4, positions) columns in ``box_corners``
+    order, relative to the first; its own relative angle, +0.0, starts the min and max.
     Returns ``(ii, vals)``: one entry per nonempty (position, arc piece,
     density piece) overlap, in position order; the box mass of a weighted
     cloud is ``w[ii] @ vals``.
@@ -221,16 +229,16 @@ def box_cloud_hits(points, pieces, box_lo, box_hi):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
-    corners = box_corners(lo, hi)
-    inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+    # offsets to the edge lines; a rounded difference has the sign of the exact one
+    ox = np.subtract.outer((lo[0], hi[0]), pts[:, 0])
+    oy = np.subtract.outer((lo[1], hi[1]), pts[:, 1])
+    inside = (ox[0] <= 0.0) & (ox[1] >= 0.0) & (oy[0] <= 0.0) & (oy[1] >= 0.0)
 
-    d = corners[None, :, :] - pts[:, None, :]
-    theta = np.arctan2(d[:, :, 1], d[:, :, 0])
-    rel = (theta - theta[:, :1] + PI) % TWO_PI - PI
-    wedge_lo = theta[:, 0] + rel.min(axis=1)
-    wedge_width = rel.max(axis=1) - rel.min(axis=1)
-    n_lo = np.where(inside, 0.0, (wedge_lo + 0.5 * PI) % PI)
-    n_width = np.where(inside, PI, wedge_width)
+    theta = np.arctan2(oy[[0, 1, 0, 1]], ox[[0, 0, 1, 1]])
+    rel = _mod_pi(theta[1:] - theta[0] + PI, TWO_PI) - PI
+    rel_lo = rel.min(axis=0, initial=0.0)
+    n_lo = np.where(inside, 0.0, _mod_pi(theta[0] + rel_lo + 0.5 * PI))
+    n_width = np.where(inside, PI, rel.max(axis=0, initial=0.0) - rel_lo)
 
     ii, glo, ghi, rho = _arc_overlaps(n_lo, n_lo + n_width, np.asarray(pieces, dtype=float))
     return ii, rho * (ghi - glo)

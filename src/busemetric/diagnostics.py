@@ -62,7 +62,8 @@ class SamplingPlan:
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise ValueError("plan region must be a nonempty box")
         sr = self.scale_range
-        if not (np.ndim(sr) == 1 and len(sr) == 2 and 0.0 < sr[0] <= sr[1] < math.inf):
+        if not (np.ndim(sr) == 1 and len(sr) == 2 and np.asarray(sr).dtype.kind in "iuf"
+                and 0.0 < sr[0] <= sr[1] < math.inf):
             raise ValueError(f"scale_range must be two finite numbers with 0 < lo <= hi, got {sr}")
         object.__setattr__(self, "region_lo", tuple(float(v) for v in lo))
         object.__setattr__(self, "region_hi", tuple(float(v) for v in hi))

@@ -506,19 +506,24 @@ class MonteCarlo(Backend):
         normals = batch[1]
         px, py = normals @ x, normals @ y
         mass_i = _slab_mass(nu, batch, np.minimum(px, py), np.maximum(px, py))
-        vd = normals @ (delta / float(np.linalg.norm(delta)))
         m = len(mass_i)
-        mass, mass_se = _sum_with_se(mass_i)
-        trans, trans_se = _sum_with_se(mass_i * np.abs(vd))
-        # row sums in order from +0.0, to which a missed sample's row adds an exact +-0.0
         carry = mass_i != 0.0
         hit = slice(None) if carry.all() else np.flatnonzero(carry)
-        emb_i = (mass_i[hit] * np.sign(vd[hit]))[:, None] * normals[hit]
+        # vd on the hit rows alone (a row's product is the same in a gathered
+        # matrix): a missed sample's mass_i * |vd| is its own zero mass
+        vd = normals[hit] @ (delta / float(np.linalg.norm(delta)))
+        trans_i = mass_i.copy()
+        trans_i[hit] *= np.abs(vd)
+        mass, mass_se = _sum_with_se(mass_i)
+        trans, trans_se = _sum_with_se(trans_i)
+        # row sums in order from +0.0, to which a missed sample's row adds an exact +-0.0
+        emb_i = (mass_i[hit] * np.sign(vd))[:, None] * normals[hit]
         emb = np.einsum("ij->j", emb_i)
         emb_se = _standard_error(emb, np.einsum("ij,ij->j", emb_i, emb_i), m, m)
         angle = angle_se = None
         if taus is not None:
-            avd, sin_t = np.abs(vd), np.sin(taus)
+            avd, sin_t = np.zeros(m), np.sin(taus)
+            avd[hit] = np.abs(vd)     # a missed sample's row is zero whatever its |vd|
             if len(taus) >= 2:
                 angle, angle_sq = _angle_sums(mass_i, avd, sin_t, hit)
             else:

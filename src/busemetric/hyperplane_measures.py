@@ -160,6 +160,7 @@ def validate(nu: HyperplaneMeasure, region_lo, region_hi, *, point_count: int = 
 
     point_count = require_int("point_count", point_count, 1)
     segment_count = require_int("segment_count", segment_count, 1)
+    seed = require_int("seed", seed, 0)
     lo = np.asarray(region_lo, dtype=float)
     hi = np.asarray(region_hi, dtype=float)
     if np.any(hi <= lo):

@@ -416,8 +416,25 @@ def test_pair_core_tie_collinear_and_between_nodes_match_dense_reference_bits():
     ring = 0.5 * np.column_stack([np.cos(angles), np.sin(angles)])
     special = np.array([[0.0, 1.0], [0.0, -1.0], [3.0, 0.0], [-2.0, 0.0],
                         [0.25, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-    points = np.concatenate([special, ring])
+    # nodes off the circle on [x, y] by 1e-7 to 1e-4, so psi is near pi/2 and
+    # some lie in the shell 1e-6 < |psi - pi/2| < 1e-5 that takes the width
+    # rule without the midpoint test; and far nodes, whose w1 is near 0 or wraps to near pi
+    shell = np.outer(1.0 + np.r_[-1.0, 1.0][:, None] * np.geomspace(1e-7, 1e-4, 9),
+                     np.ones(2)).reshape(-1, 1, 2)
+    turns = rng.uniform(0.1, math.pi - 0.1, 3)
+    turns = np.column_stack([np.cos(turns), np.sin(turns)])
+    shell = (shell * np.concatenate([turns, -turns])).reshape(-1, 2)
+    far = np.geomspace(1e4, 1e9, 12)[:, None] * np.column_stack([np.cos(angles[:12]),
+                                                                 np.sin(angles[:12])])
+    points = np.concatenate([special, ring, shell, far])
     weights = rng.uniform(0.5, 2.0, len(points))
+    dx, dy = np.array([-1.0, 0.0]) - shell, np.array([1.0, 0.0]) - shell
+    off = np.abs(np.arccos(np.einsum("ij,ij->i", dx, dy) / np.hypot(*dx.T) / np.hypot(*dy.T))
+                 - 0.5 * math.pi)
+    assert np.any((off > 1e-6) & (off < 1e-5)) and np.any(off < 1e-6) and np.any(off > 1e-5)
+    dx, dy = np.array([-1.0, 0.0]) - far, np.array([1.0, 0.0]) - far
+    w1 = (np.arctan2(dy[:, 1], dy[:, 0]) - np.arctan2(dx[:, 1], dx[:, 0])) % math.pi
+    assert np.any(w1 > math.pi - 1e-3) and np.any(w1 < 1e-3)
     for x, y in (([-1.0, 0.0], [1.0, 0.0]), ([1.0, 0.0], [-1.0, 0.0])):
         for taus in (None, [0.4], np.linspace(0.0, 3.0, 7)):
             _assert_core_bits(points, weights, pieces, x, y, taus)
@@ -448,6 +465,14 @@ def test_mod_pi_matches_the_remainder_bits():
     a = np.r_[np.arctan2(*rng.normal(size=(2, 10**6))), np.arctan2(axes[:, 1], axes[:, 0])]
     a += 0.5 * PI
     assert arcs._mod_pi(a).tobytes() == (a % PI).tobytes()
+    # the box kernel takes % 2 pi of values in [-pi, 3 pi] and % pi of values in
+    # [-1.5 pi, 1.5 pi]: the shift covers [-2 period, 2 period] for both periods
+    for period in (PI, 2.0 * PI):
+        marks = [0.5 * k * period for k in range(-4, 5)] + [-0.0]
+        near = [np.nextafter(v, side) for v in marks for side in (-np.inf, np.inf)]
+        a = np.r_[marks, near, rng.uniform(-2.0 * period, 2.0 * period, 10**6)]
+        a = a[np.abs(a) <= 2.0 * period]
+        assert arcs._mod_pi(a, period).tobytes() == (a % period).tobytes()
 
 
 def test_arc_overlaps_match_dense_reference_bits():
@@ -461,3 +486,59 @@ def test_arc_overlaps_match_dense_reference_bits():
     ref = _ref_arc_overlaps(lo, lo + width, dens)
     assert np.any(lo + width > math.pi)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+
+# ---------------------------------------------------------------------------
+# the box kernel in its dense form: (positions, corners, 2) offsets, ``%`` and
+# min/max over the corner axis
+# ---------------------------------------------------------------------------
+
+def _ref_box_cloud_hits(points, pieces, lo, hi):
+    PI = math.pi
+    inside = np.all((points >= lo) & (points <= hi), axis=1)
+    d = arcs.box_corners(lo, hi)[None, :, :] - points[:, None, :]
+    theta = np.arctan2(d[:, :, 1], d[:, :, 0])
+    rel = (theta - theta[:, :1] + PI) % (2.0 * PI) - PI
+    wedge_lo = theta[:, 0] + rel.min(axis=1)
+    n_lo = np.where(inside, 0.0, (wedge_lo + 0.5 * PI) % PI)
+    n_width = np.where(inside, PI, rel.max(axis=1) - rel.min(axis=1))
+    ii, glo, ghi, rho = _ref_arc_overlaps(n_lo, n_lo + n_width, np.asarray(pieces, dtype=float))
+    return ii, rho * (ghi - glo)
+
+
+def _assert_box_bits(points, pieces, lo, hi):
+    got = arcs.box_cloud_hits(points, pieces, lo, hi)
+    ref = _ref_box_cloud_hits(points, pieces, np.asarray(lo), np.asarray(hi))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+
+@pytest.mark.parametrize("name", ["ba_inv_sqrt", "degenerate_caps_02", "doubling_box"])
+def test_box_cloud_hits_match_dense_reference_bits(name):
+    # the cube audit's boxes, over the cloud each query integrates
+    from busemetric.evaluate import _point_support
+    nu, plan = _scenario(name)
+    pieces = nu.omega.arc_pieces()
+    for q in diagnostics._sample_cubes(plan, diagnostics._streams(plan)[2]):
+        lo, hi = q.center - 0.5 * q.edge, q.center + 0.5 * q.edge
+        points = _point_support(nu.mu)[0]
+        if not len(points):
+            points = arcs.segment_box_nodes(nu.mu.segment_table, pieces, lo, hi)[0]
+        _assert_box_bits(points, pieces, lo, hi)
+
+
+def test_box_cloud_hits_on_corners_edges_and_edge_lines_match_dense_reference_bits():
+    # nodes at the corners, on the edges and inside, and nodes on an edge line
+    # or an ulp off it, where a corner's direction is at angle +0, pi or near
+    # -pi; boxes flat in one axis or both too
+    pieces = ArcDensity2D([(0.2, 1.0, 1.5), (1.3, 2.9, 0.5), (3.0, math.pi, 2.0)]).pieces
+    for lo, hi in (((-1.0, -0.5), (1.0, 0.5)), ((0.3, -0.2), (0.3, 0.7)),
+                   ((0.25, 0.25), (0.25, 0.25)), ((-2.0, 1e-9), (3.0, 2e-9))):
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        axes = []
+        for k in range(2):
+            ends = [v for v in (lo[k], hi[k]) for v in (np.nextafter(v, -np.inf), v,
+                                                         np.nextafter(v, np.inf))]
+            axes.append(np.r_[ends, 0.5 * (lo[k] + hi[k]), lo[k] - 3.0, hi[k] + 2.0, -1e6, 1e6])
+        points = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, 2)
+        for omega in (pieces, np.array([[0.0, math.pi, 1.0]])):
+            _assert_box_bits(points, omega, lo, hi)

@@ -315,8 +315,10 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         SamplingPlan(region_lo=(0.0, 0.0), region_hi=(0.0, 1.0))
     # (0.05, inf) once overflowed the length sampler mid-run, a third or a
-    # missing entry broke its unpacking, and a bare number raised a TypeError
-    for bad in ((0.0, 1.0), (0.05, math.inf), (0.05, 0.5, 0.7), (0.1,), 5):
+    # missing entry broke its unpacking, and a bare number or an entry that is
+    # not a number raised a TypeError
+    for bad in ((0.0, 1.0), (0.05, math.inf), (0.05, 0.5, 0.7), (0.1,), 5, (0.05, "a"),
+                (None, 0.5)):
         with pytest.raises(ValueError, match="scale_range"):
             SamplingPlan(region_lo=(0.0, 0.0), region_hi=(1.0, 1.0), scale_range=bad)
     # an empty pool makes its audit pass on an infinite extremum, and a

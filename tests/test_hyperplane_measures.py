@@ -160,6 +160,7 @@ BAD_CONSTRUCTIONS = {
     "validate_no_segments": ("segment_count", lambda: _validate_counts(segment_count=0)),
     "validate_negative_points": ("point_count", lambda: _validate_counts(point_count=-1)),
     "validate_fractional_points": ("point_count", lambda: _validate_counts(point_count=2.5)),
+    "validate_negative_seed": ("seed", lambda: _validate_counts(seed=-1)),
 }
 
 
