@@ -10,6 +10,7 @@ audit failure (report still written), 1 on configuration or build errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -192,10 +193,8 @@ def _pick_backend(nu, cfg: dict):
 def _plan_from_config(cfg: dict) -> SamplingPlan:
     plan = cfg["plan"]
     region = plan["region"]
-    kwargs = {}
-    for key in ("pair_count", "cycle_count", "cube_count", "triple_count"):
-        if key in plan:
-            kwargs[key] = plan[key]
+    kwargs = {key: plan[key] for key in ("pair_count", "cycle_count", "cube_count",
+                                          "triple_count") if key in plan}
     if "scale_range" in plan:
         kwargs["scale_range"] = tuple(float(v) for v in plan["scale_range"])
     return SamplingPlan(region_lo=tuple(region[0]), region_hi=tuple(region[1]),
@@ -216,19 +215,40 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_error_report(cfg: dict, args, message: str) -> None:
+def _out_path(args, path: str) -> str:
+    """``path`` under the ``--out`` directory, when one is given."""
+    return os.path.join(args.out, path) if args.out else path
+
+
+def _output_paths(cfg: dict, args) -> dict:
+    """The files ``run`` writes, by the key that names each; refused when two share a file."""
+    outputs = cfg.get("outputs", {})
+    report = _out_path(args, outputs.get("report", "report.txt"))
+    paths = {"outputs.report": report}
+    if args.format == "json":
+        paths["--format json copy"] = os.path.splitext(report)[0] + ".json"
+    if "grid" in outputs:
+        paths["outputs.grid.path"] = _out_path(args, outputs["grid"]["path"])
+    seen = {}
+    for key, path in paths.items():
+        other = seen.setdefault(os.path.realpath(path), key)
+        if other != key:
+            raise ConfigError(f"'{key}' names the same file as '{other}': {path}")
+    return paths
+
+
+def _write_error_report(cfg: dict, path: str, message: str) -> None:
     payload = {"scenario": cfg["scenario"], "seed": cfg["seed"], "error": message}
     text = "\n".join([f"error: {message}", JSON_MARKER,
                       json.dumps(payload, sort_keys=True, separators=(",", ":")), ""])
-    path = cfg.get("outputs", {}).get("report", "report.txt")
-    if args.out:
-        path = os.path.join(args.out, path)
     _atomic_write(path, text)
 
 
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
+        paths = _output_paths(cfg, args)
+        report_path = paths["outputs.report"]
         scenario = build_scenario(cfg["scenario"], cfg["seed"])
         _check_box(cfg["plan"]["region"], "plan.region", scenario)
         plan = _plan_from_config(cfg)
@@ -251,7 +271,7 @@ def cmd_run(args) -> int:
                                  expectations=cfg.get("expect"))
     except (ValueError, DegenerateConfigurationError) as exc:
         # the scenario did build, so a report is still owed to the caller
-        _write_error_report(cfg, args, str(exc))
+        _write_error_report(cfg, report_path, str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -276,26 +296,18 @@ def cmd_run(args) -> int:
         "",
     ])
 
-    outputs = cfg.get("outputs", {})
-    report_path = outputs.get("report", "report.txt")
-    if args.out:
-        report_path = os.path.join(args.out, report_path)
     _atomic_write(report_path, text)
     if args.format == "json":
-        _atomic_write(os.path.splitext(report_path)[0] + ".json", json_block + "\n")
+        _atomic_write(paths["--format json copy"], json_block + "\n")
 
-    if "grid" in outputs:
-        gspec = outputs["grid"]
+    if grid is not None:
         try:
-            window = gspec["window"]
-            image = scenarios.grid_export(scenario, gspec["resolution"],
-                                          window[0], window[1], backend=backend)
+            image = scenarios.grid_export(scenario, grid["resolution"],
+                                          grid["window"][0], grid["window"][1], backend=backend)
         except (ValueError, DegenerateConfigurationError) as exc:
             print(f"error: grid export failed: {exc}", file=sys.stderr)
             return 1
-        grid_path = gspec["path"]
-        if args.out:
-            grid_path = os.path.join(args.out, grid_path)
+        grid_path = paths["outputs.grid.path"]
         os.makedirs(os.path.dirname(os.path.abspath(grid_path)) or ".", exist_ok=True)
         image.to_csv(grid_path)
 
@@ -318,8 +330,7 @@ def cmd_eval(args) -> int:
         backend = _pick_backend(scenario.measure, cfg)
         lines = []
         if args.pair:
-            x = _parse_point(args.pair[0])
-            y = _parse_point(args.pair[1])
+            x, y = map(_parse_point, args.pair)
             res = evaluate.pair_integrals(scenario.measure, x, y, backend=backend)
             lines.append({
                 "query": "pair", "x": x.tolist(), "y": y.tolist(),
@@ -350,24 +361,11 @@ def cmd_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     try:
         result = evaluate.calibrate_embedding_constant(args.dim, args.budget, args.seed)
-    except evaluate.CalibrationError as exc:
+    except (evaluate.CalibrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    payload = {
-        "dim": result.dim,
-        "value": result.value,
-        "half_width": result.half_width,
-        "provenance": result.provenance,
-        "budget": result.budget,
-        "seed": result.seed,
-        "per_distance": [list(row) for row in result.per_distance],
-        "warning": result.warning,
-    }
+        return 2 if isinstance(exc, evaluate.CalibrationError) else 1
     path = os.path.join(args.out or ".", f"kernel_constant_dim{args.dim}.json")
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, json.dumps(dataclasses.asdict(result), sort_keys=True, indent=2) + "\n")
     print(f"calibration written to {path}")
     return 0
 

@@ -465,15 +465,12 @@ class MonteCarlo(Backend):
     # -- batch construction -------------------------------------------------
 
     def _batch(self, nu):
-        """The measure's cached batch, one of two kinds.
-
-        ``("hits", normals, offsets, weight)``: sampled hyperplanes, each
-        counted with its weight when it separates the query (positions are
-        reduced to their offsets <a, v> at build time).  ``("offset",
-        normals, base)``: sampled normals, with the offset coordinate
-        integrated analytically.  The cache holds the measure with its
-        batch, so its ``id`` stays unique while the entry lives.
-        """
+        """The measure's cached batch ``(normals, slab)``: sampled normals, and
+        ``slab(lo, hi)``, each sample's mass in the slab of offsets [lo, hi] along its
+        normal.  Sampled hyperplanes count with their weight (positions reduced to
+        offsets <a, v> at build time); an offset-direction batch integrates the offset
+        analytically.  The cache holds the measure with its batch, so its ``id`` stays
+        unique while the entry lives."""
         with self._lock:
             key = id(nu)
             if key in self._batches:
@@ -481,31 +478,36 @@ class MonteCarlo(Backend):
                 return self._batches[key][1]
             rng = np.random.default_rng(self.seed)
             m = self.budget
-            if isinstance(nu, PositionDirection):
-                pts = _sample_positions(nu.mu, rng, m)
-                normals = nu.omega.sample_normals(rng, m)
-                weight = nu.mu.total_mass() * nu.omega.total_mass() / m
-                batch = ("hits", normals, np.einsum("ij,ij->i", pts, normals), weight)
-            elif isinstance(nu, OffsetDirection):
+            if isinstance(nu, OffsetDirection):
                 normals = nu.omega.sample_normals(rng, m)
                 base = nu.omega.total_mass() / m
-                batch = ("offset", normals, base)
+
+                def slab(lo, hi):
+                    return base * nu.offsets.mass_many(lo, hi)
             else:
-                normals, offsets, weights = nu.sample(rng, m)
-                batch = ("hits", normals, offsets, weights / m)
-            self._batches[key] = (nu, batch)
+                if isinstance(nu, PositionDirection):
+                    pts = _sample_positions(nu.mu, rng, m)
+                    normals = nu.omega.sample_normals(rng, m)
+                    weight = nu.mu.total_mass() * nu.omega.total_mass() / m
+                    offsets = np.einsum("ij,ij->i", pts, normals)
+                else:
+                    normals, offsets, weights = nu.sample(rng, m)
+                    weight = weights / m
+
+                def slab(lo, hi):
+                    return weight * ((offsets >= lo) & (offsets <= hi))
+            self._batches[key] = (nu, (normals, slab))
             if len(self._batches) > BATCH_CACHE_SIZE:
                 self._batches.popitem(last=False)
-            return batch
+            return normals, slab
 
     # -- queries -------------------------------------------------------------
 
     def _pair(self, nu, x, y, taus):
         delta = x - y
-        batch = self._batch(nu)
-        normals = batch[1]
+        normals, slab = self._batch(nu)
         px, py = normals @ x, normals @ y
-        mass_i = _slab_mass(nu, batch, np.minimum(px, py), np.maximum(px, py))
+        mass_i = slab(np.minimum(px, py), np.maximum(px, py))
         m = len(mass_i)
         carry = mass_i != 0.0
         hit = slice(None) if carry.all() else np.flatnonzero(carry)
@@ -558,9 +560,10 @@ class MonteCarlo(Backend):
             return out[:, 0], out[:, 1]
         for x, y in zip(xs, ys):
             self._segment(nu, x, y)
-        _, normals, base = self._batch(nu)
+        normals, _ = self._batch(nu)
         m = len(normals)
-        scale = base * m * rho     # omega total mass times the offset density
+        # omega total mass times the offset density, in the batch's operations
+        scale = nu.omega.total_mass() / m * m * rho
         buf = np.empty(m)
         vals = np.empty(len(xs))
         ses = np.empty(len(xs))
@@ -574,10 +577,10 @@ class MonteCarlo(Backend):
     def _box_mass(self, nu, lo, hi) -> RegionMass:
         center = 0.5 * (lo + hi)
         halfs = 0.5 * (hi - lo)
-        batch = self._batch(nu)
-        reach = np.abs(batch[1]) @ halfs
-        mid = batch[1] @ center
-        return RegionMass(*_sum_with_se(_slab_mass(nu, batch, mid - reach, mid + reach)))
+        normals, slab = self._batch(nu)
+        reach = np.abs(normals) @ halfs
+        mid = normals @ center
+        return RegionMass(*_sum_with_se(slab(mid - reach, mid + reach)))
 
 
 def _angle_sums(mass_i, avd, sin_t, hit):
@@ -590,15 +593,6 @@ def _angle_sums(mass_i, avd, sin_t, hit):
         np.greater_equal(a[start:stop, None], sin_t, out=out)
 
     return arcs.threshold_sums([w, w * w], sin_t, fill)
-
-
-def _slab_mass(nu, batch, lo, hi) -> np.ndarray:
-    """Per-sample mass of the batch's hyperplanes with offset in [lo, hi] along each
-    sampled normal: counted hits, or the offset measure of the slab."""
-    if batch[0] == "hits":
-        _, _, offsets, weight = batch
-        return weight * ((offsets >= lo) & (offsets <= hi))
-    return batch[2] * nu.offsets.mass_many(lo, hi)
 
 
 def _sample_positions(mu, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -786,9 +780,7 @@ def calibrate_embedding_constant(n: int, budget: int, seed: int) -> EmbeddingCon
     for dist in CALIBRATION_DISTANCES:
         xhat = np.zeros(n)
         xhat[0] = 1.0
-        total = 0.0
-        total_sq = 0.0
-        count = 0
+        total = total_sq = 0.0
         remaining = per
         while remaining > 0:
             m = min(CALIBRATION_CHUNK, remaining)
@@ -807,10 +799,9 @@ def calibrate_embedding_constant(n: int, budget: int, seed: int) -> EmbeddingCon
             vals = np.where(hit, np.sign(av) * (v @ xhat), 0.0)
             total += float(np.sum(vals))
             total_sq += float(np.sum(vals * vals))
-            count += m
-        mean = total / count
-        var = max(total_sq / count - mean * mean, 0.0)
-        se = math.sqrt(var / count)
+        mean = total / per
+        var = max(total_sq / per - mean * mean, 0.0)
+        se = math.sqrt(var / per)
         results.append((float(dist), mean, se))
     for (d1, v1, se1), (d2, v2, se2) in itertools.combinations(results, 2):
         gap = abs(v1 - v2)

@@ -47,6 +47,13 @@ def require_int(key: str, value, least: int) -> int:
     return int(value)
 
 
+def require_positive(key: str, value):
+    """``value``, refused unless it is finite and positive."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{key} must be finite and positive, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Cube:
     """Axis-aligned cube given by center and edge length."""

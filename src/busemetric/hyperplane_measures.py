@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .directions import DirectionMeasure
-from .geometry import UNIT_NORM_TOL, require_int
+from .geometry import UNIT_NORM_TOL, as_point, require_int
 from .measures import BaseMeasure1D, BaseMeasureND
 
 
@@ -138,8 +138,11 @@ class ValidationReport:
     min_segment_mass: float
     min_segment_witness: tuple   # (x, y)
     region_mass: float
-    ok: bool
-    notes: str
+    notes = "statistical detection on finite samples; 'ok' means no violation found"
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations()
 
     def violations(self) -> list[str]:
         out = []
@@ -161,8 +164,7 @@ def validate(nu: HyperplaneMeasure, region_lo, region_hi, *, point_count: int = 
     point_count = require_int("point_count", point_count, 1)
     segment_count = require_int("segment_count", segment_count, 1)
     seed = require_int("seed", seed, 0)
-    lo = np.asarray(region_lo, dtype=float)
-    hi = np.asarray(region_hi, dtype=float)
+    lo, hi = as_point(region_lo, nu.dim), as_point(region_hi, nu.dim)
     if np.any(hi <= lo):
         raise ValueError("validation region must be a nonempty box")
     rng = np.random.default_rng(seed)
@@ -187,14 +189,11 @@ def validate(nu: HyperplaneMeasure, region_lo, region_hi, *, point_count: int = 
             min_mass, witness = p.mass, (tuple(a.tolist()), tuple(b.tolist()))
 
     region_mass = evaluate.box_mass(nu, lo, hi, backend=backend)
-    ok = all(not f for _, _, f in point_masses) and min_mass > 0.0 and math.isfinite(region_mass)
     return ValidationReport(
         point_masses=tuple(point_masses),
         min_segment_mass=float(min_mass),
         min_segment_witness=witness,
         region_mass=float(region_mass),
-        ok=ok,
-        notes="statistical detection on finite samples; 'ok' means no violation found",
     )
 
 

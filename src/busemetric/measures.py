@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arcs import SegmentTable, _gl, segment_table
-from .geometry import DegenerateConfigurationError
+from .geometry import DegenerateConfigurationError, as_point, require_int
 
 
 def _check_atoms(positions: np.ndarray, weights: np.ndarray) -> None:
@@ -145,8 +145,8 @@ class BaseMeasureND:
     segment_table: SegmentTable = field(default=None, repr=False, compare=False)
 
     def __init__(self, dim: int, atoms=(), cells=(), segments=(), gauss_order: int = 4):
-        if dim < 2:
-            raise ValueError("dimension must be >= 2")
+        dim = require_int("dim", dim, 2)
+        gauss_order = require_int("gauss_order", gauss_order, 1)
         apts = np.asarray([a[0] for a in atoms], dtype=float).reshape(-1, dim)
         awts = np.asarray([a[1] for a in atoms], dtype=float)
         _check_atoms(apts, awts)
@@ -191,7 +191,7 @@ class BaseMeasureND:
         object.__setattr__(self, "node_points", node_p)
         object.__setattr__(self, "node_weights", node_w)
         object.__setattr__(self, "segments", tuple(segs))
-        object.__setattr__(self, "gauss_order", int(gauss_order))
+        object.__setattr__(self, "gauss_order", gauss_order)
         object.__setattr__(self, "segment_table", segment_table(segs, dim))
 
     @staticmethod
@@ -343,8 +343,8 @@ def doubling_ratio(m: BaseMeasureND, region_lo, region_hi, *, count: int = 64,
     Samples with zero inner mass are skipped (the 0/0 convention); raises if
     every sample degenerates.
     """
-    lo = np.asarray(region_lo, dtype=float)
-    hi = np.asarray(region_hi, dtype=float)
+    lo, hi = as_point(region_lo, m.dim), as_point(region_hi, m.dim)
+    count = require_int("count", count, 1)
     rng = np.random.default_rng(seed)
     rmin, rmax = radius_range
     if not 0 < rmin <= rmax:

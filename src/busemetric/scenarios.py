@@ -17,6 +17,7 @@ import numpy as np
 from . import evaluate
 from .directions import (ArcDensity2D, SymmetricCap, UniformDirections, abs_moment,
                          wrap_interval)
+from .geometry import as_point, require_int, require_positive
 from .hyperplane_measures import HyperplaneMeasure, OffsetDirection, PositionDirection, validate
 from .measures import BaseMeasure1D, BaseMeasureND, doubling_ratio, tail1_check
 
@@ -28,7 +29,6 @@ class Scenario:
     """A measure with its domain, basepoint and declared expectations."""
 
     name: str
-    dim: int
     domain_lo: np.ndarray
     domain_hi: np.ndarray
     measure: HyperplaneMeasure
@@ -48,6 +48,10 @@ class Scenario:
         object.__setattr__(self, "domain_lo", lo)
         object.__setattr__(self, "domain_hi", hi)
         object.__setattr__(self, "basepoint", o)
+
+    @property
+    def dim(self) -> int:
+        return self.measure.dim
 
     def backend(self):
         return evaluate.default_backend(self.measure)
@@ -72,14 +76,13 @@ def crofton(n: int, *, half_extent: float = 5.0) -> Scenario:
     domain; the metric is (2/pi)|x - y| for n = 2 and the embedding is
     (x - o)/n.
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    n = require_int("dimension", n, 2)
+    require_positive("half_extent", half_extent)
     span = 2.0 * half_extent * math.sqrt(n)
     nu = OffsetDirection(UniformDirections(n), BaseMeasure1D.lebesgue(-span, span, 1.0))
     lo = -half_extent * np.ones(n)
     return Scenario(
         name=f"crofton{n}",
-        dim=n,
         domain_lo=lo,
         domain_hi=-lo,
         measure=nu,
@@ -101,7 +104,8 @@ def lebesgue_box_measure(dim: int, *, inner_half: float, levels: int = 6,
     doubles the cell size, so far mass is represented coarsely and the
     window-scale mass finely.
     """
-    cell = cell if cell is not None else inner_half / 4.0
+    require_positive("inner_half", inner_half)
+    cell = require_positive("cell", cell if cell is not None else inner_half / 4.0)
     m = round(inner_half / cell)
     if m < 1 or abs(m * cell - inner_half) > 1e-12 * inner_half:
         raise ValueError("inner_half must be an integer multiple of the cell size")
@@ -119,7 +123,7 @@ def lebesgue_box_measure(dim: int, *, inner_half: float, levels: int = 6,
 
     add_grid(inner_half, cell, None)
     h, size = inner_half, cell
-    for _ in range(levels):
+    for _ in range(require_int("levels", levels, 0)):
         h, size = 2.0 * h, 2.0 * size
         add_grid(h, size, skip_half=0.5 * h)
     return BaseMeasureND(dim, cells=cells, gauss_order=gauss_order)
@@ -140,8 +144,7 @@ def doubling_pushforward(mu: BaseMeasureND, *, window_lo, window_hi,
         raise ValueError(f"inverse-distance integral {t1:g} must be finite and positive")
     if mu.affine_rank() < 2:
         raise ValueError("support of the base measure is contained in a line")
-    lo = np.asarray(window_lo, dtype=float)
-    hi = np.asarray(window_hi, dtype=float)
+    lo, hi = as_point(window_lo, mu.dim), as_point(window_hi, mu.dim)
     try:
         ratio = doubling_ratio(mu, lo, hi, seed=seed)
         transverse = math.isfinite(ratio)
@@ -153,7 +156,6 @@ def doubling_pushforward(mu: BaseMeasureND, *, window_lo, window_hi,
     o = np.asarray(basepoint, dtype=float) if basepoint is not None else 0.5 * (lo + hi)
     return Scenario(
         name=name,
-        dim=mu.dim,
         domain_lo=lo,
         domain_hi=hi,
         measure=nu,
@@ -197,7 +199,6 @@ def beurling_ahlfors(mu1d: BaseMeasure1D, *, cap_half_angle: float = PI / 6.0,
     hi = np.array([x_hi, height])
     return Scenario(
         name=name,
-        dim=2,
         domain_lo=lo,
         domain_hi=hi,
         measure=nu,
@@ -209,7 +210,8 @@ def beurling_ahlfors(mu1d: BaseMeasure1D, *, cap_half_angle: float = PI / 6.0,
 
 def inv_sqrt_density(*, pieces: int = 1024, support: float = 1.0) -> BaseMeasure1D:
     """Staircase approximation of the density |x|^(-1/2) on (0, support]."""
-    edges = np.linspace(0.0, support, pieces + 1)
+    pieces = require_int("pieces", pieces, 1)
+    edges = np.linspace(0.0, require_positive("support", support), pieces + 1)
     rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         # exact average of the density over the piece keeps interval masses honest
@@ -230,6 +232,7 @@ def degenerate_caps(theta0: float, *, window_half: float = 0.4, levels: int = 6,
     """
     if not 0.0 < theta0 <= 0.5 * PI:
         raise ValueError("cap half angle must lie in (0, pi/2]")
+    require_positive("window_half", window_half)
     pieces = []
     for center in (0.0, 0.5 * PI):
         pieces.extend((lo, hi, 1.0) for lo, hi in wrap_interval(center - theta0, 2.0 * theta0))
@@ -239,7 +242,6 @@ def degenerate_caps(theta0: float, *, window_half: float = 0.4, levels: int = 6,
     lo = -window_half * np.ones(2)
     return Scenario(
         name=name or f"degenerate_caps_{theta0:g}",
-        dim=2,
         domain_lo=lo,
         domain_hi=-lo,
         measure=nu,
@@ -299,7 +301,7 @@ class GridImage:
 def grid_export(scenario: Scenario, resolution: int, window_lo, window_hi, *,
                 backend=None) -> GridImage:
     """Evaluate the embedding on a lattice; any degenerate or non-finite node fails."""
-    lo, hi = evaluate.as_point(window_lo, scenario.dim), evaluate.as_point(window_hi, scenario.dim)
+    lo, hi = as_point(window_lo, scenario.dim), as_point(window_hi, scenario.dim)
     if np.any(lo < scenario.domain_lo) or np.any(hi > scenario.domain_hi):
         raise ValueError("export window must lie inside the scenario domain")
     if resolution < 2:

@@ -9,6 +9,7 @@ import pytest
 
 from busemetric.cli import (JSON_MARKER, ConfigError, _pick_backend, _plan_from_config,
                             build_scenario, load_config, main)
+from busemetric.evaluate import calibrate_embedding_constant
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -170,6 +171,31 @@ def test_calibrate_tiny_budget_warns_but_succeeds(tmp_path):
                  "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "kernel_constant_dim2.json").read_text())
     assert payload["warning"] is True
+
+
+def _hand_built_payload(result):
+    """The calibration file's payload as the CLI once spelled it out, field by field."""
+    return {
+        "dim": result.dim,
+        "value": result.value,
+        "half_width": result.half_width,
+        "provenance": result.provenance,
+        "budget": result.budget,
+        "seed": result.seed,
+        "per_distance": [list(row) for row in result.per_distance],
+        "warning": result.warning,
+    }
+
+
+@pytest.mark.parametrize("dim, budget, seed", [(2, 6000, 5), (3, 40, 9)])
+def test_calibrate_file_keeps_the_hand_built_bytes(tmp_path, dim, budget, seed):
+    # the file is now the result's fields as they stand; its bytes stay those of
+    # the hand-built payload it replaced
+    assert main(["calibrate", "--dim", str(dim), "--budget", str(budget), "--seed", str(seed),
+                 "--out", str(tmp_path)]) == 0
+    result = calibrate_embedding_constant(dim, budget, seed)
+    want = json.dumps(_hand_built_payload(result), sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / f"kernel_constant_dim{dim}.json").read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("budget", ["0", "-5", "2"])
@@ -351,3 +377,36 @@ def test_run_takes_a_named_backend(name, backend):
 def test_run_refuses_a_backend_that_does_not_support_the_measure(name, backend):
     with pytest.raises(ConfigError, match=f"backend '{backend}' does not support"):
         _built(name, {"name": backend})
+
+
+def _bundled(name, **scenario):
+    cfg = json.loads((SRC_DIR.parent / "configs" / f"{name}.json").read_text())
+    cfg["scenario"].update(scenario)
+    return cfg
+
+
+@pytest.mark.parametrize("key, cfg", [
+    ("cell", _bundled("doubling_box", cell=0)),
+    ("inner_half", _bundled("doubling_box", inner_half=0)),
+    ("window_half", _bundled("degenerate_caps_02", window_half=0)),
+])
+def test_run_refuses_a_zero_box_size_by_name(tmp_path, capsys, key, cfg):
+    # each of these once divided by zero while building the box measure, and
+    # the run ended in a traceback
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {key} must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, outputs, fmt", [
+    ("--format json copy", {"report": "r.json"}, "json"),
+    ("outputs.grid.path", {"report": "r.txt", "grid": {
+        "path": "./r.txt", "resolution": 3, "window": [[-0.3, -0.3], [0.3, 0.3]]}}, "csv"),
+])
+def test_run_refuses_outputs_that_share_a_file(tmp_path, capsys, key, outputs, fmt):
+    # the later write once replaced the report, and the run still exited 0
+    path = write_config(tmp_path, {**BASE_CONFIG, "plan": SMALL_PLAN, "outputs": outputs})
+    assert main(["run", path, "--out", str(tmp_path / "out"), "--format", fmt]) == 1
+    assert f"'{key}' names the same file as 'outputs.report'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -863,6 +863,46 @@ def _bits(p):
                       p.embed_se, p.angle_se)]
 
 
+def _slab_cases():
+    """A hit batch and an offset batch, each with the slab formula written out from
+    the batch's own samples, redrawn from the seed."""
+    mu = BaseMeasureND(2, atoms=[((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0)],
+                       segments=[((-1.0, -1.0), (1.5, 0.5), 0.7)])
+    hits = PositionDirection(mu, UniformDirections(2))
+
+    def hit_slab(rng, m, lo, hi):
+        pts = evaluate._sample_positions(mu, rng, m)
+        normals = hits.omega.sample_normals(rng, m)
+        offsets = np.einsum("ij,ij->i", pts, normals)
+        weight = mu.total_mass() * hits.omega.total_mass() / m
+        return normals, weight * ((offsets >= lo) & (offsets <= hi))
+
+    offset = OffsetDirection(UniformDirections(3), BaseMeasure1D(
+        atoms=[(0.25, 0.5)], pieces=[(-2.0, 0.0, 1.5), (0.0, 3.0, 0.25)]))
+
+    def offset_slab(rng, m, lo, hi):
+        normals = offset.omega.sample_normals(rng, m)
+        return normals, offset.omega.total_mass() / m * offset.offsets.mass_many(lo, hi)
+
+    return {"hits": (hits, hit_slab), "offset": (offset, offset_slab)}
+
+
+@pytest.mark.parametrize("kind", ["hits", "offset"])
+def test_mc_batch_slab_matches_the_written_out_formula_bits(kind):
+    # a batch is its normals and a slab function; the slab's per-sample masses
+    # are the bits of the formula each batch kind has always used
+    nu, reference = _slab_cases()[kind]
+    mc = MonteCarlo(budget=4_000, seed=11)
+    normals, slab = mc._batch(nu)
+    rng = np.random.default_rng(3)
+    lo = rng.normal(size=len(normals))
+    hi = lo + rng.exponential(size=len(normals))
+    ref_normals, ref = reference(np.random.default_rng(11), 4_000, lo, hi)
+    assert normals.tobytes() == ref_normals.tobytes()
+    assert slab(lo, hi).tobytes() == ref.tobytes()
+    assert mc._batch(nu)[1] is slab     # built once per batch
+
+
 def test_mc_batch_cache_is_bounded():
     # a long-lived backend keeps the batches of a few recent measures only; a
     # measure queried again after eviction gets the same batch from the seed
@@ -1216,9 +1256,9 @@ def test_mc_pair_and_box_share_the_slab_test():
 
 def _slab_mass_of(mc, nu, x, y):
     """Each sample's mass on the segment [x, y], from the backend's batch for nu."""
-    batch = mc._batch(nu)
-    px, py = batch[1] @ np.asarray(x), batch[1] @ np.asarray(y)
-    return evaluate._slab_mass(nu, batch, np.minimum(px, py), np.maximum(px, py))
+    normals, slab = mc._batch(nu)
+    px, py = normals @ np.asarray(x), normals @ np.asarray(y)
+    return slab(np.minimum(px, py), np.maximum(px, py))
 
 
 def _ref_mc_angle(mc, nu, x, y, taus):
@@ -1227,7 +1267,8 @@ def _ref_mc_angle(mc, nu, x, y, taus):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     mass_i = _slab_mass_of(mc, nu, x, y)
     delta = x - y
-    vd = mc._batch(nu)[1] @ (delta / float(np.linalg.norm(delta)))
+    normals, _ = mc._batch(nu)
+    vd = normals @ (delta / float(np.linalg.norm(delta)))
     sel = np.abs(vd)[:, None] >= np.sin(np.asarray(taus))[None, :]
     vals = mass_i[:, None] * sel
     angle = np.sum(vals, axis=0)
@@ -1369,7 +1410,7 @@ def _ref_mc_embed(mc, nu, x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     mass_i = _slab_mass_of(mc, nu, x, y)
     delta = x - y
-    normals = mc._batch(nu)[1]
+    normals, _ = mc._batch(nu)
     vd = normals @ (delta / float(np.linalg.norm(delta)))
     emb_i = (mass_i * np.sign(vd))[:, None] * normals
     emb = np.sum(emb_i, axis=0)

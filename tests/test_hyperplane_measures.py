@@ -27,6 +27,7 @@ def test_validate_flags_atom_under_probe_point():
     nu = PositionDirection(mu, UniformDirections(2))
     report = validate(nu, (-1.0, -1.0), (1.0, 1.0), point_count=8, seed=1)
     assert not report.ok
+    assert report.ok is (not report.violations())
     flagged = [pt for pt, mass, f in report.point_masses if f]
     assert (0.2, -0.1) in flagged
     assert any("carries hyperplane mass" in v for v in report.violations())
@@ -37,6 +38,7 @@ def test_validate_passes_off_atom_points():
     nu = PositionDirection(mu, UniformDirections(2))
     report = validate(nu, (-1.0, -1.0), (1.0, 1.0), point_count=16, segment_count=24, seed=2)
     assert report.ok
+    assert report.ok is (not report.violations())
     assert report.min_segment_mass > 0.0
     assert math.isfinite(report.region_mass)
     assert "no violation found" in report.notes
@@ -46,6 +48,7 @@ def test_validate_offset_direction_region_mass():
     nu = OffsetDirection(UniformDirections(2), BaseMeasure1D.lebesgue(-10, 10, 1.0))
     report = validate(nu, (0.0, 0.0), (1.0, 1.0), point_count=8, segment_count=16, seed=3)
     assert report.ok
+    assert report.ok is (not report.violations())
     # oracle: slab-width integral of the unit box is (side0 + side1) * E|v1|
     assert report.region_mass == pytest.approx(2.0 * abs_moment(2), rel=1e-12)
     assert all(mass == 0.0 for _, mass, _ in report.point_masses)
@@ -77,6 +80,7 @@ def test_validate_sampler_measure():
     nu = SamplerMeasure(2, sample, bounding_lo=(-1.0, -1.0), bounding_hi=(1.0, 1.0))
     report = validate(nu, (-1.0, -1.0), (1.0, 1.0), point_count=6, segment_count=12, seed=4)
     assert report.ok
+    assert report.ok is (not report.violations())
     mc = MonteCarlo(budget=200_000, seed=5)
     val, se = mc.box_mass(nu, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     # same slab-width oracle as the product-form measure above
@@ -135,10 +139,10 @@ def _sampler(dim=2, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
     return SamplerMeasure(dim, _vertical_lines, bounding_lo=lo, bounding_hi=hi)
 
 
-def _validate_counts(**counts):
+def _validate_counts(lo=(-1.0, -1.0), hi=(1.0, 1.0), **counts):
     nu = PositionDirection(BaseMeasureND(2, atoms=[((5.0, 5.0), 1.0), ((-4.0, 3.0), 1.0)]),
                            UniformDirections(2))
-    return validate(nu, (-1.0, -1.0), (1.0, 1.0), **counts)
+    return validate(nu, lo, hi, **counts)
 
 
 # constructor and validate arguments that once built a measure or returned a report
@@ -161,6 +165,9 @@ BAD_CONSTRUCTIONS = {
     "validate_negative_points": ("point_count", lambda: _validate_counts(point_count=-1)),
     "validate_fractional_points": ("point_count", lambda: _validate_counts(point_count=2.5)),
     "validate_negative_seed": ("seed", lambda: _validate_counts(seed=-1)),
+    # a region of another dimension than the measure's once failed in numpy broadcasting
+    "validate_3d_region": ("dimension 2", lambda: _validate_counts(lo=(-1.0, -1.0, -1.0),
+                                                                   hi=(1.0, 1.0, 1.0))),
 }
 
 

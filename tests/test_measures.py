@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from busemetric import (BaseMeasure1D, BaseMeasureND, DegenerateConfigurationError,
-                        doubling_ratio, tail1_check)
+                        DimensionMismatchError, doubling_ratio, tail1_check)
 from busemetric.scenarios import inv_sqrt_density, lebesgue_box_measure
 
 
@@ -421,3 +421,26 @@ def test_scaled_rejects_non_positive_and_non_finite_factors(kind, factor):
     # .scaled(nan) used to construct a measure of NaN mass
     with pytest.raises(ValueError, match="scale factor must be positive and finite"):
         SCALED_MEASURES[kind]().scaled(factor)
+
+
+_ATOMS = BaseMeasureND(2, atoms=[((0.0, 1.0), 1.0), ((1.0, 0.0), 1.0), ((0.5, 0.5), 2.0)])
+BAD_MEASURE_INPUTS = {
+    "zero gauss_order": ("gauss_order", ValueError, lambda: BaseMeasureND(
+        2, cells=[(0.0, 0.0, 1.0, 1.0, 1.0)], gauss_order=0)),
+    "fractional dim": ("dim", ValueError, lambda: BaseMeasureND(2.5, atoms=[((0.0, 1.0), 1.0)])),
+    "zero doubling count": ("count", ValueError, lambda: doubling_ratio(
+        _ATOMS, (-1.0, -1.0), (1.0, 1.0), count=0)),
+    "fractional doubling count": ("count", ValueError, lambda: doubling_ratio(
+        _ATOMS, (-1.0, -1.0), (1.0, 1.0), count=2.5)),
+    "3-D region on a 2-D measure": ("dimension 2", DimensionMismatchError, lambda: doubling_ratio(
+        _ATOMS, (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MEASURE_INPUTS))
+def test_measure_inputs_refused_by_name(case):
+    # numpy once refused a zero gauss_order as "deg must be a positive integer",
+    # a zero count as empty inner balls, and a 3-D region with a broadcast error
+    key, error, build = BAD_MEASURE_INPUTS[case]
+    with pytest.raises(error, match=key):
+        build()

@@ -52,6 +52,7 @@ def test_doubling_box_scenario_marked_transverse():
     assert 0.0 < sc.expected["tail1"] < math.inf
     report = sc.validate(seed=7, point_count=8, segment_count=16)
     assert report.ok
+    assert report.ok is (not report.violations())
 
 
 def test_doubling_atoms_scenario():
@@ -60,6 +61,7 @@ def test_doubling_atoms_scenario():
                               name="atoms")
     report = sc.validate(seed=3, point_count=8, segment_count=24)
     assert report.ok
+    assert report.ok is (not report.violations())
     assert report.min_segment_mass > 0.0
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -244,3 +246,49 @@ def test_grid_export_window_check():
     # a corner short of the scenario dimension once failed with an IndexError
     with pytest.raises(ValueError, match="dimension 2"):
         grid_export(sc, 5, (-1.0,), (1.0,))
+
+
+# ---------------------------------------------------------------------------
+# one home for each fact, and builder inputs refused by name
+# ---------------------------------------------------------------------------
+
+BUILDERS = {
+    "crofton2": lambda: crofton(2),
+    "crofton3": lambda: crofton(3),
+    "doubling_pushforward": lambda: doubling_pushforward(
+        lebesgue_box_measure(2, inner_half=0.8, levels=2),
+        window_lo=(-0.4, -0.4), window_hi=(0.4, 0.4)),
+    "beurling_ahlfors": lambda: beurling_ahlfors(BaseMeasure1D.lebesgue(-30.0, 30.0, 1.0)),
+    "degenerate_caps": lambda: degenerate_caps(0.2, levels=2),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_scenario_dimension_is_the_measures(name):
+    # a scenario takes its dimension from its measure, so the two cannot disagree
+    sc = BUILDERS[name]()
+    assert sc.dim == sc.measure.dim
+
+
+BAD_BUILDER_INPUTS = {
+    "zero inner_half": ("inner_half", lambda: lebesgue_box_measure(2, inner_half=0.0)),
+    "NaN inner_half": ("inner_half", lambda: lebesgue_box_measure(2, inner_half=math.nan)),
+    "zero cell": ("cell", lambda: lebesgue_box_measure(2, inner_half=0.8, cell=0.0)),
+    "infinite cell": ("cell", lambda: lebesgue_box_measure(2, inner_half=0.8, cell=math.inf)),
+    "fractional levels": ("levels", lambda: lebesgue_box_measure(2, inner_half=0.8, levels=1.5)),
+    "zero window_half": ("window_half", lambda: degenerate_caps(0.2, window_half=0.0)),
+    "zero pieces": ("pieces", lambda: inv_sqrt_density(pieces=0)),
+    "fractional pieces": ("pieces", lambda: inv_sqrt_density(pieces=2.5)),
+    "negative support": ("support", lambda: inv_sqrt_density(support=-1.0)),
+    "zero half_extent": ("half_extent", lambda: crofton(2, half_extent=0.0)),
+    "fractional dimension": ("dimension", lambda: crofton(2.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_BUILDER_INPUTS))
+def test_builders_refuse_bad_inputs_by_name(case):
+    # a zero inner_half or cell once divided by zero; a zero pieces or
+    # half_extent failed with a message about density pieces
+    key, build = BAD_BUILDER_INPUTS[case]
+    with pytest.raises(ValueError, match=rf"^{key} must be"):
+        build()
