@@ -52,26 +52,49 @@ def _wrap_pieces_to_xi(pieces: np.ndarray, p_delta: float) -> np.ndarray:
 def _query_frame(delta) -> tuple[float, float]:
     """The normal angle p_delta of the query direction ``delta`` and the sign s0
     orienting v(p_delta + xi) toward the x side for xi in (0, pi)."""
-    p_delta = (math.atan2(delta[1], delta[0]) + 0.5 * PI) % PI
-    vt = np.array([math.cos(p_delta + 0.5 * PI), math.sin(p_delta + 0.5 * PI)])
-    return p_delta, (1.0 if float(vt @ delta) > 0.0 else -1.0)
+    d0, d1 = float(delta[0]), float(delta[1])
+    p_delta = (math.atan2(d1, d0) + 0.5 * PI) % PI
+    # v(p_delta + pi/2) is +-delta/|delta|, so the sign test is never near a tie
+    along = math.cos(p_delta + 0.5 * PI) * d0 + math.sin(p_delta + 0.5 * PI) * d1
+    return p_delta, (1.0 if along > 0.0 else -1.0)
 
 
-def _arc_overlaps(arc_lo, arc_hi, dens):
+def _arc_overlaps(arc_lo, arc_hi, dens, rows=None):
     """The nonempty overlaps of hit arcs [arc_lo, arc_hi) with density pieces.
 
-    An arc may run past pi (arc_lo < pi, width <= pi), so it is split into
-    two non-wrapping intervals first.  Returns ``(ii, lo, hi, rho)``: one
-    entry per nonempty (arc, arc piece, density piece) overlap, in arc order.
+    ``dens`` holds (lo, hi, density) pieces shared by every arc or, with ``rows``,
+    one padded set per query row, arc k taking the set of row ``rows[k]``.  An arc
+    may run past pi (arc_lo < pi, width <= pi); only such an arc gets a second part,
+    [0, arc_hi - pi).  Returns ``(ii, lo, hi, rho)``: one entry per nonempty (arc,
+    part, piece) overlap, in that order, so ``ii`` runs in arc order.
     """
-    glo, ghi = np.empty((2, len(arc_lo), 2, len(dens)))
-    parts_lo = np.stack([arc_lo, np.zeros(len(arc_lo))])[:, None]
-    parts_hi = np.stack([np.minimum(arc_hi, PI), np.clip(arc_hi - PI, 0.0, None)])[:, None]
-    # written through (part, piece, arc) views in C order, so each loop runs along the arcs
-    np.maximum(parts_lo, dens[:, :1], out=glo.transpose(1, 2, 0), order="C")
-    np.minimum(parts_hi, dens[:, 1:2], out=ghi.transpose(1, 2, 0), order="C")
-    flat = np.flatnonzero(ghi > glo)
-    return flat // glo[0].size, glo.ravel()[flat], ghi.ravel()[flat], dens[flat % len(dens), 2]
+    def overlaps(at, part_lo, part_hi):
+        """The overlaps of the arcs ``at`` (a slice or indices) with their part."""
+        glo, ghi = np.empty((2, len(part_hi), dens.shape[-2]))
+        if rows is None:
+            # written through (piece, arc) views, so each loop runs along the arcs
+            np.maximum(part_lo, dens[:, 0, None], out=glo.T, order="C")
+            np.minimum(part_hi, dens[:, 1, None], out=ghi.T, order="C")
+        else:       # piece k of each arc's own row
+            own = rows[at]
+            for k in range(dens.shape[1]):
+                np.maximum(part_lo, dens[own, k, 0], out=glo[:, k])
+                np.minimum(part_hi, dens[own, k, 1], out=ghi[:, k])
+        flat = np.flatnonzero(ghi > glo)
+        ii, kk = np.divmod(flat, glo.shape[1])
+        if not isinstance(at, slice):
+            ii = at[ii]
+        return (ii, glo.ravel()[flat], ghi.ravel()[flat],
+                dens[kk, 2] if rows is None else dens[rows[ii], kk, 2])
+
+    first = overlaps(slice(None), arc_lo, np.minimum(arc_hi, PI))
+    wrap = np.flatnonzero(arc_hi > PI)
+    if not wrap.size:
+        return first
+    second = overlaps(wrap, 0.0, arc_hi[wrap] - PI)
+    # a stable sort by arc puts an arc's wrapped part after its first part
+    order = np.argsort(np.concatenate([first[0], second[0]]), kind="stable")
+    return tuple(np.concatenate(parts)[order] for parts in zip(first, second))
 
 
 def _mod_pi(a: np.ndarray, period: float = PI) -> np.ndarray:
@@ -98,18 +121,29 @@ def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
     y = np.asarray(y, dtype=float)
     if not np.any(x != y):
         raise DegenerateConfigurationError("pair query needs x != y")
-    return _pair_core(np.atleast_2d(np.asarray(points, dtype=float)),
-                      np.asarray(weights, dtype=float), np.asarray(pieces, dtype=float),
-                      x, y, taus=taus, on_segment=on_segment)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return _pair_core(points, np.asarray(weights, dtype=float), np.asarray(pieces, dtype=float),
+                      x[None], y[None], np.zeros(len(points), dtype=np.intp),
+                      taus=taus, on_segment=on_segment)[0]
 
 
-def _pair_core(pts, w, pieces, x, y, *, taus=None, on_segment="error"):
-    """``pair_cloud_integrals`` on float arrays: per node, the hit arc is picked by
-    the side of pi/2 its width w1 and the subtended angle lie on, near a tie by
-    the closer width and the midpoint sign test, and integrated in closed form."""
-    # coordinate columns: row 0 of c0 is x[0] - p[:, 0], row 1 is y[0] - p[:, 0]
-    ends = np.stack([x, y])
-    c0, c1 = ends[:, :1] - pts[:, 0], ends[:, 1:] - pts[:, 1]
+def _xi_pieces(pieces, p_deltas) -> np.ndarray:
+    """Each query row's density pieces in its xi coordinate (``_wrap_pieces_to_xi``),
+    as (rows, pieces, 3), a row with fewer wrapped pieces padded with empty ones."""
+    wrapped = [_wrap_pieces_to_xi(pieces, p) for p in p_deltas]
+    out = np.tile([math.inf, -math.inf, 0.0], (len(wrapped), max(map(len, wrapped)), 1))
+    for row, xi in zip(out, wrapped):
+        row[:len(xi)] = xi
+    return out
+
+
+def _hit_arcs(c0, c1, p_delta, on_segment):
+    """Each node's hit arc [xi_lo, xi_hi) in its query's xi frame, from the coordinate
+    columns c0 (x[0] - p[:, 0] in row 0, y[0] - p[:, 0] in row 1) and c1.
+
+    The arc is picked by the side of pi/2 its width w1 and the subtended angle
+    lie on, near a tie by the closer width and the midpoint sign test.
+    """
     (dx0, dy0), (dx1, dy1) = c0, c1
     collinear = dx0 * dy1 - dx1 * dy0 == 0.0
     dot = dx0 * dy0 + dx1 * dy1
@@ -139,28 +173,59 @@ def _pair_core(pts, w, pieces, x, y, *, taus=None, on_segment="error"):
         cmid, smid = np.cos(mid), np.sin(mid)
         use_first[tie] = ((cmid * dx0[tie] + smid * dx1[tie])
                           * (cmid * dy0[tie] + smid * dy1[tie])) <= 0.0
-    lo = np.where(use_first, px, _mod_pi(px + w1))
     width = np.where(use_first, w1, PI - w1)
     width[collinear] = 0.0
     width[between] = PI
-
-    p_delta, s0 = _query_frame(x - y)
-    xi_lo = _mod_pi(lo - p_delta)
+    xi_lo = _mod_pi(np.where(use_first, px, _mod_pi(px + w1)) - p_delta)
     xi_lo[between] = 0.0    # the whole circle from 0; a zero-width arc overlaps nothing anyway
-    ii, lo_r, hi_r, rho_r = _arc_overlaps(xi_lo, xi_lo + width, _wrap_pieces_to_xi(pieces, p_delta))
-    len_r = rho_r * (hi_r - lo_r)
-    phi_lo, phi_hi = p_delta + lo_r, p_delta + hi_r
-    tr_r = rho_r * (np.cos(lo_r) - np.cos(hi_r))
-    srho_r = s0 * rho_r
-    e0_r = srho_r * (np.sin(phi_hi) - np.sin(phi_lo))
-    e1_r = srho_r * (np.cos(phi_lo) - np.cos(phi_hi))
+    return xi_lo, xi_lo + width
 
+
+def _pair_core(pts, w, pieces, xs, ys, rows, *, taus=None, on_segment="error"):
+    """``pair_cloud_integrals`` on float arrays for the queries ``xs[q]``, ``ys[q]``
+    at once, the nodes of query q those with ``rows == q`` (``rows`` nondecreasing).
+
+    Each node's hit arc (``_hit_arcs``) is integrated in closed form.  Every step
+    is elementwise over all nodes; each query's sums are dot products over its own
+    overlaps alone, so they keep the bits of a call with that query alone.
+    Returns one (mass, transversal, embed, angle) per query.
+    """
+    # a per-query value per node: one query broadcasts, as a scalar would
+    one = len(xs) == 1
+    at = slice(0, 1) if one else rows
+    frames = np.array([_query_frame(d) for d in (xs - ys).tolist()])
+    p_delta, s0 = frames[:, 0], frames[:, 1]
+    dens, by_row = ((_wrap_pieces_to_xi(pieces, p_delta[0]), None) if one else
+                    (_xi_pieces(pieces, p_delta), rows))
+    # coordinate columns: row 0 of c0 is x[0] - p[:, 0], row 1 is y[0] - p[:, 0]
+    ends = np.stack([xs, ys])
+    ii, lo_r, hi_r, rho_r = _arc_overlaps(
+        *_hit_arcs(ends[:, at, 0] - pts[:, 0], ends[:, at, 1] - pts[:, 1], p_delta[at],
+                   on_segment), dens, by_row)
+    hit_at = at if one else rows[ii]
+    bounds = [0, len(ii)] if one else np.searchsorted(hit_at, np.arange(len(xs) + 1)).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
     wr = w[ii]
-    mass = float(wr @ len_r)
-    trans = float(wr @ tr_r)
-    emb = np.array([float(wr @ e0_r), float(wr @ e1_r)])
-    angle = None if taus is None else arc_threshold_sums(wr * rho_r, lo_r, hi_r, taus)
-    return mass, trans, emb, angle
+    sums = _overlap_sums(wr, rho_r, lo_r, hi_r, p_delta[hit_at], s0[hit_at], spans)
+    if taus is None:
+        return [(*row, None) for row in sums]
+    # the angle profiles run once the arrays of the sums are freed
+    wrho = wr * rho_r
+    return [(*row, arc_threshold_sums(wrho[a:b], lo_r[a:b], hi_r[a:b], taus))
+            for row, (a, b) in zip(sums, spans)]
+
+
+def _overlap_sums(wr, rho_r, lo_r, hi_r, p_r, s0_r, spans):
+    """Each query's mass, transversal and embedding, from the overlaps [lo_r, hi_r) in
+    xi of the nodes of weights ``wr``: dot products over its own ``spans`` alone."""
+    len_r = rho_r * (hi_r - lo_r)
+    tr_r = rho_r * (np.cos(lo_r) - np.cos(hi_r))
+    srho_r = s0_r * rho_r
+    e0_r = srho_r * (np.sin(p_r + hi_r) - np.sin(p_r + lo_r))
+    e1_r = srho_r * (np.cos(p_r + lo_r) - np.cos(p_r + hi_r))
+    return [(float(wr[a:b] @ len_r[a:b]), float(wr[a:b] @ tr_r[a:b]),
+             np.array([float(wr[a:b] @ e0_r[a:b]), float(wr[a:b] @ e1_r[a:b])]))
+            for a, b in spans]
 
 
 ANGLE_BLOCK_ELEMENTS = 1 << 16    # the most elements in one cache-sized block of angle rows
@@ -274,26 +339,32 @@ def boundary_angles(pieces) -> list[float]:
 
 
 def _boundary_dirs(angles) -> np.ndarray:
-    """Unit directions of the hyperplanes whose normal sits at each boundary angle.
+    """Unit directions of the hyperplanes whose normal sits at each boundary angle,
+    each direction once (pieces touching both 0 and pi give the same one twice).
 
     Built with ``math`` scalars: numpy's vectorized cos/sin may differ by an
     ulp, and the cuts must not move.
     """
-    gammas = [(b - 0.5 * PI) % PI for b in angles]
-    return np.array([[math.cos(g), math.sin(g)] for g in gammas]).reshape(-1, 2)
+    dirs = []
+    for b in angles:
+        g = (b - 0.5 * PI) % PI
+        d = (math.cos(g), math.sin(g))
+        if d not in dirs:
+            dirs.append(d)
+    return np.array(dirs).reshape(-1, 2)
 
 
 def _boundary_crossings(p0s, us, qs, dirs) -> np.ndarray:
     """Segment parameters where the line through each point along each direction crosses.
 
-    Solves p0 + s u = q + t g for s, with shape (segments, points,
-    directions); entries are inf or nan where u is parallel to g, so a
-    caller keeping 0 < s < length drops them.
+    Solves p0 + s u = q + t g for s, with shape (..., segments, points,
+    directions) for points ``qs`` of shape (..., points, 2); entries are inf or
+    nan where u is parallel to g, so a caller keeping 0 < s < length drops them.
     """
     denom = us[:, None, 0] * dirs[None, :, 1] - us[:, None, 1] * dirs[None, :, 0]
-    rel0 = qs[None, :, 0] - p0s[:, None, 0]
-    rel1 = qs[None, :, 1] - p0s[:, None, 1]
-    num = rel0[:, :, None] * dirs[None, None, :, 1] - rel1[:, :, None] * dirs[None, None, :, 0]
+    rel0 = qs[..., None, :, 0] - p0s[:, None, 0]
+    rel1 = qs[..., None, :, 1] - p0s[:, None, 1]
+    num = rel0[..., None] * dirs[:, 1] - rel1[..., None] * dirs[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return num / denom[:, None, :]
 
@@ -422,22 +493,23 @@ def _cut_nodes(p0s, us, lengths, denss, cuts):
             w[same] * np.take(denss, seg), seg)
 
 
-def _pair_geometry(p0s, us, nrms, x, y, dirs):
-    """Where x and y sit relative to each segment row, for the mask and the cuts.
+def _pair_geometry(p0s, us, nrms, xs, ys, dirs):
+    """Where query points x and y sit relative to each segment row, for the mask and
+    the cuts; ``xs`` and ``ys`` are one query's points or (queries, 2) rows of them.
 
-    Returns h and s of shape (rows, 2): the signed distances of x and y
-    from the segment line and the parameters of their projections; the
-    parameter where the query line crosses the segment line (nan or inf
-    where it does not); and the boundary crossings from x and y, one column
-    each per direction.
+    Returns h and s of shape (..., rows, 2), a leading query axis for query
+    rows: the signed distances of x and y from the segment line and the
+    parameters of their projections; the parameter where the query line
+    crosses the segment line (nan or inf where it does not); and the boundary
+    crossings from x and y, one column each per direction.
     """
-    qs = np.array([x, y])
-    rel = qs - p0s[:, None, :]
+    qs = np.stack([xs, ys], axis=-2)
+    rel = qs[..., None, :, :] - p0s[:, None, :]
     h = _rowdot(rel, nrms[:, None, :])
     s = _rowdot(rel, us[:, None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
-        s_star = s[:, 0] + h[:, 0] * (s[:, 1] - s[:, 0]) / (h[:, 0] - h[:, 1])
-    return h, s, s_star, _boundary_crossings(p0s, us, qs, dirs).reshape(len(p0s), -1)
+        s_star = s[..., 0] + h[..., 0] * (s[..., 1] - s[..., 0]) / (h[..., 0] - h[..., 1])
+    return h, s, s_star, _boundary_crossings(p0s, us, qs, dirs).reshape(h.shape[:-1] + (-1,))
 
 
 def _needs_features(lengths, h, s, s_star, crossings) -> np.ndarray:
@@ -450,14 +522,15 @@ def _needs_features(lengths, h, s, s_star, crossings) -> np.ndarray:
     ``segment_query_nodes``, the rest take fixed bulk Gauss nodes.
     """
     lens = lengths[:, None]
-    special = np.any((np.abs(h) < lens) & (s > -lens) & (s < 2.0 * lens), axis=1)
-    special |= (h[:, 0] != h[:, 1]) & (s_star > 0.0) & (s_star < lengths)
-    return special | np.any((crossings > 0.0) & (crossings < lens), axis=1)
+    special = np.any((np.abs(h) < lens) & (s > -lens) & (s < 2.0 * lens), axis=-1)
+    special |= (h[..., 0] != h[..., 1]) & (s_star > 0.0) & (s_star < lengths)
+    return special | np.any((crossings > 0.0) & (crossings < lens), axis=-1)
 
 
 def _pair_cuts(us, lengths, delta, h, s, s_star, crossings) -> np.ndarray:
-    """Candidate cuts of segment rows for a pair query (see ``segment_query_nodes``)."""
-    cross = us[:, 0] * delta[1] - us[:, 1] * delta[0]
+    """Candidate cuts of segment rows for a pair query (see ``segment_query_nodes``);
+    ``delta`` is x - y, or one such row per segment row."""
+    cross = us[:, 0] * delta[..., 1] - us[:, 1] * delta[..., 0]
     # the query line on the segment line: only the projections of x and y cut
     collinear = (cross == 0.0) & (h[:, 0] == 0.0)
     s_star = np.where(~collinear & (cross != 0.0) & (h[:, 0] != h[:, 1]), s_star, np.nan)
@@ -501,25 +574,36 @@ def segment_bulk_nodes(p0s, p1s, denss):
     return pts.reshape(-1, p0s.shape[1]), wts.ravel()
 
 
-def segment_pair_nodes(table: SegmentTable, pieces, x, y):
-    """Gauss nodes and weights of all density segments for a pair query.
+def segment_pair_nodes(table: SegmentTable, pieces, xs, ys):
+    """Gauss nodes and weights of all density segments for the pair queries on the
+    rows of ``xs`` and ``ys``, with each node's query row, rows in order.
 
-    Segments that ``_needs_features`` marks take query-adaptive
-    nodes, in segment order; the rest follow as one block of their bulk nodes.
+    For each query, the segments that ``_needs_features`` marks take
+    query-adaptive nodes, in segment order; the rest follow as one block of
+    their bulk nodes.
     """
     if not len(table.lengths):
-        return np.zeros((0, 2)), np.zeros(0)
-    geometry = _pair_geometry(table.p0s, table.us, table.nrms, x, y,
+        return np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=np.intp)
+    xs, ys = np.atleast_2d(xs, ys)
+    geometry = _pair_geometry(table.p0s, table.us, table.nrms, xs, ys,
                               _boundary_dirs(boundary_angles(pieces)))
     special = _needs_features(table.lengths, *geometry)
-    bulk = ~special
-    pts, wts = table.bulk_pts[bulk].reshape(-1, 2), table.bulk_wts[bulk].ravel()
-    if not bulk.all():
-        us, lengths = table.us[special], table.lengths[special]
-        cuts = _pair_cuts(us, lengths, x - y, *(a[special] for a in geometry))
-        fpts, fwts, _ = _cut_nodes(table.p0s[special], us, lengths, table.denss[special], cuts)
-        pts, wts = np.concatenate([fpts, pts]), np.concatenate([fwts, wts])
-    return pts, wts
+    rows, segs = np.nonzero(~special)
+    pts, wts = table.bulk_pts[segs].reshape(-1, 2), table.bulk_wts[segs].ravel()
+    rows = np.repeat(rows, SEGMENT_ORDER)
+    if not special.any():
+        return pts, wts, rows
+    frows, segs = np.nonzero(special)
+    us, lengths = table.us[segs], table.lengths[segs]
+    cuts = _pair_cuts(us, lengths, (xs - ys)[frows], *(a[special] for a in geometry))
+    fpts, fwts, pair = _cut_nodes(table.p0s[segs], us, lengths, table.denss[segs], cuts)
+    if not len(rows):
+        return fpts, fwts, frows[pair]
+    keys = np.concatenate([2 * frows[pair], 2 * rows + 1])
+    # per query row, its featured nodes and then its bulk nodes (one row: in order)
+    order = np.argsort(keys, kind="stable") if len(xs) > 1 else slice(None)
+    return (np.concatenate([fpts, pts])[order], np.concatenate([fwts, wts])[order],
+            keys[order] >> 1)
 
 
 def segment_box_nodes(table: SegmentTable, pieces, lo, hi):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evaluate, scenarios
 from .diagnostics import EXPECTATIONS, SamplingPlan, run_diagnostics
-from .geometry import DegenerateConfigurationError
+from .geometry import DegenerateConfigurationError, require_positive
 from .measures import BaseMeasure1D, BaseMeasureND
 
 JSON_MARKER = "=== JSON REPORT ==="
@@ -140,9 +140,9 @@ def build_scenario(spec: dict, seed: int) -> scenarios.Scenario:
     if name == "crofton":
         return scenarios.crofton(spec["dimension"], **given("half_extent"))
     if name == "doubling_box":
+        w = require_positive("window_half", spec.get("window_half", 0.4))
         mu = scenarios.lebesgue_box_measure(2, inner_half=spec.get("inner_half", 0.8),
                                             **given("levels", "cell", "gauss_order"))
-        w = spec.get("window_half", 0.4)
         return scenarios.doubling_pushforward(mu, window_lo=(-w, -w), window_hi=(w, w),
                                               name="doubling_box", seed=seed)
     if name == "doubling_atoms":
@@ -157,7 +157,7 @@ def build_scenario(spec: dict, seed: int) -> scenarios.Scenario:
                                               basepoint=spec.get("basepoint"))
     if name == "beurling_ahlfors":
         density = spec.get("density", "lebesgue")
-        support = spec.get("support_half", 30.0)
+        support = require_positive("support_half", spec.get("support_half", 30.0))
         if density == "lebesgue":
             mu1 = BaseMeasure1D.lebesgue(-support, support, 1.0)
         elif density == "inv_sqrt":

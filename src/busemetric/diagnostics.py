@@ -273,19 +273,17 @@ def cube_audit(f: evaluate.EmbeddingMap, nu, plan: SamplingPlan):
     """Worst ratio (diameter of the embedded vertex set) / (cube hyperplane mass)."""
     rng = _streams(plan)[2]
     cubes = _sample_cubes(plan, rng)
-    calls = []
-    for q in cubes:
-        calls.append((f.backend.cube_mass, nu, q))
-        calls.extend((f.backend.pair, f.measure, v, f.basepoint) for v in cube_vertices(q))
     # taken in query order: a cube without mass ends the audit, and no later answer is read
-    answers = evaluate.fan_out(nu, calls)
+    masses = evaluate.fan_out(nu, ((f.backend.cube_mass, nu, q) for q in cubes))
+    vertices = [v for q in cubes for v in cube_vertices(q)]
+    images = evaluate.pair_many(f.backend, f.measure, vertices, [f.basepoint] * len(vertices))
     worst = math.inf
     witness = None
     for q in cubes:
-        mass = next(answers).mass
+        mass = next(masses).mass
         if mass <= 0.0:
             return 0.0, {"center": q.center.tolist(), "edge": q.edge, "mass": mass}
-        imgs = np.stack([next(answers).embed for _ in range(2 ** q.dim)])
+        imgs = np.stack([next(images).embed for _ in range(2 ** q.dim)])
         diam = float(np.max(np.linalg.norm(imgs[:, None, :] - imgs[None, :, :], axis=2)))
         ratio = diam / mass
         if ratio < worst:

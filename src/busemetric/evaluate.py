@@ -106,7 +106,7 @@ class Backend:
     that ``supports`` rules out, check the points (finite, bounded, of the
     measure's dimension), the pair points by ``_segment``, the box corners'
     order and the angle thresholds (``_as_taus``), answer ``x == y`` with
-    zeros, and only then call the backend's ``_pair`` or ``_box_mass``."""
+    zeros, and only then call the backend's ``_pair_rows`` or ``_box_mass``."""
 
     name: str
     estimates_se = False       # answers carry standard errors
@@ -121,32 +121,56 @@ class Backend:
         return as_point(x, nu.dim), as_point(y, nu.dim)
 
     def _segment(self, nu, x, y):
-        """The checked points of a pair query on [x, y].  Distinct points whose
-        squared distance underflows are refused: every backend would lose the
-        segment (``as_point`` keeps squares from overflowing).  So is a mu-atom
-        on the closed segment, or at the point x == y: it carries hyperplane
-        mass through a single point, and the integrals are ill-posed."""
+        """The checked points of a pair query on [x, y], and whether they differ.
+        Distinct points whose squared distance underflows are refused: every
+        backend would lose the segment (``as_point`` keeps squares from
+        overflowing).  So is a mu-atom on the closed segment, or at the point
+        x == y: it carries hyperplane mass through a single point, and the
+        integrals are ill-posed."""
         x, y = self._points(nu, x, y)
         d = x - y
-        if float(d @ d) < TINY and np.any(d != 0.0):
+        moves = float(d @ d) >= TINY
+        if not moves and np.any(d != 0.0):
             raise ValueError(f"points {x.tolist()} and {y.tolist()} are distinct but too close: "
                              "their squared distance underflows")
         if isinstance(nu, PositionDirection) and nu.mu.atoms_on_segment(x, y).size:
             raise DegenerateConfigurationError("mu-atom lies on the closed query segment")
-        return x, y
+        return x, y, moves
 
     def pair(self, nu, x, y, taus=None) -> PairIntegrals:
-        x, y = self._segment(nu, x, y)
-        if taus is not None:
-            taus = _as_taus(taus)
-        if np.any(x != y):
-            return self._pair(nu, x, y, taus)
-        # x == y, and no atom sits at x: zeros under the backend's name, with
-        # zero standard errors shaped like the values when it estimates them
+        return next(self._pairs(nu, (x,), (y,), taus))
+
+    def _pairs(self, nu, xs, ys, taus=None):
+        """Yield ``pair(nu, x, y, taus)`` for each row of ``xs`` and ``ys``, in order,
+        the rows with x != y answered by one ``_pair_rows`` call.  A refused row's
+        error is raised after the answers of the rows before it."""
+        starts, ends, moving, error = [], [], [], None
+        for x, y in zip(xs, ys):
+            try:
+                x, y, moves = self._segment(nu, x, y)
+            except (TypeError, ValueError) as exc:
+                error = exc
+                break
+            if moves:
+                starts.append(x)
+                ends.append(y)
+            moving.append(moves)
+        if moving:
+            if taus is not None:
+                taus = _as_taus(taus)
+            answers = self._pair_rows(nu, np.array(starts), np.array(ends), taus) if starts else None
+            for moves in moving:
+                yield next(answers) if moves else self._zeros(nu.dim, taus)
+        if error is not None:
+            raise error
+
+    def _zeros(self, dim, taus) -> PairIntegrals:
+        """The answer for x == y, no atom at x: zeros under the backend's name, with zero
+        standard errors shaped like the values when it estimates them."""
         t = None if taus is None else np.zeros(len(taus))
         if not self.estimates_se:
-            return PairIntegrals(0.0, 0.0, np.zeros(x.size), t, backend=self.name)
-        return PairIntegrals(0.0, 0.0, np.zeros(x.size), t, 0.0, 0.0, np.zeros(x.size),
+            return PairIntegrals(0.0, 0.0, np.zeros(dim), t, backend=self.name)
+        return PairIntegrals(0.0, 0.0, np.zeros(dim), t, 0.0, 0.0, np.zeros(dim),
                              None if t is None else np.zeros(len(t)), backend=self.name)
 
     def box_mass(self, nu, lo, hi) -> RegionMass:
@@ -158,6 +182,12 @@ class Backend:
 
     def cube_mass(self, nu, q: Cube) -> RegionMass:
         return self.box_mass(nu, q.center - 0.5 * q.edge, q.center + 0.5 * q.edge)
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The norm of each row, as ``np.linalg.norm`` takes it of the row alone: ``vecdot``
+    runs the dot kernel of 1-D ``@`` on each row (rows whose entries are adjacent)."""
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def _covered_density(nu, reach: float):
@@ -187,97 +217,113 @@ class ClosedForm(Backend):
 
     # -- pair queries -------------------------------------------------------
 
-    def _pair(self, nu, x, y, taus):
+    def _pair_rows(self, nu, xs, ys, taus):
         if isinstance(nu, OffsetDirection):
-            return self._offset_pair(nu, x, y, taus)
-        return self._position_pair(nu, x, y, taus)
+            return self._offset_pairs(nu, xs, ys, taus)
+        return self._position_pairs(nu, xs, ys, taus)
 
-    def _offset_pair(self, nu, x, y, taus):
-        rho, lo, hi = _covered_density(nu, max(float(np.linalg.norm(x)),
-                                               float(np.linalg.norm(y))))
-        delta = x - y
-        r = float(np.linalg.norm(delta))
-        n = nu.dim
+    def _offset_pairs(self, nu, xs, ys, taus):
+        rho, _, _ = nu.constant_offset_density()
+        deltas = xs - ys
+        norms_x, norms_y, rs = _norms(np.concatenate([xs, ys, deltas])).reshape(3, -1).tolist()
         if isinstance(nu.omega, UniformDirections):
-            mass = rho * r * abs_moment(n)
-            trans = rho * r / n
-            emb = rho * delta / n
-            angle = None
-            if taus is not None:
-                angle = rho * r * np.array([partial_abs_moment(n, math.sin(t)) for t in taus])
-            return PairIntegrals(mass, trans, emb, angle, backend=self.name)
-        return self._offset_pair_2d(nu.omega.arc_pieces(), rho, delta, r, taus)
+            answers = self._uniform_offset_pairs(nu.dim, rho, deltas, rs, taus)
+        else:
+            answers = self._offset_pairs_2d(nu.omega.arc_pieces(), rho, deltas, rs, taus)
+        for reach in map(max, norms_x, norms_y):
+            # a row beyond the density's span is refused in its turn
+            _covered_density(nu, reach)
+            yield next(answers)
 
-    def _offset_pair_2d(self, pieces, rho, delta, r, taus):
-        p_d, s0 = arcs._query_frame(delta)
-        xi = arcs._wrap_pieces_to_xi(np.asarray(pieces, dtype=float), p_d)
-        a, b, dens = xi[:, 0], xi[:, 1], xi[:, 2]
+    def _uniform_offset_pairs(self, n, rho, deltas, rs, taus):
+        moment, embs = abs_moment(n), rho * deltas / n
+        profile = None if taus is None else np.array(
+            [partial_abs_moment(n, math.sin(t)) for t in taus])
+        for r, emb in zip(rs, embs):
+            yield PairIntegrals(rho * r * moment, rho * r / n, emb,
+                                None if profile is None else rho * r * profile, backend=self.name)
 
-        mass = rho * r * float(np.sum(dens * (np.cos(a) - np.cos(b))))
-        trans = rho * r * float(np.sum(dens * (0.5 * (b - a) - 0.25 * (np.sin(2 * b) - np.sin(2 * a)))))
+    def _offset_pairs_2d(self, pieces, rho, deltas, rs, taus):
+        frames = [arcs._query_frame(d) for d in deltas]
+        pieces = np.asarray(pieces, dtype=float)
+        xis = [arcs._wrap_pieces_to_xi(pieces, p_d) for p_d, _ in frames]
+        counts = [len(xi) for xi in xis]
+        bounds = np.cumsum([0] + counts).tolist()
+        a, b, dens = np.concatenate(xis).T
+        # each row's normal angle p_d and its sine and cosine, once per piece
+        p_d, sin_d, cos_d = (np.repeat([f(p) for p, _ in frames], counts)
+                             for f in (float, math.sin, math.cos))
+        mass_i = dens * (np.cos(a) - np.cos(b))
+        trans_i = dens * (0.5 * (b - a) - 0.25 * (np.sin(2 * b) - np.sin(2 * a)))
 
         def emb_anti(xi_v):
             # antiderivative of v(p_d + xi) * sin(xi)
-            c0 = -0.25 * np.cos(p_d + 2 * xi_v) - 0.5 * xi_v * math.sin(p_d)
-            c1 = 0.5 * xi_v * math.cos(p_d) - 0.25 * np.sin(p_d + 2 * xi_v)
+            c0 = -0.25 * np.cos(p_d + 2 * xi_v) - 0.5 * xi_v * sin_d
+            c1 = 0.5 * xi_v * cos_d - 0.25 * np.sin(p_d + 2 * xi_v)
             return c0, c1
 
         a0, a1 = emb_anti(a)
         b0, b1 = emb_anti(b)
-        emb = s0 * rho * r * np.array([float(np.sum(dens * (b0 - a0))), float(np.sum(dens * (b1 - a1)))])
-        angle = None if taus is None else rho * r * arcs.arc_threshold_sums(dens, a, b, taus, np.cos)
-        return PairIntegrals(mass, trans, emb, angle, backend=self.name)
+        emb0_i, emb1_i = dens * (b0 - a0), dens * (b1 - a1)
+        for (_, s0), r, lo, hi in zip(frames, rs, bounds[:-1], bounds[1:]):
+            # each sum runs over the row's own pieces
+            emb = s0 * rho * r * np.array([float(np.sum(emb0_i[lo:hi])),
+                                           float(np.sum(emb1_i[lo:hi]))])
+            angle = None if taus is None else rho * r * arcs.arc_threshold_sums(
+                dens[lo:hi], a[lo:hi], b[lo:hi], taus, np.cos)
+            yield PairIntegrals(rho * r * float(np.sum(mass_i[lo:hi])),
+                                rho * r * float(np.sum(trans_i[lo:hi])), emb, angle,
+                                backend=self.name)
 
-    def _position_pair(self, nu, x, y, taus):
+    def _position_pairs(self, nu, xs, ys, taus):
         n = nu.dim
         pts, w = _point_support(nu.mu)
-        dist, units = _unit_frames(pts, x, y)
+        dist, units = _unit_frames(pts, xs, ys)
         # psi = 2 atan2(|u - w|, |u + w|) is stable at both angle extremes,
         # unlike arccos of the inner product
         kern = [u[0] - u[1] for u in units]
         diff = _column_norms(kern)
         summ = _column_norms([u[0] + u[1] for u in units])
         psi = 2.0 * np.arctan2(diff, summ)
-        delta = x - y
-        r = float(np.linalg.norm(delta))
-        udelta = delta / r
+        deltas = xs - ys
+        udeltas = deltas / _norms(deltas)[:, None]
         c_n = unit_kernel_constant(n)
-
-        mass = float(w @ psi) / PI
         # the matvec and the einsums read (points, dim) rows: they add a row's
         # products in an order that column sums would not keep in 3-D
-        kern = np.stack(kern, axis=1)
-        trans = c_n * float(w @ (kern @ udelta))
-        emb = c_n * np.einsum("i,ij->j", w, kern)
-
-        angle = None
+        kern = np.stack(kern, axis=-1)
+        angle = [None] * len(xs)
         if taus is not None:
-            dot_u = np.einsum("ij,ij->i", *np.stack(units, axis=-1))
-            sin_psi = 0.5 * diff * summ
-            angle = self._position_angle_profile(n, w, *dist, dot_u, sin_psi, psi, taus)
-        return PairIntegrals(mass, trans, emb, angle, backend=self.name)
+            dot_u = np.einsum("ij,ij->i", *np.stack(units, axis=-1).reshape(2, -1, n))
+            angle = self._position_angle_profiles(n, w, *dist, dot_u.reshape(psi.shape),
+                                                  0.5 * diff * summ, psi, taus)
+        for k in range(len(xs)):
+            yield PairIntegrals(float(w @ psi[k]) / PI, c_n * float(w @ (kern[k] @ udeltas[k])),
+                                c_n * np.einsum("i,ij->j", w, kern[k]), angle[k],
+                                backend=self.name)
 
     @staticmethod
-    def _position_angle_profile(n, w, rx, ry, dot_u, sin_psi, psi, taus):
+    def _position_angle_profiles(n, w, rx, ry, dot_u, sin_psi, psi, taus):
+        """The angle profile of each query row, from (rows, nodes) arrays."""
         # reduce to the plane spanned by (dx, dy), dx along the first axis: the
         # hit arc sits at xi in [xi_lo, xi_lo + psi] past the normal angle of delta
         p_d = arcs._mod_pi(np.arctan2(0.0 - ry * sin_psi, rx - ry * dot_u) + 0.5 * PI)
         xi_lo = arcs._mod_pi(0.5 * PI - p_d)
         xi_lo[psi >= PI] = 0.0
         xi_hi = np.minimum(xi_lo + psi, PI)
-        if n == 2:
-            return arcs.arc_threshold_sums(w, xi_lo, xi_hi, taus) / PI
-        # n = 3: P(in-plane radius >= sin tau / sin xi) = sqrt(1 - (sin tau / sin xi)^2)
-        # integrated over [lo, hi]; in c = cos xi it is sqrt(cos^2 tau - c^2) / (1 - c^2),
-        # whose antiderivative F is elementary, so the integral is F(cos lo) - F(cos hi)
-        sin_t, cos2_t = np.sin(taus), np.cos(taus) ** 2
+        anti = None     # n = 2: the arc length
+        if n == 3:
+            # P(in-plane radius >= sin tau / sin xi) = sqrt(1 - (sin tau / sin xi)^2)
+            # integrated over [lo, hi]; in c = cos xi it is sqrt(cos^2 tau - c^2) / (1 - c^2),
+            # whose antiderivative F is elementary, so the integral is F(cos lo) - F(cos hi)
+            sin_t, cos2_t = np.sin(taus), np.cos(taus) ** 2
 
-        def anti(xi):
-            c = np.cos(xi)
-            r = np.sqrt(np.maximum(cos2_t - c * c, 0.0))
-            return np.arctan2(c, r) - sin_t * np.arctan2(c * sin_t, r)
+            def anti(xi):
+                c = np.cos(xi)
+                r = np.sqrt(np.maximum(cos2_t - c * c, 0.0))
+                return np.arctan2(c, r) - sin_t * np.arctan2(c * sin_t, r)
 
-        return arcs.arc_threshold_sums(w, xi_lo, xi_hi, taus, anti) / PI
+        return [arcs.arc_threshold_sums(w, lo, hi, taus, anti) / PI
+                for lo, hi in zip(xi_lo, xi_hi)]
 
     # -- region queries -----------------------------------------------------
 
@@ -302,17 +348,18 @@ def _uniform_point_measure(nu) -> bool:
 
 def _unit_frames(pts, x, y):
     """Distances and unit directions from each support point to x (row 0) and to y
-    (row 1): ``dist`` of shape (2, points) and one such array per coordinate in
-    ``units``.  A point at one endpoint gets minus its direction to the other, as
-    if just inside [x, y]."""
+    (row 1): ``dist`` of shape (2, ..., points) and one such array per coordinate in
+    ``units``, with a query axis when ``x`` and ``y`` hold (queries, dim) rows.  A
+    point at one endpoint gets minus its direction to the other, as if just inside
+    [x, y]."""
     ends = np.stack([x, y])
-    cols = [ends[:, k:k + 1] - pts[:, k] for k in range(len(x))]
+    cols = [ends[..., k:k + 1] - pts[:, k] for k in range(pts.shape[1])]
     dist = _column_norms(cols)
     at_end = dist == 0.0
     scale = np.where(at_end, 1.0, dist)
     units = [c / scale for c in cols]
-    at_x, at_y = np.flatnonzero(at_end[0]), np.flatnonzero(at_end[1])
-    if at_x.size or at_y.size:
+    if at_end.any():
+        at_x, at_y = at_end
         for u in units:
             u[0, at_x] = -u[1, at_x]
         for u in units:
@@ -354,23 +401,32 @@ class Exact2D(Backend):
     def supports(self, nu: HyperplaneMeasure) -> bool:
         return isinstance(nu, PositionDirection) and nu.dim == 2
 
-    def _pair(self, nu, x, y, taus):
+    def _pair_rows(self, nu, xs, ys, taus):
         pieces = nu.omega.arc_pieces()
-        mass, trans = 0.0, 0.0
-        emb = np.zeros(2)
-        angle = np.zeros(len(taus)) if taus is not None else None
+        count = len(xs)
+        clouds = []
         # the boundary refused atoms on the segment: a point on it is a node, hit fully
-        for points, weights in (_point_support(nu.mu),
-                                arcs.segment_pair_nodes(nu.mu.segment_table, pieces, x, y)):
-            if len(points):
-                m, t, e, a = arcs.pair_cloud_integrals(points, weights, pieces, x, y,
-                                                       taus=taus, on_segment="full")
+        pts, w = _point_support(nu.mu)
+        if len(pts):
+            clouds.append((pts, w, np.zeros(len(pts), dtype=np.intp)) if count == 1 else
+                          (np.tile(pts, (count, 1)), np.tile(w, count),
+                           np.repeat(np.arange(count), len(pts))))
+        nodes = arcs.segment_pair_nodes(nu.mu.segment_table, pieces, xs, ys)
+        if len(nodes[0]):
+            clouds.append(nodes)
+        sums = [arcs._pair_core(points, weights, pieces, xs, ys, rows, taus=taus,
+                                on_segment="full") for points, weights, rows in clouds]
+        for k in range(count):
+            mass, trans = 0.0, 0.0
+            emb = np.zeros(2)
+            angle = np.zeros(len(taus)) if taus is not None else None
+            for m, t, e, a in (cloud[k] for cloud in sums):
                 mass += m
                 trans += t
                 emb += e
                 if angle is not None:
                     angle += a
-        return PairIntegrals(mass, trans, emb, angle, backend=self.name)
+            yield PairIntegrals(mass, trans, emb, angle, backend=self.name)
 
     def _box_mass(self, nu, lo, hi) -> RegionMass:
         return RegionMass(_position_box_mass_2d(nu, lo, hi))
@@ -502,6 +558,10 @@ class MonteCarlo(Backend):
             return normals, slab
 
     # -- queries -------------------------------------------------------------
+
+    def _pair_rows(self, nu, xs, ys, taus):
+        for x, y in zip(xs, ys):
+            yield self._pair(nu, x, y, taus)
 
     def _pair(self, nu, x, y, taus):
         delta = x - y
@@ -667,34 +727,59 @@ def _support_size(nu) -> int:
             + arcs.SEGMENT_ORDER * len(mu.segment_table.lengths))
 
 
+def _fans_out(nu, count: int) -> bool:
+    """Whether ``count`` queries on ``nu`` run on the thread pool: the support is large,
+    there are two usable cores or more, and the caller is not itself a pool worker
+    (waiting on its own pool could deadlock)."""
+    return (count >= 2 and _support_size(nu) >= FAN_OUT_NODES and _worker_count() >= 2
+            and not getattr(_IN_WORKER, "active", False))
+
+
 def fan_out(nu, calls):
     """Yield ``fn(*args)`` for each ``(fn, *args)`` in ``calls``, in call order.
 
-    When ``nu``'s support is large the calls run on a thread pool, one worker per
+    Where ``_fans_out`` says so the calls run on a thread pool, one worker per
     usable core (numpy kernels release the GIL); the first error in call order is
-    raised and calls not yet started are dropped.  Otherwise, and in a worker
-    (waiting on its own pool could deadlock), each runs in the caller's thread.
+    raised and calls not yet started are dropped.  Otherwise each runs in the
+    caller's thread.
     """
-    calls, workers = list(calls), _worker_count()
-    if (workers < 2 or len(calls) < 2 or _support_size(nu) < FAN_OUT_NODES
-            or getattr(_IN_WORKER, "active", False)):
+    calls = list(calls)
+    if not _fans_out(nu, len(calls)):
         yield from (fn(*args) for fn, *args in calls)
         return
     with _POOL_LOCK:
         if _POOL[0] != os.getpid():    # no pool yet, or one made before this process forked
             from concurrent.futures import ThreadPoolExecutor
             _POOL[:] = os.getpid(), ThreadPoolExecutor(
-                workers, initializer=setattr, initargs=(_IN_WORKER, "active", True))
+                _worker_count(), initializer=setattr, initargs=(_IN_WORKER, "active", True))
         answers = _POOL[1].map(lambda call: call[0](*call[1:]), calls)
     yield from answers    # closing this generator closes ``answers``, cancelling unstarted calls
 
 
 def pair_many(backend, nu, xs, ys, taus=None):
-    """Yield ``backend.pair(nu, x, y, taus)`` for each row of ``xs`` and ``ys``, in order;
-    see ``fan_out``.  Taken one at a time, the answers need not all be held at once."""
+    """Yield ``backend.pair(nu, x, y, taus)`` for each row of ``xs`` and ``ys``, in order,
+    each answer with the bits of that call.  Taken one at a time, the answers need not
+    all be held at once.
+
+    A ``Backend`` whose queries would not fan out (see ``fan_out``) answers the rows
+    in chunks of one batched call each, in the caller's thread; a refused row raises
+    its error after the answers before it.  Any other object, such as a wrapper
+    around a backend, is asked one row at a time.
+    """
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} segment starts but {len(ys)} segment ends")
+    if isinstance(backend, Backend) and not _fans_out(nu, len(xs)):
+        return _chunked_pairs(backend, nu, xs, ys, taus)
     return fan_out(nu, ((backend.pair, nu, x, y, taus) for x, y in zip(xs, ys)))
+
+
+def _chunked_pairs(backend, nu, xs, ys, taus):
+    # a chunk's arrays grow with its rows' nodes, and a query may cut a density
+    # segment into many spans of SEGMENT_ORDER nodes: each chunk takes the rows of
+    # FAN_OUT_NODES // SEGMENT_ORDER support nodes (a measure without any counts one)
+    size = max(FAN_OUT_NODES // (arcs.SEGMENT_ORDER * max(_support_size(nu), 1)), 1)
+    for start in range(0, len(xs), size):
+        yield from backend._pairs(nu, xs[start:start + size], ys[start:start + size], taus)
 
 
 @dataclass(frozen=True)

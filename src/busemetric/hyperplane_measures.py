@@ -66,8 +66,8 @@ class OffsetDirection:
         """(density, lo, hi) when the offset measure is one atom-free piece, else None."""
         if self.offsets.atom_positions.size or len(self.offsets.pieces) != 1:
             return None
-        lo, hi, dens = self.offsets.pieces[0]
-        return float(dens), float(lo), float(hi)
+        lo, hi, dens = self.offsets.pieces[0].tolist()
+        return dens, lo, hi
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,7 @@ def beurling_ahlfors(mu1d: BaseMeasure1D, *, cap_half_angle: float = PI / 6.0,
     """
     if not 0.0 < cap_half_angle <= 0.5 * PI:
         raise ValueError("cap half angle must lie in (0, pi/2]")
+    require_positive("height", height)
     s_lo, s_hi = mu1d.support_bounds()
     if window_half is None:
         window_half = 0.1 * max(abs(s_lo), abs(s_hi))

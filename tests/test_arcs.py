@@ -264,7 +264,7 @@ def test_pair_nodes_match_per_segment_cuts(name, oblique):
     segs, table, pieces = nu.mu.segments, nu.mu.segment_table, nu.omega.arc_pieces()
     boundary = arcs.boundary_angles(pieces)
     for x, y in _pairs(plan, 53, 12, rot):
-        pts, wts = arcs.segment_pair_nodes(table, pieces, x, y)
+        pts, wts, _ = arcs.segment_pair_nodes(table, pieces, x, y)
         ref_pts, ref_wts = _ref_pair_nodes(segs, pieces, x, y)
         if oblique:
             assert pts.shape == ref_pts.shape
@@ -294,6 +294,14 @@ def test_query_nodes_cover_the_collinear_and_on_line_cases():
         assert pts.tobytes() == ref_pts.tobytes()
         assert wts.tobytes() == ref_wts.tobytes()
         assert float(np.sum(wts)) == pytest.approx(3.0, rel=1e-14)
+
+
+def test_boundary_directions_are_listed_once():
+    # pieces touching both 0 and pi (uniform directions, every bundled cap) put
+    # the vertical direction at both ends; a repeat would only add repeated cuts
+    dirs = arcs._boundary_dirs([0.0, 0.3, math.pi, 2.0])
+    g = [(b - 0.5 * math.pi) % math.pi for b in (0.0, 0.3, 2.0)]
+    assert dirs.tolist() == [[math.cos(v), math.sin(v)] for v in g]
 
 
 def test_thin_gap_runs_merge_sequentially():
@@ -343,7 +351,7 @@ def _ref_arc_overlaps(arc_lo, arc_hi, dens):
 
 
 def _ref_pair_core(dx, dy, w, pieces, delta, taus=None):
-    """``arcs._pair_core`` for nodes ("full" on the segment), every step on every node."""
+    """``arcs.pair_cloud_integrals`` for nodes ("full" on the segment), every step on every node."""
     PI = math.pi
     rx2 = np.einsum("ij,ij->i", dx, dx)
     ry2 = np.einsum("ij,ij->i", dy, dy)
@@ -385,7 +393,7 @@ def _ref_pair_core(dx, dy, w, pieces, delta, taus=None):
 
 def _assert_core_bits(points, weights, pieces, x, y, taus):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    got = arcs._pair_core(points, weights, pieces, x, y, taus=taus, on_segment="full")
+    got = arcs.pair_cloud_integrals(points, weights, pieces, x, y, taus=taus, on_segment="full")
     ref = _ref_pair_core(x - points, y - points, weights, pieces, x - y, taus=taus)
     assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in ref]
     return got
@@ -399,7 +407,7 @@ def test_pair_core_matches_dense_reference_bits(name):
     pieces = nu.omega.arc_pieces()
     for x, y in _pairs(plan, 61, 4):
         for points, weights in (_point_support(nu.mu),
-                                arcs.segment_pair_nodes(nu.mu.segment_table, pieces, x, y)):
+                                arcs.segment_pair_nodes(nu.mu.segment_table, pieces, x, y)[:2]):
             if len(points):
                 for taus in (None, TAU_GRID):
                     _assert_core_bits(points, weights, pieces, x, y, taus)

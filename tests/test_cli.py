@@ -389,10 +389,13 @@ def _bundled(name, **scenario):
     ("cell", _bundled("doubling_box", cell=0)),
     ("inner_half", _bundled("doubling_box", inner_half=0)),
     ("window_half", _bundled("degenerate_caps_02", window_half=0)),
+    ("window_half", _bundled("doubling_box", window_half=0)),
+    ("support_half", _bundled("ba_lebesgue", support_half=0)),
+    ("height", _bundled("ba_lebesgue", height=0)),
 ])
 def test_run_refuses_a_zero_box_size_by_name(tmp_path, capsys, key, cfg):
-    # each of these once divided by zero while building the box measure, and
-    # the run ended in a traceback
+    # the first three once divided by zero while building the box measure, and
+    # the run ended in a traceback; the last three exited 1 naming no key
     path = write_config(tmp_path, cfg)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
     assert f"error: {key} must be finite and positive" in capsys.readouterr().err

@@ -225,7 +225,7 @@ def _ref_exact2d_pair(nu, x, y, taus):
     for points, weights, on_segment in (
             (mu.atom_points, mu.atom_weights, "error"),
             (mu.node_points, mu.node_weights, "full"),
-            (*arcs.segment_pair_nodes(mu.segment_table, pieces, x, y), "full")):
+            (*arcs.segment_pair_nodes(mu.segment_table, pieces, x, y)[:2], "full")):
         if len(points):
             m, t, e, a = arcs.pair_cloud_integrals(points, weights, pieces, x, y,
                                                    taus=taus, on_segment=on_segment)
@@ -1513,7 +1513,7 @@ def test_empty_taus_give_an_empty_profile(backend):
 # ---------------------------------------------------------------------------
 
 def _ref_arc_sums(w, lo, hi, taus):
-    """The one-shot angle sum of ``arcs._pair_core`` and of the n = 2 position profile."""
+    """The one-shot angle sum of ``arcs.pair_cloud_integrals`` and of the n = 2 position profile."""
     t = np.asarray(taus, dtype=float)
     blo = np.maximum(lo[:, None], t[None, :])
     bhi = np.minimum(hi[:, None], math.pi - t[None, :])
@@ -1530,7 +1530,7 @@ def _ref_offset_sums(dens, a, b, taus):
 
 
 def _ref_position_profile(n, w, rx, ry, dot_u, sin_psi, psi, taus):
-    """``ClosedForm._position_angle_profile`` with every row at once."""
+    """``ClosedForm._position_angle_profiles`` with every row at once."""
     dxr = np.stack([rx, np.zeros_like(rx)], axis=1)
     dyr = np.stack([ry * dot_u, ry * sin_psi], axis=1)
     dr = dxr - dyr
@@ -1588,7 +1588,7 @@ def test_threshold_sums_match_the_one_shot_forms_bits(width):
         geometry = (rng.uniform(0.1, 3.0, rows), rng.uniform(0.1, 3.0, rows),
                     np.cos(psi), np.sin(psi), psi)
         for n in (2, 3):
-            got = ClosedForm._position_angle_profile(n, w, *geometry, taus)
+            got = ClosedForm._position_angle_profiles(n, w, *(g[None] for g in geometry), taus)[0]
             assert got.tobytes() == _ref_position_profile(n, w, *geometry, taus).tobytes()
         if width >= 2:
             # Monte Carlo rows: a tenth of the samples miss and add nothing
@@ -1619,7 +1619,7 @@ def _ref_unit_frames(pts, x, y):
 
 
 def _ref_position_pair(nu, x, y, taus):
-    """``ClosedForm._position_pair`` on rows, as (mass, transversal, embed, angle)."""
+    """``ClosedForm._position_pairs`` on rows, as (mass, transversal, embed, angle)."""
     pts, w = evaluate._point_support(nu.mu)
     rx, ry, ux, uy = _ref_unit_frames(pts, x, y)
     diff = np.linalg.norm(ux - uy, axis=1)
@@ -1693,7 +1693,7 @@ def test_position_pair_on_columns_matches_the_row_forms_bits(case):
               (pts[1], pts[2])]
     for x, y in pairs:
         for taus in (None, TAU_GRID):
-            got = CF._position_pair(nu, x, y, taus)
+            got = next(CF._position_pairs(nu, np.array([x]), np.array([y]), taus))
             ref = _ref_position_pair(nu, x, y, taus)
             assert _bits(got)[:4] == [None if v is None else np.asarray(v).tobytes() for v in ref]
         _, _, ux, uy = _ref_unit_frames(pts, x, y)
@@ -1762,15 +1762,20 @@ def _queries(count):
     return xs, np.zeros((count, 2))
 
 
-@pytest.mark.parametrize("config", ["ba_inv_sqrt", "degenerate_caps_02", "doubling_box"])
+HEAVY_CONFIGS = ["ba_inv_sqrt", "degenerate_caps_02", "doubling_box"]
+
+
+@pytest.mark.parametrize("config", HEAVY_CONFIGS + ["crofton2", "crofton3", "doubling_atoms",
+                                                    "ba_lebesgue"])
 def test_pair_many_matches_a_serial_loop_bits(config, monkeypatch):
+    # the heavy configs fan out on the pool, the light ones answer in batches
     from busemetric.diagnostics import TAU_GRID
     monkeypatch.setattr(evaluate, "_worker_count", lambda: 2)
     sc, cfg = _config_scenario(config)
     nu, backend = sc.measure, sc.backend()
-    assert evaluate._support_size(nu) >= evaluate.FAN_OUT_NODES
+    assert (evaluate._support_size(nu) >= evaluate.FAN_OUT_NODES) == (config in HEAVY_CONFIGS)
     lo, hi = (np.array(c) for c in cfg["plan"]["region"])
-    xs, ys = np.random.default_rng(4).uniform(lo, hi, (2, 6, 2))
+    xs, ys = np.random.default_rng(4).uniform(lo, hi, (2, 6, len(lo)))
     for taus in (None, TAU_GRID):
         got = evaluate.pair_many(backend, nu, xs, ys, taus=taus)
         assert [_bits(p) for p in got] == [_bits(backend.pair(nu, x, y, taus=taus))
@@ -1782,6 +1787,87 @@ def test_pair_many_refuses_unequal_starts_and_ends():
     xs, ys = _queries(3)
     with pytest.raises(ValueError, match="3 segment starts but 1 segment ends"):
         evaluate.pair_many(CF, crofton2(), xs, ys[:1])
+
+
+def _batched_cases():
+    """(backend, measure, region half-width) for each batched pair kernel."""
+    arc = ArcDensity2D([(0.0, 0.4, 1.0), (0.9, 1.7, 0.5), (2.5, math.pi, 2.0)])
+    offsets = BaseMeasure1D.lebesgue(-40.0, 40.0, 1.0)
+    atoms = [((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0)]
+    segments = [((-3.0, -0.5), (3.0, -0.4), 1.0), ((-0.2, -2.0), (0.3, 2.0), 0.7)]
+    cells = lebesgue_box_measure(2, inner_half=0.5, levels=1)
+    return {
+        "offset_uniform_2d": (CF, crofton2(), 1.0),
+        "offset_uniform_3d": (CF, OffsetDirection(UniformDirections(3), offsets), 1.0),
+        "offset_arc_2d": (CF, OffsetDirection(arc, offsets), 1.0),
+        "position_atoms_2d": (CF, atom_measure(atoms), 1.0),
+        "position_cells_3d": (CF, _cloud_3d(), 0.5),
+        "exact_cloud": (E2, PositionDirection(cells, arc), 0.5),
+        "exact_segments": (E2, PositionDirection(BaseMeasureND(2, segments=segments),
+                                                 SymmetricCap([0.2, 1.0], 0.6)), 1.0),
+        "exact_atoms_segments": (E2, PositionDirection(
+            BaseMeasureND(2, atoms=atoms, segments=segments), arc), 1.0),
+        "monte_carlo": (MonteCarlo(2_000, 3), atom_measure(atoms), 1.0),
+    }
+
+
+def _in_chunks_of(monkeypatch, backend, nu, rows):
+    """Batch ``pair_many`` in chunks of ``rows`` in the caller's thread; returns the
+    list that records each chunk's length."""
+    monkeypatch.setattr(evaluate, "_worker_count", lambda: 1)
+    monkeypatch.setattr(evaluate, "FAN_OUT_NODES",
+                        rows * arcs.SEGMENT_ORDER * max(evaluate._support_size(nu), 1))
+    chunks, pairs = [], type(backend)._pairs
+
+    def recorded(self, nu, xs, ys, taus=None):
+        chunks.append(len(xs))
+        return pairs(self, nu, xs, ys, taus)
+
+    monkeypatch.setattr(type(backend), "_pairs", recorded)
+    return chunks
+
+
+@pytest.mark.parametrize("case", list(_batched_cases()))
+def test_batched_pairs_match_scalar_pairs_bits(case, monkeypatch):
+    # rows answered in batches keep the bits of one pair call each: x == y rows
+    # on both sides of a chunk boundary, for every threshold kind
+    from busemetric.diagnostics import TAU_GRID
+    backend, nu, half = _batched_cases()[case]
+    n = nu.dim
+    xs, ys = np.random.default_rng(12).uniform(-half, half, (2, 8, n))
+    ys[2], ys[3] = xs[2], xs[3]
+    want = {}
+    for taus in (None, [], [0.4], TAU_GRID):
+        want[str(taus)] = [_bits(backend.pair(nu, x, y, taus=taus)) for x, y in zip(xs, ys)]
+    chunks = _in_chunks_of(monkeypatch, backend, nu, 3)
+    for taus in (None, [], [0.4], TAU_GRID):
+        got = [_bits(p) for p in evaluate.pair_many(backend, nu, xs, ys, taus=taus)]
+        assert got == want[str(taus)]
+    assert chunks == [3, 3, 2] * 4
+
+
+@pytest.mark.parametrize("case, bad_y, error", [
+    ("position_atoms_2d", [2.0, 0.3], DegenerateConfigurationError),    # an atom at y
+    ("exact_atoms_segments", [2.0, 0.3], DegenerateConfigurationError),
+    ("offset_uniform_2d", [0.1, 60.0], UnsupportedBackendError),        # past the density's span
+    ("offset_arc_2d", [0.1, 60.0], UnsupportedBackendError),
+    ("monte_carlo", [0.1, 0.2, 0.3], DimensionMismatchError),
+])
+def test_batched_pairs_answer_the_rows_before_a_refused_one(case, bad_y, error, monkeypatch):
+    backend, nu, _ = _batched_cases()[case]
+    xs, ys = np.random.default_rng(13).uniform(-1.0, 1.0, (2, 5, 2))
+    ys = list(ys)
+    ys[3] = np.array(bad_y)
+    with pytest.raises(error) as want:
+        backend.pair(nu, xs[3], ys[3])
+    want = [_bits(backend.pair(nu, x, y)) for x, y in zip(xs[:3], ys[:3])], str(want.value)
+    chunks = _in_chunks_of(monkeypatch, backend, nu, 8)
+    answers = evaluate.pair_many(backend, nu, xs, ys)
+    got = [_bits(next(answers)) for _ in range(3)]
+    with pytest.raises(error) as raised:
+        next(answers)
+    assert (got, str(raised.value)) == want
+    assert chunks == [5]
 
 
 @pytest.mark.parametrize("points", [[], np.zeros((0, 2))], ids=["list", "array"])
