@@ -336,17 +336,22 @@ def _sample_triples(nu, backend, plan):
 def _envelope(triples, metric: str, image: str):
     """Per-bucket maxima for one (metric, image) choice over answered triples; asks nothing."""
     answered, skipped = triples
+    if not answered:
+        return [], skipped
+    xs, as_, bs, pas, pbs = zip(*answered)
+
+    def sizes(kind):
+        # the (numerator, denominator) of every triple, norms taken in one array pass
+        if kind == "projective":
+            return [p.mass for p in pas], [p.mass for p in pbs]
+        if kind == "embed":
+            rows = np.array([p.embed for p in pas + pbs])
+        else:
+            rows = np.concatenate([np.subtract(xs, as_), np.subtract(xs, bs)])
+        return evaluate._norms(rows).reshape(2, -1).tolist()
+
     buckets: dict[int, dict] = {}
-    for x, a, b, pa, pb in answered:
-        if metric == "euclidean":
-            t_num, t_den = float(np.linalg.norm(x - a)), float(np.linalg.norm(x - b))
-        else:
-            t_num, t_den = pa.mass, pb.mass
-        if image == "embed":
-            r_num = float(np.linalg.norm(pa.embed))
-            r_den = float(np.linalg.norm(pb.embed))
-        else:
-            r_num, r_den = float(np.linalg.norm(x - a)), float(np.linalg.norm(x - b))
+    for t_num, t_den, r_num, r_den in zip(*sizes(metric), *sizes(image)):
         if t_den == 0.0 or r_den == 0.0:
             skipped += 1
             continue

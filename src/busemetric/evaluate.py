@@ -45,7 +45,7 @@ import numpy as np
 from . import arcs
 from .directions import (UniformDirections, abs_moment, partial_abs_moment, sample_pieces,
                          unit_kernel_constant)
-from .geometry import Cube, DegenerateConfigurationError, as_point, require_int
+from .geometry import Cube, DegenerateConfigurationError, as_point, as_points, require_int
 from .hyperplane_measures import (HyperplaneMeasure, OffsetDirection, PositionDirection,
                                   SamplerMeasure)
 
@@ -104,7 +104,7 @@ def _as_taus(taus) -> np.ndarray:
 class Backend:
     """The public query boundary the three backends share: refuse a measure
     that ``supports`` rules out, check the points (finite, bounded, of the
-    measure's dimension), the pair points by ``_segment``, the box corners'
+    measure's dimension), the pair rows by ``_segments``, the box corners'
     order and the angle thresholds (``_as_taus``), answer ``x == y`` with
     zeros, and only then call the backend's ``_pair_rows`` or ``_box_mass``."""
 
@@ -114,28 +114,40 @@ class Backend:
     def supports(self, nu: HyperplaneMeasure) -> bool:
         raise NotImplementedError
 
-    def _points(self, nu, x, y):
+    def _serve(self, nu):
         if not self.supports(nu):
             raise UnsupportedBackendError(
                 f"backend {self.name} does not serve this {type(nu).__name__} measure")
-        return as_point(x, nu.dim), as_point(y, nu.dim)
 
-    def _segment(self, nu, x, y):
-        """The checked points of a pair query on [x, y], and whether they differ.
-        Distinct points whose squared distance underflows are refused: every
-        backend would lose the segment (``as_point`` keeps squares from
-        overflowing).  So is a mu-atom on the closed segment, or at the point
-        x == y: it carries hyperplane mass through a single point, and the
-        integrals are ill-posed."""
-        x, y = self._points(nu, x, y)
-        d = x - y
-        moves = float(d @ d) >= TINY
-        if not moves and np.any(d != 0.0):
-            raise ValueError(f"points {x.tolist()} and {y.tolist()} are distinct but too close: "
-                             "their squared distance underflows")
-        if isinstance(nu, PositionDirection) and nu.mu.atoms_on_segment(x, y).size:
-            raise DegenerateConfigurationError("mu-atom lies on the closed query segment")
-        return x, y, moves
+    def _segments(self, nu, xs, ys):
+        """The rows of pair queries on [x, y] before the first refused one, checked in
+        one array pass, whether each moves (x != y), and the refused row's error or None.
+        A row is refused at its first failing check: x, then y, a point of the measure's
+        dimension (``as_points``); distinct points whose squared distance underflows,
+        which every backend would lose (``as_points`` keeps squares from overflowing); a
+        mu-atom on the closed segment, or at the point x == y, which carries hyperplane
+        mass through a single point and leaves the integrals ill-posed."""
+        self._serve(nu)
+        xs, error = as_points(xs, nu.dim)
+        ys, y_error = as_points(ys, nu.dim)
+        if len(ys) < len(xs):
+            xs, error = xs[:len(ys)], y_error
+        ys = ys[:len(xs)]
+        d = xs - ys
+        moving = np.vecdot(d, d) >= TINY
+        count = len(moving)
+        if np.count_nonzero(moving) < count:
+            close = np.flatnonzero(~moving & (d != 0.0).any(axis=1))
+            if len(close):
+                count = close[0]
+                error = ValueError(f"points {xs[count].tolist()} and {ys[count].tolist()} are "
+                                   "distinct but too close: their squared distance underflows")
+        if isinstance(nu, PositionDirection) and len(nu.mu.atom_points):
+            on_atom = nu.mu.atoms_on_segments(xs[:count], ys[:count])
+            if np.count_nonzero(on_atom):
+                count = np.flatnonzero(on_atom.any(axis=1))[0]
+                error = DegenerateConfigurationError("mu-atom lies on the closed query segment")
+        return xs[:count], ys[:count], moving[:count], error
 
     def pair(self, nu, x, y, taus=None) -> PairIntegrals:
         return next(self._pairs(nu, (x,), (y,), taus))
@@ -144,22 +156,15 @@ class Backend:
         """Yield ``pair(nu, x, y, taus)`` for each row of ``xs`` and ``ys``, in order,
         the rows with x != y answered by one ``_pair_rows`` call.  A refused row's
         error is raised after the answers of the rows before it."""
-        starts, ends, moving, error = [], [], [], None
-        for x, y in zip(xs, ys):
-            try:
-                x, y, moves = self._segment(nu, x, y)
-            except (TypeError, ValueError) as exc:
-                error = exc
-                break
-            if moves:
-                starts.append(x)
-                ends.append(y)
-            moving.append(moves)
-        if moving:
+        xs, ys, moving, error = self._segments(nu, xs, ys)
+        if len(moving):
             if taus is not None:
                 taus = _as_taus(taus)
-            answers = self._pair_rows(nu, np.array(starts), np.array(ends), taus) if starts else None
-            for moves in moving:
+            flags = moving.tolist()
+            if not all(flags):
+                xs, ys = xs[moving], ys[moving]
+            answers = self._pair_rows(nu, xs, ys, taus) if any(flags) else None
+            for moves in flags:
                 yield next(answers) if moves else self._zeros(nu.dim, taus)
         if error is not None:
             raise error
@@ -174,7 +179,11 @@ class Backend:
                              None if t is None else np.zeros(len(t)), backend=self.name)
 
     def box_mass(self, nu, lo, hi) -> RegionMass:
-        lo, hi = self._points(nu, lo, hi)
+        self._serve(nu)
+        corners, error = as_points((lo, hi), nu.dim)
+        if error is not None:
+            raise error
+        lo, hi = corners
         if np.any(lo > hi):
             raise ValueError(f"box corners {lo.tolist()} and {hi.tolist()} are out of order: "
                              "need lo <= hi on every axis")
@@ -190,13 +199,16 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def _covered_density(nu, reach: float):
-    """(density, lo, hi) of the constant offset density, which must cover norm ``reach``."""
+def _covered_density(nu, reaches):
+    """The constant offset density, the count of leading ``reaches`` (query norms) its
+    span covers, and the error refusing the first one it does not (None when it covers all)."""
     rho, lo, hi = nu.constant_offset_density()
-    if reach > min(hi, -lo):
-        raise UnsupportedBackendError(
-            f"offset density span [{lo:g}, {hi:g}] does not cover queries of norm {reach:g}")
-    return rho, lo, hi
+    outside = (reaches > min(hi, -lo)).tolist()
+    if True not in outside:
+        return rho, len(outside), None
+    k = outside.index(True)
+    return rho, k, UnsupportedBackendError(
+        f"offset density span [{lo:g}, {hi:g}] does not cover queries of norm {reaches[k]:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +235,18 @@ class ClosedForm(Backend):
         return self._position_pairs(nu, xs, ys, taus)
 
     def _offset_pairs(self, nu, xs, ys, taus):
-        rho, _, _ = nu.constant_offset_density()
         deltas = xs - ys
-        norms_x, norms_y, rs = _norms(np.concatenate([xs, ys, deltas])).reshape(3, -1).tolist()
+        norms_x, norms_y, rs = _norms(np.concatenate([xs, ys, deltas])).reshape(3, -1)
+        rho, covered, error = _covered_density(nu, np.maximum(norms_x, norms_y))
+        rs = rs.tolist()
         if isinstance(nu.omega, UniformDirections):
             answers = self._uniform_offset_pairs(nu.dim, rho, deltas, rs, taus)
         else:
             answers = self._offset_pairs_2d(nu.omega.arc_pieces(), rho, deltas, rs, taus)
-        for reach in map(max, norms_x, norms_y):
-            # a row beyond the density's span is refused in its turn
-            _covered_density(nu, reach)
-            yield next(answers)
+        # a row beyond the density's span is refused in its turn
+        yield from itertools.islice(answers, covered)
+        if error is not None:
+            raise error
 
     def _uniform_offset_pairs(self, n, rho, deltas, rs, taus):
         moment, embs = abs_moment(n), rho * deltas / n
@@ -334,7 +347,9 @@ class ClosedForm(Backend):
             return RegionMass(_position_box_mass_3d(nu, lo, hi))
         sides = hi - lo
         # the far corner of the box bounds the norm of every point in it
-        rho, _, _ = _covered_density(nu, float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))))
+        rho, _, error = _covered_density(nu, _norms(np.maximum(np.abs(lo), np.abs(hi))[None]))
+        if error is not None:
+            raise error
         if isinstance(nu.omega, UniformDirections):
             return RegionMass(rho * float(np.sum(sides)) * abs_moment(nu.dim))
         return RegionMass(rho * _box_width_integral_2d(nu.omega.arc_pieces(), sides))
@@ -613,13 +628,13 @@ class MonteCarlo(Backend):
             rho, lo, hi = const
             with np.errstate(over="ignore"):
                 reach = max(float(np.max(np.linalg.norm(p, axis=1))) for p in (xs, ys))
-        # a NaN or overflowed reach falls back too, and pair refuses its row
+        # a NaN or overflowed reach falls back too, and the check refuses its row
         if const is None or not reach <= min(hi, -lo):
-            out = np.array([[r.mass, r.mass_se] for r in
-                            (self.pair(nu, x, y) for x, y in zip(xs, ys))])
+            out = np.array([[r.mass, r.mass_se] for r in _chunked_pairs(self, nu, xs, ys, None)])
             return out[:, 0], out[:, 1]
-        for x, y in zip(xs, ys):
-            self._segment(nu, x, y)
+        xs, ys, _, error = self._segments(nu, xs, ys)
+        if error is not None:
+            raise error
         normals, _ = self._batch(nu)
         m = len(normals)
         # omega total mass times the offset density, in the batch's operations

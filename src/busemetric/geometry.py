@@ -26,17 +26,42 @@ class DegenerateConfigurationError(ValueError):
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a float vector of dimension >= 2 (exactly ``dim`` if given) whose
     coordinates are finite and at most ``MAX_COORDINATE`` in magnitude."""
-    p = np.asarray(x, dtype=float)
-    if dim is not None and p.shape != (dim,):
-        raise DimensionMismatchError(f"point of shape {p.shape} in dimension {dim}")
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError(f"point must be a vector of dimension >= 2, got shape {p.shape}")
-    # scalar test: every query passes here, and for a handful of coordinates
-    # numpy's per-call overhead is several times the work; NaN fails it too
-    if not all(-MAX_COORDINATE <= c <= MAX_COORDINATE for c in p.tolist()):
-        raise ValueError(f"point coordinates must be finite and at most {MAX_COORDINATE:g} "
-                         "in magnitude")
-    return p
+    points, error = as_points((x,), dim)
+    if error is not None:
+        raise error
+    return points[0]
+
+
+def as_points(rows, dim: int | None = None):
+    """The leading ``rows`` that pass ``as_point`` as one C-contiguous (count, dim) array,
+    and the error of the first row that does not, or None; a row is coerced alone and its
+    shape checked before its coordinates (without ``dim``, the first row's dimension)."""
+    try:
+        p = np.ascontiguousarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        p = None
+    error = None
+    if p is None or p.ndim != 2 or p.shape[1] < 2 or p.shape[1] != (dim or p.shape[1]):
+        points = []     # a row is not a vector of the one dimension: stack those before it
+        for row in rows:
+            try:
+                q = np.asarray(row, dtype=float)
+                if dim is not None and q.shape != (dim,):
+                    raise DimensionMismatchError(f"point of shape {q.shape} in dimension {dim}")
+                if q.ndim != 1 or q.size < 2:
+                    raise ValueError(
+                        f"point must be a vector of dimension >= 2, got shape {q.shape}")
+            except (TypeError, ValueError) as exc:
+                error = exc
+                break
+            dim = q.size
+            points.append(q)
+        p = np.array(points).reshape(len(points), dim or 0)
+    inside = np.abs(p) <= MAX_COORDINATE     # NaN fails it too
+    if np.count_nonzero(inside) < inside.size:
+        p, error = p[:np.flatnonzero(~inside.all(axis=1))[0]], ValueError(
+            f"point coordinates must be finite and at most {MAX_COORDINATE:g} in magnitude")
+    return p, error
 
 
 def require_int(key: str, value, least: int) -> int:

@@ -269,24 +269,29 @@ class BaseMeasureND:
         return tot
 
     def atoms_on_segment(self, x, y) -> np.ndarray:
-        """Indices of the atoms on the closed segment [x, y]; ``[x, x]`` is the point x.
+        """Indices of the atoms on the closed segment [x, y]; ``[x, x]`` is the point x."""
+        return np.flatnonzero(self.atoms_on_segments(np.asarray([x], dtype=float),
+                                                     np.asarray([y], dtype=float))[0])
+
+    def atoms_on_segments(self, xs, ys) -> np.ndarray:
+        """(rows, atoms) mask of the atoms on each closed segment [xs[k], ys[k]].
 
         An atom is on the segment when it equals its own nearest point there,
         ``x + t (y - x)`` with t clipped to [0, 1], or the endpoint y, which
-        ``x + 1.0 * (y - x)`` need not reproduce.
+        ``x + 1.0 * (y - x)`` need not reproduce.  Each row's t is one stacked
+        matrix-vector product, with the bits of that row's own.
         """
         a = self.atom_points
-        if not len(a):
-            return np.zeros(0, dtype=int)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        d = y - x
-        dd = float(d @ d)
-        t = np.clip((a - x) @ d / dd, 0.0, 1.0) if dd > 0.0 else np.zeros(len(a))
-        near, at_y = a - (x + t[:, None] * d), a - y
-        # a gap is zero when its squared norm is, as for the backends' distances
-        return np.flatnonzero(np.minimum(np.sum(near * near, axis=1),
-                                         np.sum(at_y * at_y, axis=1)) == 0.0)
+        d = ys - xs
+        dd = np.vecdot(d, d)
+        x = xs[:, None, :]
+        # where d.d is 0 (x == y), t is +-0: the division is by infinity
+        t = np.clip(((a - x) @ d[:, :, None]) / np.where(dd > 0.0, dd, np.inf)[:, None, None],
+                    0.0, 1.0)
+        near, at_y = a - (x + t * d[:, None, :]), a - ys[:, None, :]
+        # a gap is zero when its squared norm is, as for the backends' distances; the
+        # terms are not negative, so the order of their sum cannot move a zero
+        return np.minimum(np.vecdot(near, near), np.vecdot(at_y, at_y)) == 0.0
 
     def scaled(self, factor: float) -> "BaseMeasureND":
         if not 0 < factor < math.inf:

@@ -830,16 +830,18 @@ SEG_MASS_MANY_ROUTES = {
 
 @pytest.mark.parametrize("route", list(SEG_MASS_MANY_ROUTES))
 def test_mc_seg_mass_many_checks_each_row_once(monkeypatch, route):
-    # a row that fell back to pair was checked before the fallback and again
-    # inside pair
+    # the bulk path checks its rows in one batched check; a row that falls back
+    # to pair is checked there alone, never once before the fallback as well
     make, xs, ys = SEG_MASS_MANY_ROUTES[route]
     nu = make()
     mc = MonteCarlo(budget=2_000, seed=5)
     checked = []
-    segment = mc._segment
-    monkeypatch.setattr(mc, "_segment", lambda *a: checked.append(a) or segment(*a))
+    segments = mc._segments
+    monkeypatch.setattr(mc, "_segments",
+                        lambda nu, xs, ys: checked.append(len(xs)) or segments(nu, xs, ys))
     mc.seg_mass_many(nu, xs, ys)
-    assert len(checked) == len(xs)
+    assert sum(checked) == len(xs)
+    assert len(checked) == 1
 
 
 def test_mc_seg_mass_many_sends_uncovered_rows_through_pair():
@@ -1868,6 +1870,164 @@ def test_batched_pairs_answer_the_rows_before_a_refused_one(case, bad_y, error, 
         next(answers)
     assert (got, str(raised.value)) == want
     assert chunks == [5]
+
+
+# the per-row checks a pair query ran before rows were checked in one array pass,
+# kept as the reference for the batched check: the point rule, the underflow
+# rule, the mu-atom rule and, on ClosedForm's offset forms, the density's span
+
+def _ref_point(x, dim):
+    p = np.asarray(x, dtype=float)
+    if p.shape != (dim,):
+        raise DimensionMismatchError(f"point of shape {p.shape} in dimension {dim}")
+    if not all(-1e150 <= c <= 1e150 for c in p.tolist()):
+        raise ValueError("point coordinates must be finite and at most 1e+150 in magnitude")
+    return p
+
+
+def _ref_atoms_on_segment(a, x, y):
+    d = y - x
+    dd = float(d @ d)
+    t = np.clip((a - x) @ d / dd, 0.0, 1.0) if dd > 0.0 else np.zeros(len(a))
+    near, at_y = a - (x + t[:, None] * d), a - y
+    return np.flatnonzero(np.minimum(np.sum(near * near, axis=1),
+                                     np.sum(at_y * at_y, axis=1)) == 0.0)
+
+
+def _ref_row_check(backend, nu, x, y):
+    if not backend.supports(nu):
+        raise UnsupportedBackendError(
+            f"backend {backend.name} does not serve this {type(nu).__name__} measure")
+    x, y = _ref_point(x, nu.dim), _ref_point(y, nu.dim)
+    d = x - y
+    moves = float(d @ d) >= np.finfo(float).tiny
+    if not moves and np.any(d != 0.0):
+        raise ValueError(f"points {x.tolist()} and {y.tolist()} are distinct but too close: "
+                         "their squared distance underflows")
+    if isinstance(nu, PositionDirection) and _ref_atoms_on_segment(nu.mu.atom_points, x, y).size:
+        raise DegenerateConfigurationError("mu-atom lies on the closed query segment")
+    if moves and isinstance(backend, ClosedForm) and isinstance(nu, OffsetDirection):
+        _, lo, hi = nu.constant_offset_density()
+        reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
+        if reach > min(hi, -lo):
+            raise UnsupportedBackendError(
+                f"offset density span [{lo:g}, {hi:g}] does not cover queries of norm {reach:g}")
+
+
+def _ref_answers(backend, nu, xs, ys):
+    """The bits of each row's lone ``pair`` up to the first row the per-row rule
+    refuses, and that row's index and (error type, message)."""
+    got = []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        try:
+            _ref_row_check(backend, nu, x, y)
+        except (TypeError, ValueError) as exc:
+            return got, (k, type(exc), str(exc))
+        got.append(_bits(backend.pair(nu, x, y)))
+    return got, None
+
+
+def _batched_answers(backend, nu, xs, ys):
+    got = []
+    try:
+        for p in evaluate.pair_many(backend, nu, xs, ys):
+            got.append(_bits(p))
+    except (TypeError, ValueError) as exc:
+        return got, (len(got), type(exc), str(exc))
+    return got, None
+
+
+_ATOM = (0.5, 0.25)
+_GRID_ATOMS = [(_ATOM, 1.0), ((0.0, 0.0), 2.0), ((-1.25, 1.5), 1.0)]
+# a bad row: (x, y); the atom rows need a measure with an atom at _ATOM and at 0
+_BAD_ROWS = {
+    "atom_inside": ((0.25, -0.25), (0.75, 0.75)),
+    "atom_at_x": (_ATOM, (1.5, -0.5)),
+    "atom_at_y": ((1.5, -0.5), _ATOM),
+    "atom_at_x_eq_y": (_ATOM, _ATOM),
+    "underflow": ((2.0 ** -600, 0.5), (0.0, 0.5)),
+    "underflow_at_atom": ((0.0, 0.0), (2.0 ** -600, 0.0)),    # the underflow rule first
+    "nan": ((math.nan, 0.5), (0.25, 0.5)),
+    "big": ((0.25, 0.5), (1e151, 0.5)),
+    "wrong_dim": ((0.25, 0.5), (0.25, 0.5, 0.0)),
+    "ragged": ([0.25, [0.5, 0.75]], (0.25, 0.5)),
+    "x_before_y": ((0.25, 0.5, 0.0), (math.nan, 0.5)),        # x's error first
+    "span": ((0.25, 0.5), (4.5, 0.0)),                         # past [-4, 4]
+    "span_far": ((0.0, -5.0), (0.25, 0.5)),
+}
+_ATOM_ROWS = {"atom_inside", "atom_at_x", "atom_at_y", "atom_at_x_eq_y", "underflow_at_atom"}
+
+
+def _refusal_cases():
+    arc = ArcDensity2D([(0.0, 0.4, 1.0), (0.9, 1.7, 0.5), (2.5, math.pi, 2.0)])
+    segments = [((-3.0, -0.5), (3.0, -0.375), 1.0)]
+    return {
+        "closed_form_atoms": (CF, atom_measure(_GRID_ATOMS)),
+        "closed_form_offset": (CF, crofton2(span=4.0)),
+        "closed_form_offset_arc": (CF, OffsetDirection(arc, crofton2(span=4.0).offsets)),
+        "exact2d": (E2, PositionDirection(BaseMeasureND(2, atoms=_GRID_ATOMS, segments=segments),
+                                          arc)),
+        "monte_carlo": (MonteCarlo(2_000, 3), atom_measure(_GRID_ATOMS)),
+    }
+
+
+def _good_rows(backend, nu, rng, count):
+    """``count`` rows on a 1/8 grid the per-row rule accepts, some with x == y."""
+    xs, ys = [], []
+    while len(xs) < count:
+        x, y = rng.integers(-16, 17, (2, 2)) / 8.0
+        if rng.random() < 0.2:
+            y = x
+        try:
+            _ref_row_check(backend, nu, x, y)
+        except ValueError:
+            continue
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
+@pytest.mark.parametrize("case", list(_refusal_cases()))
+def test_batched_refusals_match_the_per_row_rule(case, monkeypatch):
+    # ten rows in chunks of five: each bad row first, in the middle and last in
+    # its chunk, with a bad row after it (ragged, NaN or farther past the span)
+    # that must not raise first
+    backend, nu = _refusal_cases()[case]
+    offset = isinstance(nu, OffsetDirection)
+    kinds = [k for k in _BAD_ROWS
+             if (k in _ATOM_ROWS) != offset and (not k.startswith("span") or offset)]
+    rng = np.random.default_rng(17)
+    chunks = _in_chunks_of(monkeypatch, backend, nu, 5)
+    for kind in kinds:
+        for at in (0, 2, 4, 5, 7, 9):
+            xs, ys = (list(rows) for rows in _good_rows(backend, nu, rng, 10))
+            xs[at], ys[at] = _BAD_ROWS[kind]
+            if at < 9:
+                xs[9], ys[9] = _BAD_ROWS[{"ragged": "nan", "span": "span_far"}.get(kind, "ragged")]
+            want = _ref_answers(backend, nu, xs, ys)
+            assert want[1][0] == at, (kind, at, want[1])
+            chunks.clear()
+            assert _batched_answers(backend, nu, xs, ys) == want, (kind, at)
+            assert chunks == [5] * (1 + at // 5)
+
+
+@pytest.mark.parametrize("case", ["closed_form_atoms", "exact2d", "monte_carlo"])
+def test_batched_atom_refusals_match_the_per_row_rule_near_the_segment(case, monkeypatch):
+    # atoms at x + t (y - x) of some rows on a 0.1 grid, t in hundredths: the
+    # clip parameter's bits decide these, as in the lone-pair agreement test
+    backend, _ = _refusal_cases()[case]
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    for _ in range(60):
+        xs, ys = rng.integers(-20, 21, (2, 10, 2)) / 10.0
+        picks = rng.choice(10, 3, replace=False)
+        atoms = xs[picks] + rng.integers(-10, 111, (3, 1)) / 100.0 * (ys[picks] - xs[picks])
+        nu = _atoms_with_far_one(*atoms)
+        _in_chunks_of(monkeypatch, backend, nu, 5)
+        want = _ref_answers(backend, nu, xs, ys)
+        assert _batched_answers(backend, nu, xs, ys) == want
+        outcomes.add(want[1] is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("points", [[], np.zeros((0, 2))], ids=["list", "array"])
