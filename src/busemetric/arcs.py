@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .directions import wrap_interval
-from .geometry import DegenerateConfigurationError
+from .geometry import DegenerateConfigurationError, points_on_segments
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -113,18 +113,20 @@ def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
 
     ``points``/``weights`` describe a weighted position cloud, ``pieces`` the
     direction density on [0, pi).  ``on_segment`` controls positions that lie
-    on the closed query segment: "error" rejects them (atom semantics),
-    "full" assigns the full direction circle (density-node semantics).
+    on the closed query segment (``geometry.points_on_segments``): "error"
+    rejects them (atom semantics), "full" assigns the full direction circle
+    (density-node semantics).
     Returns the weighted totals (mass, transversal, embed[2], angle_masses).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)[None]
+    y = np.asarray(y, dtype=float)[None]
     if not np.any(x != y):
         raise DegenerateConfigurationError("pair query needs x != y")
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if on_segment == "error" and points_on_segments(points, x, y).any():
+        raise DegenerateConfigurationError("atom lies on the closed query segment")
     return _pair_core(points, np.asarray(weights, dtype=float), np.asarray(pieces, dtype=float),
-                      x[None], y[None], np.zeros(len(points), dtype=np.intp),
-                      taus=taus, on_segment=on_segment)[0]
+                      x, y, np.zeros(len(points), dtype=np.intp), taus=taus)[0]
 
 
 def _xi_pieces(pieces, p_deltas) -> np.ndarray:
@@ -137,7 +139,7 @@ def _xi_pieces(pieces, p_deltas) -> np.ndarray:
     return out
 
 
-def _hit_arcs(c0, c1, p_delta, on_segment):
+def _hit_arcs(c0, c1, p_delta):
     """Each node's hit arc [xi_lo, xi_hi) in its query's xi frame, from the coordinate
     columns c0 (x[0] - p[:, 0] in row 0, y[0] - p[:, 0] in row 1) and c1.
 
@@ -150,8 +152,6 @@ def _hit_arcs(c0, c1, p_delta, on_segment):
     # a point on the closed segment, an endpoint included, is hit by every
     # line through it, oriented as for a point just inside the segment
     between = collinear & (dot <= 0.0)
-    if on_segment == "error" and np.any(between):
-        raise DegenerateConfigurationError("atom lies on the closed query segment")
 
     px, py = _mod_pi(np.arctan2(c1, c0) + 0.5 * PI)
     w1 = _mod_pi(py - px)
@@ -181,7 +181,7 @@ def _hit_arcs(c0, c1, p_delta, on_segment):
     return xi_lo, xi_lo + width
 
 
-def _pair_core(pts, w, pieces, xs, ys, rows, *, taus=None, on_segment="error"):
+def _pair_core(pts, w, pieces, xs, ys, rows, *, taus=None):
     """``pair_cloud_integrals`` on float arrays for the queries ``xs[q]``, ``ys[q]``
     at once, the nodes of query q those with ``rows == q`` (``rows`` nondecreasing).
 
@@ -200,8 +200,8 @@ def _pair_core(pts, w, pieces, xs, ys, rows, *, taus=None, on_segment="error"):
     # coordinate columns: row 0 of c0 is x[0] - p[:, 0], row 1 is y[0] - p[:, 0]
     ends = np.stack([xs, ys])
     ii, lo_r, hi_r, rho_r = _arc_overlaps(
-        *_hit_arcs(ends[:, at, 0] - pts[:, 0], ends[:, at, 1] - pts[:, 1], p_delta[at],
-                   on_segment), dens, by_row)
+        *_hit_arcs(ends[:, at, 0] - pts[:, 0], ends[:, at, 1] - pts[:, 1], p_delta[at]),
+        dens, by_row)
     hit_at = at if one else rows[ii]
     bounds = [0, len(ii)] if one else np.searchsorted(hit_at, np.arange(len(xs) + 1)).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evaluate, scenarios
 from .diagnostics import EXPECTATIONS, SamplingPlan, run_diagnostics
-from .geometry import DegenerateConfigurationError, require_positive
+from .geometry import DegenerateConfigurationError, require_int, require_positive
 from .measures import BaseMeasure1D, BaseMeasureND
 
 JSON_MARKER = "=== JSON REPORT ==="
@@ -131,6 +131,7 @@ def load_config(path: str) -> dict:
 
 
 def build_scenario(spec: dict, seed: int) -> scenarios.Scenario:
+    # the builders are deterministic: no builder draws from the config's ``seed``
     name = spec["name"]
 
     def given(*keys):
@@ -144,7 +145,7 @@ def build_scenario(spec: dict, seed: int) -> scenarios.Scenario:
         mu = scenarios.lebesgue_box_measure(2, inner_half=spec.get("inner_half", 0.8),
                                             **given("levels", "cell", "gauss_order"))
         return scenarios.doubling_pushforward(mu, window_lo=(-w, -w), window_hi=(w, w),
-                                              name="doubling_box", seed=seed)
+                                              name="doubling_box")
     if name == "doubling_atoms":
         _check_rows(spec["atoms"], "scenario.atoms")
         _check_rows(spec["window"], "scenario.window", 2)
@@ -153,7 +154,7 @@ def build_scenario(spec: dict, seed: int) -> scenarios.Scenario:
         mu = BaseMeasureND(dim, atoms=atoms)
         lo, hi = spec["window"]
         return scenarios.doubling_pushforward(mu, window_lo=lo, window_hi=hi,
-                                              name="doubling_atoms", seed=seed,
+                                              name="doubling_atoms",
                                               basepoint=spec.get("basepoint"))
     if name == "beurling_ahlfors":
         density = spec.get("density", "lebesgue")
@@ -256,9 +257,7 @@ def cmd_run(args) -> int:
         if grid is not None:
             # checked now, so a bad grid never follows a whole audit run
             _check_box(grid["window"], "outputs.grid.window", scenario)
-            if grid["resolution"] < 2:
-                raise ConfigError(f"'outputs.grid.resolution' must be at least 2, "
-                                  f"got {grid['resolution']}")
+            require_int("'outputs.grid.resolution'", grid["resolution"], 2)
         backend = _pick_backend(scenario.measure, cfg)
     except (ConfigError, ValueError, DegenerateConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

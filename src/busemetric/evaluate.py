@@ -429,8 +429,8 @@ class Exact2D(Backend):
         nodes = arcs.segment_pair_nodes(nu.mu.segment_table, pieces, xs, ys)
         if len(nodes[0]):
             clouds.append(nodes)
-        sums = [arcs._pair_core(points, weights, pieces, xs, ys, rows, taus=taus,
-                                on_segment="full") for points, weights, rows in clouds]
+        sums = [arcs._pair_core(points, weights, pieces, xs, ys, rows, taus=taus)
+                for points, weights, rows in clouds]
         for k in range(count):
             mass, trans = 0.0, 0.0
             emb = np.zeros(2)
@@ -614,27 +614,24 @@ class MonteCarlo(Backend):
     def seg_mass_many(self, nu, xs, ys):
         """Segment masses with standard errors for many pairs over one batch.
 
-        Allocation-light bulk path for the common case (offset-direction
-        measures with one constant density piece covering every row); other
-        measures and rows fall back to per-pair evaluation on the same shared
-        batch.  The points pass the same checks as ``pair``'s.
+        The rows pass ``pair``'s checks in one ``_segments`` pass.  Where one constant
+        offset density covers every row (``_covered_density``), an allocation-light
+        bulk kernel answers them; otherwise each moving row is answered by
+        ``_pair_rows`` on the same shared batch.
         """
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        if len(xs) != len(ys):
-            raise ValueError(f"{len(xs)} segment starts but {len(ys)} segment ends")
-        const = nu.constant_offset_density() if isinstance(nu, OffsetDirection) else None
-        if const is not None:
-            rho, lo, hi = const
-            with np.errstate(over="ignore"):
-                reach = max(float(np.max(np.linalg.norm(p, axis=1))) for p in (xs, ys))
-        # a NaN or overflowed reach falls back too, and the check refuses its row
-        if const is None or not reach <= min(hi, -lo):
-            out = np.array([[r.mass, r.mass_se] for r in _chunked_pairs(self, nu, xs, ys, None)])
-            return out[:, 0], out[:, 1]
-        xs, ys, _, error = self._segments(nu, xs, ys)
+        _row_count(xs, ys)
+        xs, ys, moving, error = self._segments(nu, xs, ys)
         if error is not None:
             raise error
+        covered = None
+        if isinstance(nu, OffsetDirection) and nu.constant_offset_density() is not None:
+            rho, covered, _ = _covered_density(nu, np.maximum(_norms(xs), _norms(ys)))
+        if covered != len(xs):
+            vals, ses = np.zeros((2, len(xs)))
+            answers = self._pair_rows(nu, xs[moving], ys[moving], None)
+            vals[moving], ses[moving] = np.reshape([(p.mass, p.mass_se) for p in answers],
+                                                   (-1, 2)).T
+            return vals, ses
         normals, _ = self._batch(nu)
         m = len(normals)
         # omega total mass times the offset density, in the batch's operations
@@ -771,6 +768,13 @@ def fan_out(nu, calls):
     yield from answers    # closing this generator closes ``answers``, cancelling unstarted calls
 
 
+def _row_count(xs, ys) -> int:
+    """The number of pair queries in ``xs`` and ``ys``, refused unless both hold that many."""
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} segment starts but {len(ys)} segment ends")
+    return len(xs)
+
+
 def pair_many(backend, nu, xs, ys, taus=None):
     """Yield ``backend.pair(nu, x, y, taus)`` for each row of ``xs`` and ``ys``, in order,
     each answer with the bits of that call.  Taken one at a time, the answers need not
@@ -781,9 +785,8 @@ def pair_many(backend, nu, xs, ys, taus=None):
     its error after the answers before it.  Any other object, such as a wrapper
     around a backend, is asked one row at a time.
     """
-    if len(xs) != len(ys):
-        raise ValueError(f"{len(xs)} segment starts but {len(ys)} segment ends")
-    if isinstance(backend, Backend) and not _fans_out(nu, len(xs)):
+    count = _row_count(xs, ys)
+    if isinstance(backend, Backend) and not _fans_out(nu, count):
         return _chunked_pairs(backend, nu, xs, ys, taus)
     return fan_out(nu, ((backend.pair, nu, x, y, taus) for x, y in zip(xs, ys)))
 

@@ -88,8 +88,7 @@ class Cube:
 
     def __init__(self, center, edge: float):
         c = as_point(center)
-        if not edge > 0:
-            raise ValueError("cube edge must be positive")
+        require_positive("cube edge", edge)
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "edge", float(edge))
@@ -97,6 +96,26 @@ class Cube:
     @property
     def dim(self) -> int:
         return self.center.size
+
+
+def points_on_segments(points, xs, ys) -> np.ndarray:
+    """(rows, points) mask of the ``points`` on each closed segment [xs[k], ys[k]].
+
+    A point is on the segment when it equals its own nearest point there,
+    ``x + t (y - x)`` with t clipped to [0, 1], or the endpoint y, which
+    ``x + 1.0 * (y - x)`` need not reproduce.  Each row's t is one stacked
+    matrix-vector product, with the bits of that row's own.
+    """
+    d = ys - xs
+    dd = np.vecdot(d, d)
+    x = xs[:, None, :]
+    # where d.d is 0 (x == y), t is +-0: the division is by infinity
+    t = np.clip(((points - x) @ d[:, :, None]) / np.where(dd > 0.0, dd, np.inf)[:, None, None],
+                0.0, 1.0)
+    near, at_y = points - (x + t * d[:, None, :]), points - ys[:, None, :]
+    # a gap is zero when its squared norm is, as for the backends' distances; the
+    # terms are not negative, so the order of their sum cannot move a zero
+    return np.minimum(np.vecdot(near, near), np.vecdot(at_y, at_y)) == 0.0
 
 
 def cube_vertices(q: Cube) -> np.ndarray:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arcs import SegmentTable, _gl, segment_table
-from .geometry import DegenerateConfigurationError, as_point, require_int
+from .geometry import (DegenerateConfigurationError, as_point, points_on_segments, require_int,
+                       require_positive)
 
 
 def _check_atoms(positions: np.ndarray, weights: np.ndarray) -> None:
@@ -79,14 +80,14 @@ class BaseMeasure1D:
 
     def mass(self, s: float, t: float) -> float:
         """mu((s, t]): atoms in the half-open interval plus the density integral."""
-        if s > t:
-            raise ValueError("need s <= t")
         return float(self.mass_many([s], [t])[0])
 
     def mass_many(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Vectorized mass((s_i, t_i])."""
+        """Vectorized mass((s_i, t_i]), refused unless s_i <= t_i on every row."""
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
+        if np.any(s > t):
+            raise ValueError("need s <= t")
         out = np.zeros(s.shape)
         if self.atom_positions.size:
             pos = np.sort(self.atom_positions)
@@ -112,8 +113,7 @@ class BaseMeasure1D:
         return self.atom_positions[sel]
 
     def scaled(self, factor: float) -> "BaseMeasure1D":
-        if not 0 < factor < math.inf:
-            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
+        require_positive("scale factor", factor)
         atoms = list(zip(self.atom_positions, self.atom_weights * factor))
         pieces = self.pieces.copy()
         if pieces.size:
@@ -274,28 +274,12 @@ class BaseMeasureND:
                                                      np.asarray([y], dtype=float))[0])
 
     def atoms_on_segments(self, xs, ys) -> np.ndarray:
-        """(rows, atoms) mask of the atoms on each closed segment [xs[k], ys[k]].
-
-        An atom is on the segment when it equals its own nearest point there,
-        ``x + t (y - x)`` with t clipped to [0, 1], or the endpoint y, which
-        ``x + 1.0 * (y - x)`` need not reproduce.  Each row's t is one stacked
-        matrix-vector product, with the bits of that row's own.
-        """
-        a = self.atom_points
-        d = ys - xs
-        dd = np.vecdot(d, d)
-        x = xs[:, None, :]
-        # where d.d is 0 (x == y), t is +-0: the division is by infinity
-        t = np.clip(((a - x) @ d[:, :, None]) / np.where(dd > 0.0, dd, np.inf)[:, None, None],
-                    0.0, 1.0)
-        near, at_y = a - (x + t * d[:, None, :]), a - ys[:, None, :]
-        # a gap is zero when its squared norm is, as for the backends' distances; the
-        # terms are not negative, so the order of their sum cannot move a zero
-        return np.minimum(np.vecdot(near, near), np.vecdot(at_y, at_y)) == 0.0
+        """(rows, atoms) mask of the atoms on each closed segment [xs[k], ys[k]], by
+        ``geometry.points_on_segments``."""
+        return points_on_segments(self.atom_points, xs, ys)
 
     def scaled(self, factor: float) -> "BaseMeasureND":
-        if not 0 < factor < math.inf:
-            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
+        require_positive("scale factor", factor)
         atoms = [(p, w * factor) for p, w in zip(self.atom_points, self.atom_weights)]
         cells = self.cells.copy()
         if cells.size:

@@ -1,39 +1,37 @@
 """Named measure families and a controlled degenerate family, plus grid export.
 
-Builders return a ``Scenario``: the measure, a bounded domain, a basepoint
-and the declared expectations.  The doubling-box family extends the base
-measure far beyond the query window (factor >= 100) because global doubling
-cannot hold for compactly supported measures; the window-local doubling
-ratio is the desk-scale proxy for the doubling hypothesis.
+Builders return a ``Scenario``: the measure, a bounded domain and a basepoint.
+The doubling-box family extends the base measure far beyond the query window
+(factor >= 100) because global doubling cannot hold for compactly supported
+measures; ``measures.doubling_ratio`` on the window is the desk-scale proxy
+for the doubling hypothesis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import evaluate
-from .directions import (ArcDensity2D, SymmetricCap, UniformDirections, abs_moment,
-                         wrap_interval)
+from .directions import ArcDensity2D, SymmetricCap, UniformDirections, wrap_interval
 from .geometry import as_point, require_int, require_positive
 from .hyperplane_measures import HyperplaneMeasure, OffsetDirection, PositionDirection, validate
-from .measures import BaseMeasure1D, BaseMeasureND, doubling_ratio, tail1_check
+from .measures import BaseMeasure1D, BaseMeasureND, tail1_check
 
 PI = math.pi
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A measure with its domain, basepoint and declared expectations."""
+    """A measure with its domain and basepoint."""
 
     name: str
     domain_lo: np.ndarray
     domain_hi: np.ndarray
     measure: HyperplaneMeasure
     basepoint: np.ndarray
-    expected: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lo = np.asarray(self.domain_lo, dtype=float)
@@ -87,12 +85,6 @@ def crofton(n: int, *, half_extent: float = 5.0) -> Scenario:
         domain_hi=-lo,
         measure=nu,
         basepoint=np.zeros(n),
-        expected={
-            "transverse": True,
-            "kappa": (1.0 / n) / abs_moment(n),
-            "metric_per_length": abs_moment(n),
-            "embedding_scale": 1.0 / n,
-        },
     )
 
 
@@ -130,14 +122,12 @@ def lebesgue_box_measure(dim: int, *, inner_half: float, levels: int = 6,
 
 
 def doubling_pushforward(mu: BaseMeasureND, *, window_lo, window_hi,
-                         name: str = "doubling_pushforward", seed: int = 0,
-                         basepoint=None) -> Scenario:
+                         name: str = "doubling_pushforward", basepoint=None) -> Scenario:
     """Pushforward of a doubling-type base measure with uniform directions.
 
     Requires a finite positive inverse-distance integral and a support of
     affine rank >= 2 (a collinear support fails the segment-positivity
-    bullet).  The scenario is marked transverse when the window-local
-    doubling ratio is finite.
+    bullet).
     """
     t1 = tail1_check(mu)
     if not (0.0 < t1 < math.inf):
@@ -145,13 +135,6 @@ def doubling_pushforward(mu: BaseMeasureND, *, window_lo, window_hi,
     if mu.affine_rank() < 2:
         raise ValueError("support of the base measure is contained in a line")
     lo, hi = as_point(window_lo, mu.dim), as_point(window_hi, mu.dim)
-    try:
-        ratio = doubling_ratio(mu, lo, hi, seed=seed)
-        transverse = math.isfinite(ratio)
-    except evaluate.DegenerateConfigurationError:
-        # no mass meets the sampled window: the doubling proxy says nothing
-        ratio = None
-        transverse = None
     nu = PositionDirection(mu, UniformDirections(mu.dim))
     o = np.asarray(basepoint, dtype=float) if basepoint is not None else 0.5 * (lo + hi)
     return Scenario(
@@ -160,7 +143,6 @@ def doubling_pushforward(mu: BaseMeasureND, *, window_lo, window_hi,
         domain_hi=hi,
         measure=nu,
         basepoint=o,
-        expected={"transverse": transverse, "doubling_ratio": ratio, "tail1": t1},
     )
 
 
@@ -177,8 +159,9 @@ def beurling_ahlfors(mu1d: BaseMeasure1D, *, cap_half_angle: float = PI / 6.0,
     masses.  Atoms inside the query window are rejected: each would carry
     positive hyperplane mass through a single point.
     """
-    if not 0.0 < cap_half_angle <= 0.5 * PI:
-        raise ValueError("cap half angle must lie in (0, pi/2]")
+    # arclength weighting: the axis-direction normal integral over the cap
+    # is 2 sin(cap_half_angle), equal to 1 at the pi/6 default
+    cap = SymmetricCap((1.0, 0.0), cap_half_angle)
     require_positive("height", height)
     s_lo, s_hi = mu1d.support_bounds()
     if window_half is None:
@@ -186,9 +169,6 @@ def beurling_ahlfors(mu1d: BaseMeasure1D, *, cap_half_angle: float = PI / 6.0,
     if mu1d.atoms_in(-window_half, window_half).size:
         raise ValueError("base measure has atoms inside the query window")
     mu = BaseMeasureND.from_axis_measure(mu1d, dim=2, axis=0)
-    cap = SymmetricCap((1.0, 0.0), cap_half_angle)
-    # arclength weighting: the axis-direction normal integral over the cap
-    # is 2 sin(cap_half_angle), equal to 1 at the pi/6 default
     nu = PositionDirection(mu, cap)
     # near-vertical lines only sweep the cone over the support; keeping the
     # domain above the support keeps every segment's mass positive
@@ -204,8 +184,6 @@ def beurling_ahlfors(mu1d: BaseMeasure1D, *, cap_half_angle: float = PI / 6.0,
         domain_hi=hi,
         measure=nu,
         basepoint=np.array([0.5 * (x_lo + x_hi), 0.0]),
-        expected={"transverse": True, "axis_cdf_scale": 2.0 * math.sin(cap_half_angle),
-                  "min_crossing_angle": 0.5 * PI - cap_half_angle},
     )
 
 
@@ -247,8 +225,6 @@ def degenerate_caps(theta0: float, *, window_half: float = 0.4, levels: int = 6,
         domain_hi=-lo,
         measure=nu,
         basepoint=np.zeros(2),
-        expected={"transverse": True, "theta0": theta0,
-                  "kappa_upper_oblique": math.sin(0.25 * PI + theta0)},
     )
 
 
@@ -305,8 +281,7 @@ def grid_export(scenario: Scenario, resolution: int, window_lo, window_hi, *,
     lo, hi = as_point(window_lo, scenario.dim), as_point(window_hi, scenario.dim)
     if np.any(lo < scenario.domain_lo) or np.any(hi > scenario.domain_hi):
         raise ValueError("export window must lie inside the scenario domain")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    resolution = require_int("resolution", resolution, 2)
     f = scenario.embedding(backend=backend)
     axes = [np.linspace(lo[k], hi[k], resolution) for k in range(scenario.dim)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, scenario.dim)

@@ -55,7 +55,7 @@ def roster():
 
     box = lebesgue_box_measure(2, inner_half=0.8, levels=6)
     scenarios["box"] = doubling_pushforward(box, window_lo=(-0.35, -0.35),
-                                            window_hi=(0.35, 0.35), name="box", seed=SEED)
+                                            window_hi=(0.35, 0.35), name="box")
     plans["box"] = plans["atoms"]
 
     scenarios["ba_lebesgue"] = beurling_ahlfors(

@@ -844,6 +844,16 @@ def test_mc_seg_mass_many_checks_each_row_once(monkeypatch, route):
     assert len(checked) == 1
 
 
+@pytest.mark.parametrize("make", [crofton2, lambda: atom_measure([((2.0, 0.3), 1.0)])],
+                         ids=["bulk", "position"])
+@pytest.mark.parametrize("rows", [[], np.zeros((0, 2))], ids=["list", "array"])
+def test_mc_seg_mass_many_answers_zero_rows_with_empty_arrays(make, rows):
+    # no rows once raised ValueError on the bulk route and IndexError on the
+    # other (DimensionMismatchError on both for an empty list)
+    vals, ses = MonteCarlo(budget=2_000, seed=5).seg_mass_many(make(), rows, rows)
+    assert vals.shape == ses.shape == (0,)
+
+
 def test_mc_seg_mass_many_sends_uncovered_rows_through_pair():
     # the bulk formula needs the constant offset density to cover every row;
     # the first row reaches norm 1.5 past the span [-1, 1], which pair
@@ -1201,6 +1211,9 @@ WRONG_DIMENSION_ROUTES = {
         crofton2(), Cube([0.0, 0.0, 0.0], 1.0)),
     "seg_mass_many": lambda: MonteCarlo(budget=2_000, seed=5).seg_mass_many(
         crofton2(), [[0.1, 0.0]], [[0.5]]),
+    # a ragged batch once raised numpy's inhomogeneous-shape error
+    "seg_mass_many-ragged": lambda: MonteCarlo(budget=2_000, seed=5).seg_mass_many(
+        crofton2(), [[0.1, 0.0], [0.2]], [[0.5, 0.1], [0.3, 0.2]]),
     "eval": lambda: EmbeddingMap(crofton2(), [0.0, 0.0]).eval([0.0]),
     "eval_many": lambda: EmbeddingMap(crofton2(), [0.0, 0.0]).eval_many(np.zeros((2, 1))),
     "basepoint": lambda: EmbeddingMap(crofton2(), [0.0, 0.0, 0.0]),

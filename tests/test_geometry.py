@@ -23,3 +23,10 @@ def test_cube_vertices():
 def test_cube_refuses_a_zero_edge():
     with pytest.raises(ValueError):
         Cube([0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("edge", [math.inf, math.nan])
+def test_cube_refuses_a_non_finite_edge(edge):
+    # an infinite edge was accepted, and its vertices were infinite
+    with pytest.raises(ValueError, match="cube edge must be finite and positive"):
+        Cube([0.0, 0.0], edge)

@@ -15,6 +15,9 @@ def test_interval_mass_examples():
     assert atom.mass(-1.0, 1.0) == 3.0
     with pytest.raises(ValueError):
         leb.mass(1.0, 0.0)
+    # the array form once answered the reversed row with mass -0.3
+    with pytest.raises(ValueError, match="s <= t"):
+        leb.mass_many([0.1, 0.5], [0.2, 0.2])
 
 
 def test_inv_sqrt_staircase_total():
@@ -419,7 +422,7 @@ SCALED_MEASURES = {
 @pytest.mark.parametrize("kind", list(SCALED_MEASURES))
 def test_scaled_rejects_non_positive_and_non_finite_factors(kind, factor):
     # .scaled(nan) used to construct a measure of NaN mass
-    with pytest.raises(ValueError, match="scale factor must be positive and finite"):
+    with pytest.raises(ValueError, match="scale factor must be finite and positive"):
         SCALED_MEASURES[kind]().scaled(factor)
 
 
