@@ -31,7 +31,7 @@ plan = SamplingPlan(region_lo=(-2.0, 0.1), region_hi=(2.0, 1.2), pair_count=120,
 report = run_diagnostics(sc.measure, sc.basepoint, plan, name=sc.name)
 print("\noff-axis diagnostics:")
 print(f"  kappa = {report.kappa_hat:.6f}, delta = {report.delta_hat:.6f}, "
-      f"bilip = [{report.c_low:.6f}, {report.c_high:.6f}]")
+      f"bilip = [{report.bilip['c_low']:.6f}, {report.bilip['c_high']:.6f}]")
 print(f"  all audits passed: {report.passed()}")
 
 image = grid_export(sc, 9, (-2.0, -1.0), (2.0, 1.0))

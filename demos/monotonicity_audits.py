@@ -18,9 +18,9 @@ report = run_diagnostics(sc.measure, sc.basepoint, plan, name=sc.name)
 print(report.render_text())
 
 print("\nworst cycle (normalized sum should be <= 0 up to rounding):")
-print(f"  {report.cyclic_worst:.3e} over {plan.cycle_count} cycles")
-print(f"cube ratio {report.cube_worst:.4f} vs dimensional bound {cube_bound(2):.4f}")
+print(f"  {report.cyclic['worst']:.3e} over {plan.cycle_count} cycles")
+print(f"cube ratio {report.cube['worst']:.4f} vs dimensional bound {cube_bound(2):.4f}")
 print("\nquasisymmetry envelope (t, max ratio) by bucket:")
-for bucket in report.eta_curve[:8]:
+for bucket in report.eta["curve"][:8]:
     print(f"  t = {bucket['t']:9.4f} -> {bucket['max_ratio']:9.4f} "
           f"({bucket['count']} triples)")

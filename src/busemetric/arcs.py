@@ -122,7 +122,7 @@ def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
     y = np.asarray(y, dtype=float)[None]
     if not np.any(x != y):
         raise DegenerateConfigurationError("pair query needs x != y")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
     if on_segment == "error" and points_on_segments(points, x, y).any():
         raise DegenerateConfigurationError("atom lies on the closed query segment")
     return _pair_core(points, np.asarray(weights, dtype=float), np.asarray(pieces, dtype=float),

@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import evaluate, scenarios
-from .diagnostics import EXPECTATIONS, SamplingPlan, run_diagnostics
+from .diagnostics import EXPECTATIONS, PLAN_COUNTS, SamplingPlan, run_diagnostics
 from .geometry import DegenerateConfigurationError, require_int, require_positive
 from .measures import BaseMeasure1D, BaseMeasureND
 
@@ -35,9 +35,8 @@ class ConfigError(ValueError):
 # JSON array, and an object key leaves the value to the code that reads it
 _TOP_KEYS = {"seed": (True, int), "scenario": (True, object), "plan": (True, object),
              "expect": (False, object), "outputs": (False, object), "backend": (False, object)}
-_PLAN_KEYS = {"region": (True, list), "pair_count": (False, object),
-              "cycle_count": (False, object), "cube_count": (False, object),
-              "triple_count": (False, object), "scale_range": (False, list)}
+_PLAN_KEYS = {"region": (True, list), **{key: (False, object) for key in PLAN_COUNTS},
+              "scale_range": (False, list)}
 _BACKEND_KEYS = {"name": (False, str), "budget": (False, int)}
 _OUTPUT_KEYS = {"report": (False, str), "grid": (False, object)}
 _GRID_KEYS = {"path": (True, str), "resolution": (True, int), "window": (True, list)}
@@ -194,8 +193,7 @@ def _pick_backend(nu, cfg: dict):
 def _plan_from_config(cfg: dict) -> SamplingPlan:
     plan = cfg["plan"]
     region = plan["region"]
-    kwargs = {key: plan[key] for key in ("pair_count", "cycle_count", "cube_count",
-                                          "triple_count") if key in plan}
+    kwargs = {key: plan[key] for key in PLAN_COUNTS if key in plan}
     if "scale_range" in plan:
         kwargs["scale_range"] = tuple(float(v) for v in plan["scale_range"])
     return SamplingPlan(region_lo=tuple(region[0]), region_hi=tuple(region[1]),

@@ -36,6 +36,8 @@ BRACKET_REL = 1e-9
 EXPECTATIONS = {"kappa_min": ("kappa", operator.ge), "kappa_max": ("kappa", operator.le),
                 "delta_min": ("delta", operator.ge), "c_low_min": ("c_low", operator.ge),
                 "c_high_max": ("c_high", operator.le), "tau_min": ("tau", operator.ge)}
+# a plan's sample counts, each an integer >= 1 that a config may set
+PLAN_COUNTS = ("pair_count", "cycle_count", "cube_count", "triple_count")
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class SamplingPlan:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("pair_count", "cycle_count", "cube_count", "triple_count"):
+        for key in PLAN_COUNTS:
             object.__setattr__(self, key, require_int(key, getattr(self, key), 1))
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         lo = np.asarray(self.region_lo, dtype=float)
@@ -379,6 +381,9 @@ def _envelope(triples, metric: str, image: str):
 
 @dataclass
 class DiagnosticsReport:
+    """The ``report`` object of ``busemetric run``'s JSON block, one field per key;
+    ``run_diagnostics`` names each section's keys."""
+
     scenario: str
     backend: str
     plan: dict
@@ -388,43 +393,18 @@ class DiagnosticsReport:
     tau_witness: dict | None
     delta_hat: float
     delta_witness: dict
-    c_low: float
-    c_high: float
-    bilip_witnesses: dict
-    cyclic_worst: float
-    cyclic_witness: dict
-    cube_worst: float
-    cube_witness: dict
-    cube_bound: float
-    eta_curve: list
-    eta_skipped: int
-    id_curve: list
-    id_skipped: int
+    bilip: dict
+    cyclic: dict
+    cube: dict
+    eta: dict
+    id_probe: dict
     audits: list = field(default_factory=list)
 
     def passed(self) -> bool:
         return all(a["passed"] for a in self.audits)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "backend": self.backend,
-            "plan": self.plan,
-            "kappa_hat": self.kappa_hat,
-            "kappa_witness": self.kappa_witness,
-            "tau_hat": self.tau_hat,
-            "tau_witness": self.tau_witness,
-            "delta_hat": self.delta_hat,
-            "delta_witness": self.delta_witness,
-            "bilip": {"c_low": self.c_low, "c_high": self.c_high,
-                      "witnesses": self.bilip_witnesses},
-            "cyclic": {"worst": self.cyclic_worst, "witness": self.cyclic_witness},
-            "cube": {"worst": self.cube_worst, "bound": self.cube_bound,
-                     "witness": self.cube_witness},
-            "eta": {"curve": self.eta_curve, "skipped": self.eta_skipped},
-            "id_probe": {"curve": self.id_curve, "skipped": self.id_skipped},
-            "audits": self.audits,
-        }
+        return asdict(self)
 
     def render_text(self) -> str:
         lines = [
@@ -433,9 +413,9 @@ class DiagnosticsReport:
             f"kappa_hat : {self.kappa_hat:.12g}",
             f"tau_hat   : {self.tau_hat:.12g}",
             f"delta_hat : {self.delta_hat:.12g}",
-            f"bilip     : c_low={self.c_low:.12g} c_high={self.c_high:.12g}",
-            f"cyclic    : worst normalized sum {self.cyclic_worst:.3e}",
-            f"cube      : worst ratio {self.cube_worst:.6g} (bound {self.cube_bound:.6g})",
+            f"bilip     : c_low={self.bilip['c_low']:.12g} c_high={self.bilip['c_high']:.12g}",
+            f"cyclic    : worst normalized sum {self.cyclic['worst']:.3e}",
+            f"cube      : worst ratio {self.cube['worst']:.6g} (bound {self.cube['bound']:.6g})",
             "audits    :",
         ]
         for a in self.audits:
@@ -560,17 +540,10 @@ def run_diagnostics(nu, basepoint, plan: SamplingPlan, *, backend=None,
         tau_witness=tau_witness,
         delta_hat=delta,
         delta_witness=delta_witness,
-        c_low=c_low,
-        c_high=c_high,
-        bilip_witnesses=bilip_wit,
-        cyclic_worst=cyc_worst,
-        cyclic_witness=cyc_witness,
-        cube_worst=cube_worst,
-        cube_witness=cube_witness,
-        cube_bound=bound,
-        eta_curve=eta_curve,
-        eta_skipped=eta_skipped,
-        id_curve=id_curve,
-        id_skipped=id_skipped,
+        bilip={"c_low": c_low, "c_high": c_high, "witnesses": bilip_wit},
+        cyclic={"worst": cyc_worst, "witness": cyc_witness},
+        cube={"worst": cube_worst, "bound": bound, "witness": cube_witness},
+        eta={"curve": eta_curve, "skipped": eta_skipped},
+        id_probe={"curve": id_curve, "skipped": id_skipped},
         audits=audits,
     )

@@ -599,12 +599,14 @@ class MonteCarlo(Backend):
         emb_se = _standard_error(emb, np.einsum("ij,ij->j", emb_i, emb_i), m, m)
         angle = angle_se = None
         if taus is not None:
-            avd, sin_t = np.zeros(m), np.sin(taus)
-            avd[hit] = np.abs(vd)     # a missed sample's row is zero whatever its |vd|
+            sin_t = np.sin(taus)
             if len(taus) >= 2:
-                angle, angle_sq = _angle_sums(mass_i, avd, sin_t, hit)
+                angle, angle_sq = _angle_sums(mass_i[hit], np.abs(vd), sin_t)
             else:
-                # numpy sums a single threshold's column pairwise, so it keeps every row
+                # numpy sums a single threshold's column pairwise, so it keeps every row;
+                # a missed sample's row is zero whatever its |vd|
+                avd = np.zeros(m)
+                avd[hit] = np.abs(vd)
                 vals = mass_i[:, None] * (avd[:, None] >= sin_t[None, :])
                 angle, angle_sq = np.sum(vals, axis=0), np.einsum("it,it->t", vals, vals)
             angle_se = _standard_error(angle, angle_sq, m, m)
@@ -655,11 +657,10 @@ class MonteCarlo(Backend):
         return RegionMass(*_sum_with_se(slab(mid - reach, mid + reach)))
 
 
-def _angle_sums(mass_i, avd, sin_t, hit):
-    """Per threshold t, the sums over samples of ``mass_i * (avd >= sin_t[t])`` and of
-    its square, over the samples ``hit`` that carry mass (a miss adds an exact +0.0).
-    The row values are 0 or 1, so ``mass_i`` and its square weigh them exactly."""
-    w, a = mass_i[hit], avd[hit]
+def _angle_sums(w, a, sin_t):
+    """Per threshold t, the sums over the samples that carry mass of ``w * (a >= sin_t[t])``
+    and of its square (a miss would add an exact +0.0), ``w`` their masses and ``a`` their
+    ``|vd|``.  The row values are 0 or 1, so ``w`` and its square weigh them exactly."""
 
     def fill(start, stop, out, tmp):
         np.greater_equal(a[start:stop, None], sin_t, out=out)

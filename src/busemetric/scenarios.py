@@ -34,9 +34,8 @@ class Scenario:
     basepoint: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.domain_lo, dtype=float)
-        hi = np.asarray(self.domain_hi, dtype=float)
-        o = np.asarray(self.basepoint, dtype=float)
+        lo, hi, o = (as_point(p, self.measure.dim)
+                     for p in (self.domain_lo, self.domain_hi, self.basepoint))
         if np.any(hi <= lo):
             raise ValueError("scenario domain must be a nonempty box")
         if np.any(o < lo) or np.any(o > hi):
@@ -136,13 +135,12 @@ def doubling_pushforward(mu: BaseMeasureND, *, window_lo, window_hi,
         raise ValueError("support of the base measure is contained in a line")
     lo, hi = as_point(window_lo, mu.dim), as_point(window_hi, mu.dim)
     nu = PositionDirection(mu, UniformDirections(mu.dim))
-    o = np.asarray(basepoint, dtype=float) if basepoint is not None else 0.5 * (lo + hi)
     return Scenario(
         name=name,
         domain_lo=lo,
         domain_hi=hi,
         measure=nu,
-        basepoint=o,
+        basepoint=basepoint if basepoint is not None else 0.5 * (lo + hi),
     )
 
 

@@ -227,13 +227,13 @@ def test_criterion_06_transversality_chain(chain_reports):
         failed = [a["name"] for a in rep.audits if not a["passed"]]
         assert not failed, f"{name}: failed audits {failed}"
         assert rep.kappa_hat >= rep.tau_hat * math.sin(rep.tau_hat) - 1e-10
-        assert rep.c_low >= rep.kappa_hat - 1e-10
-        assert rep.c_high <= 1.0 + 1e-12
+        assert rep.bilip["c_low"] >= rep.kappa_hat - 1e-10
+        assert rep.bilip["c_high"] <= 1.0 + 1e-12
     rep = chain_reports["crofton2"]
     assert rep.kappa_hat == pytest.approx(math.pi / 4.0, abs=1e-3)
     assert rep.delta_hat == pytest.approx(1.0, abs=1e-9)
-    assert rep.c_low == pytest.approx(math.pi / 4.0, abs=1e-3)
-    assert rep.c_high == pytest.approx(math.pi / 4.0, abs=1e-3)
+    assert rep.bilip["c_low"] == pytest.approx(math.pi / 4.0, abs=1e-3)
+    assert rep.bilip["c_high"] == pytest.approx(math.pi / 4.0, abs=1e-3)
     report_line(6, "chain kappa >= tau sin tau, per-pair delta >= kappa, "
                    "c_low >= kappa, c_high <= 1 on every scenario; crofton "
                    "anchors pi/4 and delta = 1 reproduced")

@@ -399,6 +399,20 @@ def _assert_core_bits(points, weights, pieces, x, y, taus):
     return got
 
 
+def test_pair_cloud_integrals_answers_zeros_for_an_empty_point_list():
+    # a flat empty list once became a (1, 0) array and failed to broadcast
+    pieces = ArcDensity2D([(0.2, 1.0, 1.5), (1.3, 2.9, 0.5)]).pieces
+    x, y = (0.1, 0.2), (0.7, 0.4)
+    for taus in (None, [0.3, 0.6]):
+        flat = arcs.pair_cloud_integrals([], [], pieces, x, y, taus=taus)
+        shaped = arcs.pair_cloud_integrals(np.zeros((0, 2)), [], pieces, x, y, taus=taus)
+        assert [np.asarray(v).tobytes() for v in flat] == \
+            [np.asarray(v).tobytes() for v in shaped]
+        mass, trans, embed, angle = flat
+        assert mass == trans == 0.0 and not np.any(embed)
+        assert angle is None if taus is None else not np.any(angle)
+
+
 @pytest.mark.parametrize("name", ["ba_inv_sqrt", "degenerate_caps_02", "ba_lebesgue"])
 def test_pair_core_matches_dense_reference_bits(name):
     from busemetric.diagnostics import TAU_GRID

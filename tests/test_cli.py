@@ -9,6 +9,7 @@ import pytest
 
 from busemetric.cli import (JSON_MARKER, ConfigError, _pick_backend, _plan_from_config,
                             build_scenario, load_config, main)
+from busemetric.diagnostics import run_diagnostics
 from busemetric.evaluate import calibrate_embedding_constant
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -120,6 +121,19 @@ def test_run_reports_are_byte_identical(tmp_path):
     assert main(["run", path, "--out", str(p2)]) == 0
     assert (p1 / "report.txt").read_bytes() == (p2 / "report.txt").read_bytes()
     assert (p1 / "grid.csv").read_bytes() == (p2 / "grid.csv").read_bytes()
+
+
+def test_run_json_block_report_is_the_reports_dict(tmp_path):
+    # the JSON block's report object is DiagnosticsReport.to_dict() of the same run
+    cfg = dict(BASE_CONFIG, expect={"kappa_min": 0.78, "c_high_max": 1.0})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path)]) == 0
+    loaded = load_config(path)
+    sc = build_scenario(loaded["scenario"], loaded["seed"])
+    rep = run_diagnostics(sc.measure, sc.basepoint, _plan_from_config(loaded),
+                          backend=_pick_backend(sc.measure, loaded), name=sc.name,
+                          expectations=loaded["expect"])
+    assert json.loads(json_block(tmp_path / "report.txt"))["report"] == rep.to_dict()
 
 
 def test_run_json_format_writes_bare_report(tmp_path):

@@ -32,23 +32,23 @@ def test_crofton_closed_form_anchors(crofton_report):
     rep = crofton_report
     assert rep.kappa_hat == pytest.approx(math.pi / 4.0, abs=1e-12)
     assert rep.delta_hat == pytest.approx(1.0, abs=1e-9)
-    assert rep.c_low == pytest.approx(math.pi / 4.0, abs=1e-12)
-    assert rep.c_high == pytest.approx(math.pi / 4.0, abs=1e-12)
+    assert rep.bilip["c_low"] == pytest.approx(math.pi / 4.0, abs=1e-12)
+    assert rep.bilip["c_high"] == pytest.approx(math.pi / 4.0, abs=1e-12)
     # largest grid threshold with cos(tau) >= tau: the fixed point of cosine
     # lies in (0.73, 0.74)
     assert rep.tau_hat == 0.73
-    assert rep.cube_worst == pytest.approx(math.pi * math.sqrt(2.0) / 8.0, abs=1e-9)
+    assert rep.cube["worst"] == pytest.approx(math.pi * math.sqrt(2.0) / 8.0, abs=1e-9)
     assert rep.passed()
 
 
 def test_crofton_eta_envelope_is_linear(crofton_report):
-    for bucket in crofton_report.eta_curve:
+    for bucket in crofton_report.eta["curve"]:
         assert bucket["max_ratio"] == pytest.approx(bucket["t"], abs=1e-9)
-    for bucket in crofton_report.id_curve:
+    for bucket in crofton_report.id_probe["curve"]:
         # identity from the projective metric to the Euclidean one rescales
         # both legs by the same factor, so the envelope is linear as well
         assert bucket["max_ratio"] == pytest.approx(bucket["t"], abs=1e-9)
-    ratios = [b["max_ratio"] for b in crofton_report.eta_curve]
+    ratios = [b["max_ratio"] for b in crofton_report.eta["curve"]]
     assert ratios == sorted(ratios)
 
 
@@ -56,8 +56,8 @@ def test_witnesses_reproduce_reported_extrema(crofton_report):
     rep = crofton_report
     w = rep.kappa_witness
     assert w["transversal"] / w["mass"] == pytest.approx(rep.kappa_hat, rel=1e-12)
-    lo = rep.bilip_witnesses["low"]
-    assert lo["embed_gap"] / lo["mass"] == pytest.approx(rep.c_low, rel=1e-12)
+    lo = rep.bilip["witnesses"]["low"]
+    assert lo["embed_gap"] / lo["mass"] == pytest.approx(rep.bilip["c_low"], rel=1e-12)
 
 
 def test_report_deterministic_and_serializable(crofton_report):
@@ -98,7 +98,7 @@ def test_individual_estimators_share_the_pool():
     rep = run_diagnostics(sc.measure, sc.basepoint, plan)
     t, d = rep.tau_hat, rep.delta_hat
     assert (k, kw) == (rep.kappa_hat, rep.kappa_witness)
-    assert (lo, hi) == (rep.c_low, rep.c_high)
+    assert (lo, hi) == (rep.bilip["c_low"], rep.bilip["c_high"])
     assert k == pytest.approx(math.pi / 4, abs=1e-12)
     assert d == pytest.approx(1.0, abs=1e-9)
     assert lo <= hi <= 1.0
@@ -157,13 +157,13 @@ def test_degenerate_family_bilip_contrast():
         sc = degenerate_caps(theta, levels=5)
         reports[theta] = run_diagnostics(sc.measure, sc.basepoint, plan, name=sc.name)
     assert reports[0.05].kappa_hat < reports[0.4].kappa_hat
-    assert reports[0.05].c_low < reports[0.4].c_low
+    assert reports[0.05].bilip["c_low"] < reports[0.4].bilip["c_low"]
     for rep in reports.values():
-        assert rep.c_high <= 1.0 + 1e-12
+        assert rep.bilip["c_high"] <= 1.0 + 1e-12
         assert rep.passed()
     # the identity-map envelope spreads as the caps narrow
     def spread(rep):
-        return max(b["max_ratio"] / b["t"] for b in rep.id_curve)
+        return max(b["max_ratio"] / b["t"] for b in rep.id_probe["curve"])
     assert spread(reports[0.05]) > spread(reports[0.4])
 
 
@@ -247,8 +247,8 @@ def test_sampler_measure_full_diagnostics():
     assert rep.passed(), [a["name"] for a in rep.audits if not a["passed"]]
     # the sampler wraps the isotropic measure, so kappa sits near pi/4
     assert rep.kappa_hat == pytest.approx(_math.pi / 4.0, abs=0.08)
-    assert rep.c_high <= 1.0 + 1e-12
-    assert rep.cyclic_worst <= 1e-10
+    assert rep.bilip["c_high"] <= 1.0 + 1e-12
+    assert rep.cyclic["worst"] <= 1e-10
 
 
 def test_report_scale_equivariance():
@@ -266,10 +266,10 @@ def test_report_scale_equivariance():
     assert b.kappa_hat == pytest.approx(a.kappa_hat, abs=1e-10)
     assert b.tau_hat == a.tau_hat
     assert b.delta_hat == pytest.approx(a.delta_hat, abs=1e-10)
-    assert b.c_low == pytest.approx(a.c_low, abs=1e-10)
-    assert b.c_high == pytest.approx(a.c_high, abs=1e-10)
-    assert b.cube_worst == pytest.approx(a.cube_worst, abs=1e-10)
-    for ba, bb in zip(a.eta_curve, b.eta_curve):
+    assert b.bilip["c_low"] == pytest.approx(a.bilip["c_low"], abs=1e-10)
+    assert b.bilip["c_high"] == pytest.approx(a.bilip["c_high"], abs=1e-10)
+    assert b.cube["worst"] == pytest.approx(a.cube["worst"], abs=1e-10)
+    for ba, bb in zip(a.eta["curve"], b.eta["curve"]):
         assert bb["max_ratio"] == pytest.approx(ba["max_ratio"], abs=1e-10)
 
 
@@ -292,10 +292,10 @@ def test_report_translation_equivariance():
     assert b.kappa_hat == pytest.approx(a.kappa_hat, abs=1e-10)
     assert b.tau_hat == a.tau_hat
     assert b.delta_hat == pytest.approx(a.delta_hat, abs=1e-10)
-    assert b.c_low == pytest.approx(a.c_low, abs=1e-10)
-    assert b.c_high == pytest.approx(a.c_high, abs=1e-10)
-    assert b.cyclic_worst == pytest.approx(a.cyclic_worst, abs=1e-10)
-    assert b.cube_worst == pytest.approx(a.cube_worst, abs=1e-10)
+    assert b.bilip["c_low"] == pytest.approx(a.bilip["c_low"], abs=1e-10)
+    assert b.bilip["c_high"] == pytest.approx(a.bilip["c_high"], abs=1e-10)
+    assert b.cyclic["worst"] == pytest.approx(a.cyclic["worst"], abs=1e-10)
+    assert b.cube["worst"] == pytest.approx(a.cube["worst"], abs=1e-10)
 
 
 def test_degenerate_segment_is_surfaced():
@@ -403,12 +403,30 @@ def test_run_diagnostics_asks_each_query_once():
     assert sum(taus == [tau_star] for _, _, taus in rec.pairs) < 10
     rng = diagnostics._streams(plan)[3]
     # continuous draws never coincide, so no triple is skipped
-    assert rep.eta_skipped == rep.id_skipped == 0
+    assert rep.eta["skipped"] == rep.id_probe["skipped"] == 0
     for _ in range(plan.triple_count):
         x, a, b = diagnostics._sample_points(plan, rng, 3)
         for y in (a, b):
             assert sum(taus is None and np.array_equal(px, x) and np.array_equal(py, y)
                        for px, py, taus in rec.pairs) == 1
+
+
+# the ``report`` object of ``busemetric run``'s JSON block, and the keys of each section
+REPORT_KEYS = {"scenario", "backend", "plan", "kappa_hat", "kappa_witness", "tau_hat",
+               "tau_witness", "delta_hat", "delta_witness", "bilip", "cyclic", "cube", "eta",
+               "id_probe", "audits"}
+SECTION_KEYS = {"bilip": {"c_low", "c_high", "witnesses"}, "cyclic": {"worst", "witness"},
+                "cube": {"worst", "bound", "witness"}, "eta": {"curve", "skipped"},
+                "id_probe": {"curve", "skipped"}}
+
+
+def test_report_fields_are_the_json_blocks_report_keys():
+    sc, plan, backend = _config("crofton2")
+    rep = run_diagnostics(sc.measure, sc.basepoint, plan, backend=backend, name=sc.name)
+    got = rep.to_dict()
+    assert set(got) == REPORT_KEYS
+    assert {key: set(got[key]) for key in SECTION_KEYS} == SECTION_KEYS
+    assert set(got["bilip"]["witnesses"]) == {"low", "high"}
 
 
 def _ref_converse(nu, backend, sweep, tau_star):
@@ -441,8 +459,9 @@ def test_shared_queries_keep_the_full_pass_results(name, backend_kind):
     assert audit["value"].hex() == float(margin).hex()
     assert audit["passed"] is ok
     f = EmbeddingMap(nu, sc.basepoint, backend=backend)
-    assert (rep.eta_curve, rep.eta_skipped) == eta_hat(f, "euclidean", plan)
-    assert (rep.id_curve, rep.id_skipped) == id_qs_probe(nu, plan, backend=backend)
+    assert (rep.eta["curve"], rep.eta["skipped"]) == eta_hat(f, "euclidean", plan)
+    assert ((rep.id_probe["curve"], rep.id_probe["skipped"])
+            == id_qs_probe(nu, plan, backend=backend))
 
 
 class _StubProfiles:

@@ -6,7 +6,8 @@ import pytest
 from busemetric import (BaseMeasure1D, BaseMeasureND, MonteCarlo, beurling_ahlfors, crofton,
                         degenerate_caps, doubling_pushforward, doubling_ratio, grid_export,
                         pair_integrals, seg_mass, tail1_check)
-from busemetric.scenarios import GridImage, inv_sqrt_density, lebesgue_box_measure
+from busemetric.geometry import DimensionMismatchError
+from busemetric.scenarios import GridImage, Scenario, inv_sqrt_density, lebesgue_box_measure
 
 
 def rot(theta):
@@ -302,3 +303,20 @@ def test_builders_refuse_bad_inputs_by_name(case):
     key, build = BAD_BUILDER_INPUTS[case]
     with pytest.raises(ValueError, match=rf"^{key} must be"):
         build()
+
+
+BAD_SCENARIO_POINTS = {
+    "NaN corner": (ValueError, [math.nan, -1.0], [1.0, 1.0], [0.0, 0.0]),
+    "infinite corner": (ValueError, [-math.inf, -1.0], [1.0, 1.0], [0.0, 0.0]),
+    "3-D domain": (DimensionMismatchError, [-1.0] * 3, [1.0] * 3, [0.0] * 3),
+    "NaN basepoint": (ValueError, [-1.0, -1.0], [1.0, 1.0], [math.nan, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SCENARIO_POINTS))
+def test_scenario_refuses_corners_and_basepoints_that_are_not_points_of_its_measure(case):
+    # each of these once built: numpy coerced the corners and the basepoint, and a
+    # NaN fails every comparison with the domain
+    error, lo, hi, basepoint = BAD_SCENARIO_POINTS[case]
+    with pytest.raises(error, match="point"):
+        Scenario("x", lo, hi, crofton(2).measure, basepoint)
