@@ -15,7 +15,7 @@ from .hyperplane_measures import (OffsetDirection, PositionDirection, SamplerMea
 from .evaluate import (ClosedForm, EmbeddingConstant, EmbeddingMap, Exact2D, MonteCarlo,
                        PairIntegrals, RegionMass, UnsupportedBackendError, box_mass,
                        calibrate_embedding_constant, cube_mass, default_backend,
-                       embed_unit_kernel, pair_integrals, seg_mass)
+                       pair_integrals, seg_mass)
 from .diagnostics import DiagnosticsReport, SamplingPlan, run_diagnostics
 from .scenarios import (GridImage, Scenario, beurling_ahlfors, crofton, degenerate_caps,
                         doubling_pushforward, grid_export)
@@ -29,8 +29,8 @@ __all__ = [
     "UnsupportedBackendError", "ValidationReport", "beurling_ahlfors", "box_mass",
     "calibrate_embedding_constant", "crofton", "cube_mass", "cube_vertices",
     "default_backend", "degenerate_caps", "doubling_pushforward", "doubling_ratio",
-    "embed_unit_kernel", "grid_export", "pair_integrals", "run_diagnostics", "seg_mass",
-    "tail1_check", "validate",
+    "grid_export", "pair_integrals", "run_diagnostics", "seg_mass", "tail1_check",
+    "validate",
 ]
 
 __version__ = "0.1.0"

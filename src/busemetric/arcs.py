@@ -37,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .directions import wrap_interval
-from .geometry import DegenerateConfigurationError, points_on_segments
+from .geometry import (DegenerateConfigurationError, DimensionMismatchError, as_point,
+                       as_points, points_on_segments)
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -112,20 +113,25 @@ def pair_cloud_integrals(points, weights, pieces, x, y, *, taus=None,
     """Mass, sin-alpha integral, oriented-normal integral over hits of [x, y].
 
     ``points``/``weights`` describe a weighted position cloud, ``pieces`` the
-    direction density on [0, pi).  ``on_segment`` controls positions that lie
-    on the closed query segment (``geometry.points_on_segments``): "error"
-    rejects them (atom semantics), "full" assigns the full direction circle
-    (density-node semantics).
+    direction density on [0, pi); the points and ``x``, ``y`` must be planar points
+    (``geometry.as_points``), with one weight per cloud point.
+    ``on_segment`` controls positions that lie on the closed query segment
+    (``geometry.points_on_segments``): "error" rejects them (atom semantics),
+    "full" assigns the full direction circle (density-node semantics).
     Returns the weighted totals (mass, transversal, embed[2], angle_masses).
     """
-    x = np.asarray(x, dtype=float)[None]
-    y = np.asarray(y, dtype=float)[None]
+    x, y = as_point(x, 2)[None], as_point(y, 2)[None]
     if not np.any(x != y):
         raise DegenerateConfigurationError("pair query needs x != y")
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    points, error = as_points(points, 2)
+    if error is not None:
+        raise error
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(points),):
+        raise DimensionMismatchError(f"{weights.size} weights for {len(points)} points")
     if on_segment == "error" and points_on_segments(points, x, y).any():
         raise DegenerateConfigurationError("atom lies on the closed query segment")
-    return _pair_core(points, np.asarray(weights, dtype=float), np.asarray(pieces, dtype=float),
+    return _pair_core(points, weights, np.asarray(pieces, dtype=float),
                       x, y, np.zeros(len(points), dtype=np.intp), taus=taus)[0]
 
 

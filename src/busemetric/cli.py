@@ -174,7 +174,8 @@ def build_scenario(spec: dict, seed: int) -> scenarios.Scenario:
 def _pick_backend(nu, cfg: dict):
     spec = cfg.get("backend", {})
     name = spec.get("name", "auto")
-    budget = spec.get("budget", 100_000)
+    # checked whatever the name: auto may pick an exact backend that never reads it
+    budget = require_int("backend.budget", spec.get("budget", evaluate.DEFAULT_BUDGET), 1)
     if name == "auto":
         return evaluate.default_backend(nu, budget=budget, seed=cfg["seed"])
     if name == "closed_form":

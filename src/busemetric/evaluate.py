@@ -51,6 +51,7 @@ from .hyperplane_measures import (HyperplaneMeasure, OffsetDirection, PositionDi
 
 PI = math.pi
 TINY = np.finfo(float).tiny    # the smallest normal float64
+DEFAULT_BUDGET = 100_000       # Monte Carlo samples per batch when no budget is given
 
 
 class UnsupportedBackendError(ValueError):
@@ -225,7 +226,8 @@ class ClosedForm(Backend):
         if isinstance(nu, OffsetDirection):
             return nu.constant_offset_density() is not None and (
                 nu.dim == 2 or isinstance(nu.omega, UniformDirections))
-        return _uniform_point_measure(nu) and nu.dim <= 3
+        return (isinstance(nu, PositionDirection) and isinstance(nu.omega, UniformDirections)
+                and not nu.mu.segments and nu.dim <= 3)
 
     # -- pair queries -------------------------------------------------------
 
@@ -353,12 +355,6 @@ class ClosedForm(Backend):
         if isinstance(nu.omega, UniformDirections):
             return RegionMass(rho * float(np.sum(sides)) * abs_moment(nu.dim))
         return RegionMass(rho * _box_width_integral_2d(nu.omega.arc_pieces(), sides))
-
-
-def _uniform_point_measure(nu) -> bool:
-    """Uniform directions over atoms and cells: the unit kernel's measures, in any dimension."""
-    return (isinstance(nu, PositionDirection) and isinstance(nu.omega, UniformDirections)
-            and not nu.mu.segments)
 
 
 def _unit_frames(pts, x, y):
@@ -524,7 +520,7 @@ class MonteCarlo(Backend):
     name = "monte_carlo"
     estimates_se = True
 
-    def __init__(self, budget: int = 100_000, seed: int = 0):
+    def __init__(self, budget: int = DEFAULT_BUDGET, seed: int = 0):
         self.budget = require_int("budget", budget, 1)
         self.seed = require_int("seed", seed, 0)
         self._batches: OrderedDict[int, tuple] = OrderedDict()
@@ -691,7 +687,7 @@ _CLOSED = ClosedForm()
 _EXACT2D = Exact2D()
 
 
-def default_backend(nu: HyperplaneMeasure, *, budget: int = 100_000, seed: int = 0):
+def default_backend(nu: HyperplaneMeasure, *, budget: int = DEFAULT_BUDGET, seed: int = 0):
     """Best exact backend for the measure, falling back to Monte Carlo."""
     if _CLOSED.supports(nu):
         return _CLOSED
@@ -846,16 +842,11 @@ class EmbeddingConstant:
     dim: int
     value: float
     half_width: float
-    provenance: str            # "oracle" or "analytic"
+    provenance: str            # "oracle": estimated from the defining integral
     budget: int = 0
     seed: int = 0
     per_distance: tuple = ()
     warning: bool = False
-
-    @classmethod
-    def analytic(cls, dim: int) -> "EmbeddingConstant":
-        return cls(dim=dim, value=unit_kernel_constant(dim), half_width=0.0,
-                   provenance="analytic")
 
 
 # the far probe distances |x|, the sampled ball's radius, the most samples drawn at once
@@ -922,23 +913,3 @@ def calibrate_embedding_constant(n: int, budget: int, seed: int) -> EmbeddingCon
                              budget=budget, seed=seed,
                              per_distance=tuple(results),
                              warning=half > 0.05 * abs(value) if value else True)
-
-
-def embed_unit_kernel(nu: PositionDirection, o, x, constant: EmbeddingConstant | None = None):
-    """Embedding via the explicit unit-difference kernel with a supplied constant.
-
-    Alternative route to the same value as the closed-form backend; used to
-    certify calibrated constants against the integral evaluators.
-    """
-    if not _uniform_point_measure(nu):
-        raise UnsupportedBackendError(
-            "unit kernel needs a position measure with uniform directions, no line densities")
-    constant = constant or EmbeddingConstant.analytic(nu.dim)
-    o = as_point(o, nu.dim)
-    x = as_point(x, nu.dim)
-    if nu.mu.atoms_on_segment(x, o).size:
-        raise DegenerateConfigurationError("mu-atom lies on the closed query segment")
-    pts, w = _point_support(nu.mu)
-    _, units = _unit_frames(pts, x, o)
-    kern = np.stack([u[0] - u[1] for u in units], axis=1)
-    return constant.value * nu.omega.total_mass() * np.einsum("i,ij->j", w, kern)

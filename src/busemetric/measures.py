@@ -26,18 +26,39 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arcs import SegmentTable, _gl, segment_table
-from .geometry import (DegenerateConfigurationError, as_point, points_on_segments, require_int,
-                       require_positive)
+from .geometry import (DegenerateConfigurationError, DimensionMismatchError, as_point,
+                       points_on_segments, require_int, require_positive)
 
 
-def _check_atoms(positions: np.ndarray, weights: np.ndarray) -> None:
-    """Refuse atoms unless their positions are finite and their weights finite and positive."""
+def _rows(key: str, rows, shape: tuple) -> np.ndarray:
+    """A float copy of ``rows`` with shape (count, *shape), refused by name unless every
+    row has ``shape``: a flat reshape would regroup rows of another length."""
+    if not len(rows):
+        return np.empty((0,) + shape)
+    try:
+        arr = np.array(rows, dtype=float)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape[1:] != shape:
+        got = "ragged or non-numeric rows" if arr is None else arr.shape
+        raise DimensionMismatchError(f"{key} need shape {(len(rows),) + shape}, got {got}")
+    return arr
+
+
+def _atoms(atoms, shape: tuple):
+    """The positions (each of ``shape``) and weights of (position, weight) pairs, refused
+    unless the positions are finite and the weights finite and positive."""
+    if any(len(a) != 2 for a in atoms):
+        raise DimensionMismatchError("atoms need (position, weight) pairs")
+    positions = _rows("atom positions", [a[0] for a in atoms], shape)
+    weights = _rows("atom weights", [a[1] for a in atoms], ())
     if not np.isfinite(positions).all():
         raise ValueError("atom positions must be finite")
     if not np.isfinite(weights).all():
         raise ValueError("atom weights must be finite")
     if np.any(weights <= 0):
         raise ValueError("atom weights must be positive")
+    return positions, weights
 
 
 @dataclass(frozen=True)
@@ -49,10 +70,8 @@ class BaseMeasure1D:
     pieces: np.ndarray  # rows (lo, hi, density), pairwise disjoint
 
     def __init__(self, atoms=(), pieces=()):
-        pos = np.asarray([a[0] for a in atoms], dtype=float)
-        wts = np.asarray([a[1] for a in atoms], dtype=float)
-        _check_atoms(pos, wts)
-        pc = np.asarray(pieces, dtype=float).reshape(-1, 3)
+        pos, wts = _atoms(atoms, ())
+        pc = _rows("density pieces", pieces, (3,))
         if pc.size:
             if not np.isfinite(pc[:, :2]).all():
                 raise ValueError("density pieces need finite bounds")
@@ -147,10 +166,8 @@ class BaseMeasureND:
     def __init__(self, dim: int, atoms=(), cells=(), segments=(), gauss_order: int = 4):
         dim = require_int("dim", dim, 2)
         gauss_order = require_int("gauss_order", gauss_order, 1)
-        apts = np.asarray([a[0] for a in atoms], dtype=float).reshape(-1, dim)
-        awts = np.asarray([a[1] for a in atoms], dtype=float)
-        _check_atoms(apts, awts)
-        cl = np.array(cells, dtype=float).reshape(-1, 2 * dim + 1)
+        apts, awts = _atoms(atoms, (dim,))
+        cl = _rows("cells", cells, (2 * dim + 1,))
         if cl.size:
             # before the overlap sweep, whose sort would misplace a NaN cell
             if not np.isfinite(cl).all():

@@ -8,6 +8,7 @@ import pytest
 from busemetric import arcs, diagnostics
 from busemetric.cli import _plan_from_config, build_scenario
 from busemetric.directions import ArcDensity2D
+from busemetric.geometry import DimensionMismatchError
 from busemetric.hyperplane_measures import PositionDirection
 from busemetric.measures import BaseMeasureND
 
@@ -411,6 +412,34 @@ def test_pair_cloud_integrals_answers_zeros_for_an_empty_point_list():
         mass, trans, embed, angle = flat
         assert mass == trans == 0.0 and not np.any(embed)
         assert angle is None if taus is None else not np.any(angle)
+
+
+_CLOUD = ([[0.2, 0.5], [0.1, -0.4]], [1.0, 1.0])
+_QUERY = ((0.1, 0.2), (0.7, 0.4))
+BAD_CLOUD_CALLS = {
+    # once reshaped to three planar points and answered mass 1.4829
+    "3-D points": (([[0.2, 0.5, 0.3], [0.1, -0.4, 0.7]], [1.0, 1.0, 1.0]), _QUERY,
+                   DimensionMismatchError, "point of shape"),
+    # once answered 0.8882, the third weight unread
+    "extra weight": ((_CLOUD[0], [1.0, 1.0, 1.0]), _QUERY, DimensionMismatchError,
+                     "3 weights for 2 points"),
+    # once failed inside the kernel with an IndexError
+    "missing weight": ((_CLOUD[0] + [[0.3, 0.3]], [1.0, 1.0]), _QUERY, DimensionMismatchError,
+                       "2 weights for 3 points"),
+    # once answered a finite mass from the first two coordinates
+    "3-D query": (_CLOUD, ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), DimensionMismatchError,
+                  "point of shape"),
+    # once answered zeros
+    "NaN query": (_CLOUD, ((math.nan, 0.0), (1.0, 0.0)), ValueError, "must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CLOUD_CALLS))
+def test_pair_cloud_integrals_refuses_points_that_are_not_planar_or_weighted_once(case):
+    (points, weights), (x, y), error, message = BAD_CLOUD_CALLS[case]
+    pieces = ArcDensity2D([(0.2, 1.0, 1.5), (1.3, 2.9, 0.5)]).pieces
+    with pytest.raises(error, match=message):
+        arcs.pair_cloud_integrals(points, weights, pieces, x, y, on_segment="full")
 
 
 @pytest.mark.parametrize("name", ["ba_inv_sqrt", "degenerate_caps_02", "ba_lebesgue"])

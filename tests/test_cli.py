@@ -310,6 +310,20 @@ def test_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, chan
     assert not (tmp_path / "report.txt").exists()
 
 
+BAD_BUDGETS = {"unnamed": {"budget": -5}, "auto": {"name": "auto", "budget": 0},
+               "closed_form": {"name": "closed_form", "budget": -5},
+               "monte_carlo": {"name": "monte_carlo", "budget": -5}}
+
+
+@pytest.mark.parametrize("case", list(BAD_BUDGETS))
+def test_run_refuses_a_budget_below_one_whatever_the_backend(tmp_path, capsys, case):
+    # auto and closed_form never read the budget on crofton2, which once ran and exited 0
+    path = write_config(tmp_path, {**BASE_CONFIG, "backend": BAD_BUDGETS[case]})
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    assert "backend.budget must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_run_names_a_monte_carlo_miss(tmp_path, capsys):
     # a 20000-sample batch draws no hyperplane across one short sampled
     # segment on ba_lebesgue, whose exact mass is positive: the error asks

@@ -6,11 +6,11 @@ import pytest
 
 from busemetric import (BaseMeasure1D, BaseMeasureND, ClosedForm, Cube,
                         DegenerateConfigurationError, DimensionMismatchError,
-                        EmbeddingConstant, EmbeddingMap, Exact2D, MonteCarlo,
+                        EmbeddingMap, Exact2D, MonteCarlo,
                         OffsetDirection, PositionDirection, SamplerMeasure,
                         SymmetricCap, UniformDirections, UnsupportedBackendError,
-                        box_mass, calibrate_embedding_constant, cube_mass, embed_unit_kernel,
-                        pair_integrals, seg_mass)
+                        box_mass, calibrate_embedding_constant, cube_mass, pair_integrals,
+                        seg_mass)
 from busemetric import arcs, evaluate
 from busemetric.directions import ArcDensity2D, unit_kernel_constant
 from busemetric.scenarios import lebesgue_box_measure
@@ -161,8 +161,6 @@ ATOM_ON_SEGMENT_ROUTES = {
     "monte_carlo": lambda nu, x, y: MonteCarlo(budget=2_000, seed=5).pair(nu, x, y),
     "seg_mass_many": lambda nu, x, y: MonteCarlo(budget=2_000, seed=5).seg_mass_many(
         nu, [[0.1, 0.2], x], [[0.3, 0.1], y]),
-    # the unit kernel once answered for an atom between o and x
-    "unit_kernel": lambda nu, x, y: embed_unit_kernel(nu, y, x),
 }
 
 
@@ -326,9 +324,6 @@ def test_embedding_single_atom_unit_kernel():
     assert np.all(np.abs(val - est) <= 4.0 * se)
     expected = (1.0 / math.pi) * np.array([-1.0, 1.0])
     assert val == pytest.approx(expected, abs=1e-12)
-    # explicit unit-difference kernel route with the analytic constant
-    alt = embed_unit_kernel(nu, o, x)
-    assert alt == pytest.approx(val, abs=1e-12)
     assert EmbeddingMap(nu, o, backend=E2).eval(x) == pytest.approx(val, abs=1e-12)
 
 
@@ -961,14 +956,6 @@ def test_calibration_refuses_inputs_by_name(key, args):
         calibrate_embedding_constant(*args)
 
 
-def test_unit_kernel_rejects_wrong_measures():
-    nu = crofton2()
-    with pytest.raises(UnsupportedBackendError):
-        embed_unit_kernel(nu, [0.0, 0.0], [1.0, 0.0])
-    analytic = EmbeddingConstant.analytic(2)
-    assert analytic.value == pytest.approx(1.0 / math.pi, rel=1e-14)
-
-
 def test_default_backend_dispatch():
     from busemetric import SamplerMeasure, default_backend
     assert default_backend(crofton2()).name == "closed_form"
@@ -1047,15 +1034,6 @@ def test_default_backend_skips_closed_form_where_a_query_kind_fails(case):
     plan = SamplingPlan(region_lo=(-0.5,) * n, region_hi=(0.5,) * n, pair_count=8,
                         cycle_count=4, cube_count=4, triple_count=4, seed=3)
     assert run_diagnostics(nu, np.zeros(n), plan).passed()
-
-
-def test_unit_kernel_still_serves_uniform_atoms_in_4d():
-    # the kernel holds in every dimension; these are the values it gave when
-    # closed_form also claimed the measure (16 ulp, as for the other anchors)
-    got = embed_unit_kernel(_atoms_4d(), [0.1, -0.2, 0.05, 0.3], [-0.4, 0.3, 0.2, -0.1])
-    ref = np.array([-0.15705192601087123, 0.10957525995412117,
-                    0.07657089881854937, -0.07436195745689761])
-    assert np.all(np.abs(got - ref) <= 16 * np.spacing(np.abs(ref)))
 
 
 OFFSET_2D = {
@@ -1155,9 +1133,7 @@ def test_node_at_an_endpoint_answers_as_one_just_inside():
     nu = PositionDirection(BaseMeasureND(2, cells=[(-0.5, -0.5, 0.5, 0.5, 1.0)]),
                            UniformDirections(2))
     node = nu.mu.node_points[0]
-    assert np.all(np.isfinite(embed_unit_kernel(nu, node, node + 0.3)))
-    assert np.allclose(embed_unit_kernel(nu, node, node + 0.3),
-                       CF.pair(nu, node + 0.3, node).embed, rtol=1e-12, atol=1e-15)
+    assert np.all(np.isfinite(CF.pair(nu, node + 0.3, node).embed))
 
 
 def test_cloud_error_mode_refuses_an_atom_at_an_endpoint():
@@ -1700,7 +1676,7 @@ def test_sampled_positions_keep_the_reference_bits(support):
 def test_position_pair_on_columns_matches_the_row_forms_bits(case):
     from busemetric.diagnostics import TAU_GRID
     nu = {"doubling_box": _doubling_box, "atoms_3d": _atoms_3d, "cloud_3d": _cloud_3d}[case]()
-    pts, w = evaluate._point_support(nu.mu)
+    pts, _ = evaluate._point_support(nu.mu)
     n = nu.dim
     rng = np.random.default_rng(41)
     # random pairs, then a support point at x and one at y
@@ -1712,11 +1688,6 @@ def test_position_pair_on_columns_matches_the_row_forms_bits(case):
             got = next(CF._position_pairs(nu, np.array([x]), np.array([y]), taus))
             ref = _ref_position_pair(nu, x, y, taus)
             assert _bits(got)[:4] == [None if v is None else np.asarray(v).tobytes() for v in ref]
-        _, _, ux, uy = _ref_unit_frames(pts, x, y)
-        ref = (EmbeddingConstant.analytic(n).value * nu.omega.total_mass()
-               * np.einsum("i,ij->j", w, ux - uy))
-        if not nu.mu.atoms_on_segment(x, y).size:
-            assert embed_unit_kernel(nu, y, x).tobytes() == ref.tobytes()
 
 
 def _config_scenario(name):

@@ -426,6 +426,32 @@ def test_scaled_rejects_non_positive_and_non_finite_factors(kind, factor):
         SCALED_MEASURES[kind]().scaled(factor)
 
 
+ROWS_OF_ANOTHER_LENGTH = {
+    # once regrouped into four pieces [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    "1-D pieces of four": ("density pieces", lambda: BaseMeasure1D(
+        pieces=[(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)])),
+    # once built, with support bounds (0, 1) and an IndexError at the first mass query
+    "1-D atom at a pair": ("atom positions", lambda: BaseMeasure1D(atoms=[((0, 1), 1.0)])),
+    # once built as three atom points with two weights, failing at the first query
+    "3-D atoms in 2-D": ("atom positions", lambda: BaseMeasureND(
+        2, atoms=[((0, 0, 1), 1.0), ((1, 1, 0), 2.0)])),
+    "ragged atoms": ("atom positions", lambda: BaseMeasureND(
+        2, atoms=[((0, 0), 1.0), ((1, 1, 0), 2.0)])),
+    "a weight pair": ("atom weights", lambda: BaseMeasureND(2, atoms=[((0, 0), (1.0, 2.0))])),
+    # once built, the third field unread
+    "1-D atom of three fields": ("atoms", lambda: BaseMeasure1D(atoms=[(0.5, 1.0, 7.0)])),
+    "2-D atom of three fields": ("atoms", lambda: BaseMeasureND(2, atoms=[((0, 0), 1.0, 7.0)])),
+    "cells of four": ("cells", lambda: BaseMeasureND(2, cells=[(0, 0, 1, 1), (1, 1, 2, 2)])),
+}
+
+
+@pytest.mark.parametrize("case", list(ROWS_OF_ANOTHER_LENGTH))
+def test_measure_rows_of_another_length_refused(case):
+    key, build = ROWS_OF_ANOTHER_LENGTH[case]
+    with pytest.raises(DimensionMismatchError, match=f"^{key} need "):
+        build()
+
+
 _ATOMS = BaseMeasureND(2, atoms=[((0.0, 1.0), 1.0), ((1.0, 0.0), 1.0), ((0.5, 0.5), 2.0)])
 BAD_MEASURE_INPUTS = {
     "zero gauss_order": ("gauss_order", ValueError, lambda: BaseMeasureND(
