@@ -147,6 +147,9 @@ def build_scenario(spec: dict, seed: int) -> scenarios.Scenario:
                                               name="doubling_box")
     if name == "doubling_atoms":
         _check_rows(spec["atoms"], "scenario.atoms")
+        if len({len(row) for row in spec["atoms"]}) != 1:
+            raise ConfigError(f"'scenario.atoms' rows must all have one length, the "
+                              f"dimension plus one, got {spec['atoms']!r}")
         _check_rows(spec["window"], "scenario.window", 2)
         atoms = [(row[:-1], row[-1]) for row in spec["atoms"]]
         dim = len(spec["atoms"][0]) - 1

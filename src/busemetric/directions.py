@@ -106,13 +106,38 @@ def normalize_pieces(raw) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
+# up to this many pieces a binary search per key finds the keys' pieces faster
+# than sorting the keys, above it the sort is faster: for 100 000 keys on a
+# 2-core x86-64 VM with AVX-512, 1.1 against 2.2 ms at 1-3 pieces, 2.0-2.8 ms
+# both ways at 10-20, and 9.0 against 2.8 ms at 5632
+SEARCH_MAX_PIECES = 16
+
+
+def piece_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each key's piece under the cumulative weights ``cum``: the number of entries
+    of ``cum`` at or below it, clamped to the last piece, which is
+    ``np.searchsorted(cum, u, side="right")`` clamped to ``len(cum) - 1``.
+
+    Above ``SEARCH_MAX_PIECES`` pieces the keys are sorted once instead: the first
+    ``searchsorted(sorted_u, cum[k], "left")`` sorted keys lie below ``cum[k]``, so
+    the sorted keys between the edges ``cum[k - 1]`` and ``cum[k]`` take piece ``k``
+    (none where a zero weight repeats an edge), and the last piece takes the rest."""
+    if len(cum) <= SEARCH_MAX_PIECES:
+        return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    order = np.argsort(u)
+    below = np.searchsorted(u[order], cum[:-1], side="left")
+    idx = np.empty(len(u), dtype=np.intp)
+    idx[order] = np.repeat(np.arange(len(cum)), np.diff(below, prepend=0, append=len(u)))
+    return idx
+
+
 def sample_pieces(weights: np.ndarray, rng: np.random.Generator, size: int):
     """Draw ``size`` pieces with probability proportional to ``weights`` by the
     inverse cdf: each draw's piece index and the fraction of that piece's weight
     below it."""
     cum = np.cumsum(weights)
     u = rng.random(size) * cum[-1]
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    idx = piece_index(cum, u)
     return idx, (u - (cum[idx] - weights[idx])) / weights[idx]
 
 

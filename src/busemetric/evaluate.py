@@ -32,6 +32,7 @@ Backends:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -212,6 +213,16 @@ def _covered_density(nu, reaches):
         f"offset density span [{lo:g}, {hi:g}] does not cover queries of norm {reaches[k]:g}")
 
 
+@functools.lru_cache(maxsize=8)
+def _tau_profile(n: int, taus: bytes) -> np.ndarray:
+    """``partial_abs_moment(n, sin t)`` for each threshold of the float64 ``taus``
+    bytes, read-only: kept for the last few grids, so a lone pair query with the
+    same thresholds does not rebuild it."""
+    profile = np.array([partial_abs_moment(n, math.sin(t)) for t in np.frombuffer(taus)])
+    profile.setflags(write=False)
+    return profile
+
+
 # ---------------------------------------------------------------------------
 # closed-form backend
 # ---------------------------------------------------------------------------
@@ -252,8 +263,7 @@ class ClosedForm(Backend):
 
     def _uniform_offset_pairs(self, n, rho, deltas, rs, taus):
         moment, embs = abs_moment(n), rho * deltas / n
-        profile = None if taus is None else np.array(
-            [partial_abs_moment(n, math.sin(t)) for t in taus])
+        profile = None if taus is None else _tau_profile(n, taus.tobytes())
         for r, emb in zip(rs, embs):
             yield PairIntegrals(rho * r * moment, rho * r / n, emb,
                                 None if profile is None else rho * r * profile, backend=self.name)
@@ -669,13 +679,12 @@ def _sample_positions(mu, rng: np.random.Generator, size: int) -> np.ndarray:
     pts, w = _point_support(mu)
     table = mu.segment_table
     idx, frac = sample_pieces(np.concatenate([w, table.denss * table.lengths]), rng, size)
-
-    out = np.empty((size, mu.dim))
-    point = idx < len(w)
-    out[point] = pts[idx[point]]
-    seg = ~point
-    p0s, p1s = table.p0s[idx[seg] - len(w)], table.p1s[idx[seg] - len(w)]
-    out[seg] = p0s + frac[seg, None] * (p1s - p0s)
+    # each row's point or segment start in one gather; a segment row then adds its
+    # step along the segment, and a point row is left an exact copy of its point
+    # (adding a zero step would turn a -0.0 coordinate into +0.0)
+    out = np.concatenate([pts, table.p0s])[idx]
+    seg = slice(None) if not len(w) else np.flatnonzero(idx >= len(w))
+    out[seg] += frac[seg, None] * (table.p1s - table.p0s)[idx[seg] - len(w)]
     return out
 
 

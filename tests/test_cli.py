@@ -297,6 +297,8 @@ ATOMS = {"name": "doubling_atoms", "atoms": [[2.0, 0.3, 1.0], [-1.1, 1.7, 2.0], 
         "path": "grid.csv", "resolution": 3, "window": [[-50.0, -50.0], [50.0, 50.0]]}}}),
     ("outputs.grid.resolution", {"outputs": {"report": "report.txt", "grid": {
         "path": "grid.csv", "resolution": 1, "window": [[-0.3, -0.3], [0.3, 0.3]]}}}),
+    # rows of two lengths once reached the measure, whose error named no key
+    ("scenario.atoms", {"scenario": dict(ATOMS, atoms=[[2.0, 0.3, 1.0], [-1.1, 1.7, 0.5, 2.0]])}),
 ])
 def test_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, changes):
     # each of these used to be coerced and run: a boolean seed as seed 1, a

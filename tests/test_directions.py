@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from busemetric import ArcDensity2D, SymmetricCap, UniformDirections
-from busemetric.directions import (abs_moment, normalize_pieces, partial_abs_moment,
-                                   tail_mass, unit_kernel_constant, wrap_interval)
+from busemetric import ArcDensity2D, SymmetricCap, UniformDirections, directions
+from busemetric.directions import (SEARCH_MAX_PIECES, abs_moment, normalize_pieces,
+                                   partial_abs_moment, piece_index, tail_mass,
+                                   unit_kernel_constant, wrap_interval)
 
 
 def marginal_theta_density(n):
@@ -108,13 +109,54 @@ def _ref_arc_normals(pieces, rng, size):
 
 
 def test_arc_density_sampling_keeps_the_reference_bits():
-    om = ArcDensity2D([(0.0, 0.4, 1.0), (0.9, 1.7, 2.5), (2.0, 3.0, 0.3)])
-    assert len(om.pieces) == 3
-    for seed in (0, 1, 2):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = om.sample_normals(rng, 5000)
-        assert got.tobytes() == _ref_arc_normals(om.pieces, ref_rng, 5000).tobytes()
-        assert rng.random() == ref_rng.random()
+    few = ArcDensity2D([(0.0, 0.4, 1.0), (0.9, 1.7, 2.5), (2.0, 3.0, 0.3)])
+    # more pieces than SEARCH_MAX_PIECES: the draws find their pieces by sorting
+    edges = np.linspace(0.0, math.pi, 41)
+    many = ArcDensity2D([(lo, hi, 1.0 + k % 7) for k, (lo, hi) in
+                         enumerate(zip(edges[:-1], edges[1:]))])
+    assert len(few.pieces) == 3 and len(many.pieces) == 40 > SEARCH_MAX_PIECES
+    for om in (few, many):
+        for seed in (0, 1, 2):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = om.sample_normals(rng, 5000)
+            assert got.tobytes() == _ref_arc_normals(om.pieces, ref_rng, 5000).tobytes()
+            assert rng.random() == ref_rng.random()
+
+
+def _lookup_weights():
+    """Weights per case: pieces at, below and above the lookup's cut."""
+    rng = np.random.default_rng(0)
+    zeros = rng.lognormal(0.0, 1.0, 40)
+    zeros[[0, 7, 8, 9, 20, -1]] = 0.0     # ties in cum, first and last pieces included
+    return {
+        "one": np.array([2.5]),
+        "three": np.array([0.5, 0.0, 1.5]),
+        "cut": rng.random(SEARCH_MAX_PIECES) + 0.1,
+        "cut_plus_one": rng.random(SEARCH_MAX_PIECES + 1) + 0.1,
+        "zero_weights": zeros,
+        "lognormal": rng.lognormal(0.0, 3.0, 5632),
+    }
+
+
+LOOKUP_WEIGHTS = _lookup_weights()
+
+
+@pytest.mark.parametrize("route", ["by_size", "sorted"])
+@pytest.mark.parametrize("case", list(LOOKUP_WEIGHTS))
+def test_piece_index_is_the_clamped_binary_search(monkeypatch, route, case):
+    if route == "sorted":
+        # every support takes the sorted route, one piece included
+        monkeypatch.setattr(directions, "SEARCH_MAX_PIECES", 0)
+    rng = np.random.default_rng(7)
+    cum = np.cumsum(LOOKUP_WEIGHTS[case])
+    # keys on each edge, just below it, at 0 and at the top edge, and drawn between
+    u = np.concatenate([cum, np.nextafter(cum, -np.inf), [0.0, cum[-1], cum[-1]],
+                        rng.random(3000) * cum[-1]])
+    u = u[rng.permutation(len(u))]
+    want = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    got = piece_index(cum, u)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert piece_index(cum, u[:0]).size == 0
 
 
 def test_normalize_pieces_merges_adjacent_runs():

@@ -1499,6 +1499,26 @@ def test_empty_taus_give_an_empty_profile(backend):
         assert p.angle.shape == (0,)
 
 
+def test_closed_form_tau_profile_keeps_the_bits_and_stays_bounded():
+    from busemetric.diagnostics import TAU_GRID
+    from busemetric.directions import partial_abs_moment
+    evaluate._tau_profile.cache_clear()
+    for n in (2, 3, 5):
+        want = np.array([partial_abs_moment(n, math.sin(t)) for t in TAU_GRID])
+        got = evaluate._tau_profile(n, TAU_GRID.tobytes())
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    # a pair built on the cached profile answers the bits of the first, uncached one
+    evaluate._tau_profile.cache_clear()
+    nu = crofton2()
+    first, again = (CF.pair(nu, [0.1, 0.4], [0.5, 0.6], taus=list(TAU_GRID)) for _ in range(2))
+    assert first.angle.tobytes() == again.angle.tobytes()
+    assert evaluate._tau_profile.cache_info().hits == 1
+    for k in range(40):
+        CF.pair(nu, [0.1, 0.4], [0.5, 0.6], taus=TAU_GRID * (1.0 - k / 100.0))
+    info = evaluate._tau_profile.cache_info()
+    assert info.currsize == info.maxsize == 8
+
+
 # ---------------------------------------------------------------------------
 # angle profiles summed in row blocks: the one-shot forms they replace
 # ---------------------------------------------------------------------------
@@ -1654,22 +1674,33 @@ def _ref_sample_positions(mu, rng, size):
 
 
 SAMPLED_SUPPORTS = {
-    "atoms": {"atoms": [((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0), ((0.4, -2.2), 1.5)]},
+    # the -0.0 coordinate is copied as -0.0 into every sample of its atom
+    "atoms": {"atoms": [((2.0, 0.3), 1.0), ((-1.1, 1.7), 2.0), ((0.4, -2.2), 1.5),
+                        ((-0.0, 0.8), 1.2)]},
     "cells": {"cells": [(-1.0, -1.0, 0.0, 0.5, 2.0), (0.0, -1.0, 1.5, 0.5, 0.7)]},
     "segments": {"segments": [((-1.0, 0.0), (1.0, 0.0), 1.0), ((0.0, -2.0), (0.5, 1.0), 3.0)]},
 }
 SAMPLED_SUPPORTS["all"] = {k: v for d in SAMPLED_SUPPORTS.values() for k, v in d.items()}
+# supports of more pieces than directions.SEARCH_MAX_PIECES, whose draws find
+# their pieces by sorting: a 5632-node cell cloud and 1024 density segments
+SAMPLED_CONFIGS = {"cell_cloud": "doubling_box", "density_segments": "ba_inv_sqrt"}
 
 
-@pytest.mark.parametrize("support", list(SAMPLED_SUPPORTS))
+@pytest.mark.parametrize("support", [*SAMPLED_SUPPORTS, *SAMPLED_CONFIGS])
 def test_sampled_positions_keep_the_reference_bits(support):
-    mu = BaseMeasureND(2, **SAMPLED_SUPPORTS[support])
+    if support in SAMPLED_CONFIGS:
+        mu = _config_scenario(SAMPLED_CONFIGS[support])[0].measure.mu
+        assert len(mu.node_points) == 5632 or len(mu.segments) == 1024
+    else:
+        mu = BaseMeasureND(2, **SAMPLED_SUPPORTS[support])
     for seed in (0, 1, 2):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = evaluate._sample_positions(mu, rng, 3000)
         assert got.tobytes() == _ref_sample_positions(mu, ref_rng, 3000).tobytes()
         # and the stream is left where the reference leaves it
         assert rng.random() == ref_rng.random()
+        if "atoms" in SAMPLED_SUPPORTS.get(support, {}):
+            assert np.signbit(got[got[:, 0] == 0.0, 0]).any()
 
 
 @pytest.mark.parametrize("case", ["doubling_box", "atoms_3d", "cloud_3d"])
