@@ -413,12 +413,9 @@ class SegmentTable(NamedTuple):
     bulk_wts: np.ndarray   # (m, SEGMENT_ORDER)
 
 
-def segment_table(segments, dim: int) -> SegmentTable:
-    """Stack ``(p0, p1, density)`` triples into a read-only ``SegmentTable``."""
-    m = len(segments)
-    p0s = np.array([s[0] for s in segments], dtype=float).reshape(m, dim)
-    p1s = np.array([s[1] for s in segments], dtype=float).reshape(m, dim)
-    denss = np.array([s[2] for s in segments], dtype=float)
+def segment_table(p0s: np.ndarray, p1s: np.ndarray, denss: np.ndarray) -> SegmentTable:
+    """The read-only ``SegmentTable`` of (m, dim) endpoints and (m,) densities, frozen as given."""
+    m, dim = p0s.shape
     us, lengths = _frames(p0s, p1s)
     bulk_pts, bulk_wts = segment_bulk_nodes(p0s, p1s, denss)
     table = SegmentTable(p0s, p1s, us, lengths, _normals(us), denss,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import SegmentTable, _gl, segment_table
+from .arcs import SegmentTable, _gl, _rowdot, segment_table
 from .geometry import (DegenerateConfigurationError, DimensionMismatchError, as_point,
                        points_on_segments, require_int, require_positive)
 
@@ -59,6 +59,11 @@ def _atoms(atoms, shape: tuple):
     if np.any(weights <= 0):
         raise ValueError("atom weights must be positive")
     return positions, weights
+
+
+def _sum_in_order(start: float, terms: np.ndarray) -> float:
+    """start + terms[0] + terms[1] + ..., left to right (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
 
 
 @dataclass(frozen=True)
@@ -148,9 +153,9 @@ class BaseMeasureND:
     construction (``gauss_order`` points per axis); the realized nodes *are*
     the measure as far as all integral queries are concerned, which keeps
     every backend consistent.  Builders control accuracy by grading the
-    cell sizes.  The segments are also stacked once into a read-only
-    ``segment_table`` for the array-wise evaluators.  The measure copies
-    every array it is given, so freezing them never touches the caller's.
+    cell sizes.  The segments are kept once, as the rows of the read-only
+    ``segment_table``; ``segments`` holds views of those rows.  The measure
+    copies every array it is given, so freezing them never touches the caller's.
     """
 
     dim: int
@@ -180,24 +185,21 @@ class BaseMeasureND:
             if pair is not None:
                 raise ValueError(f"cells {pair[0]} and {pair[1]} overlap")
         node_p, node_w = self._realize_cells(dim, cl, gauss_order)
-        segs = []
-        for p0, p1, dens in segments:
-            p0 = np.array(p0, dtype=float)
-            p1 = np.array(p1, dtype=float)
-            if p0.shape != (dim,) or p1.shape != (dim,):
-                raise ValueError("segment endpoints must have the measure dimension")
-            if not (np.isfinite(p0).all() and np.isfinite(p1).all()):
-                raise ValueError("segment endpoints must be finite")
-            if not math.isfinite(dens):
-                raise ValueError("segment densities must be finite")
-            if dens < 0:
-                raise ValueError("segment densities must be nonnegative")
-            if not np.linalg.norm(p1 - p0) > 0:
-                raise ValueError("degenerate density segment")
-            p0.setflags(write=False)
-            p1.setflags(write=False)
-            segs.append((p0, p1, float(dens)))
-        if apts.size == 0 and node_p.size == 0 and not segs:
+        segments = list(segments)
+        if any(len(s) != 3 for s in segments):
+            raise DimensionMismatchError("segments need (p0, p1, density) triples")
+        p0s = _rows("segment endpoints", [s[0] for s in segments], (dim,))
+        p1s = _rows("segment endpoints", [s[1] for s in segments], (dim,))
+        denss = _rows("segment densities", [s[2] for s in segments], ())
+        if not (np.isfinite(p0s).all() and np.isfinite(p1s).all()):
+            raise ValueError("segment endpoints must be finite")
+        if not np.isfinite(denss).all():
+            raise ValueError("segment densities must be finite")
+        if np.any(denss < 0):
+            raise ValueError("segment densities must be nonnegative")
+        if not np.all(np.linalg.norm(p1s - p0s, axis=1) > 0):
+            raise ValueError("degenerate density segment")
+        if apts.size == 0 and node_p.size == 0 and not segments:
             raise ValueError("measure must have atoms, cells or segments")
         for arr in (apts, awts, cl, node_p, node_w):
             arr.setflags(write=False)
@@ -207,9 +209,10 @@ class BaseMeasureND:
         object.__setattr__(self, "cells", cl)
         object.__setattr__(self, "node_points", node_p)
         object.__setattr__(self, "node_weights", node_w)
-        object.__setattr__(self, "segments", tuple(segs))
+        table = segment_table(p0s, p1s, denss)
+        object.__setattr__(self, "segments", tuple(zip(table.p0s, table.p1s, table.denss.tolist())))
         object.__setattr__(self, "gauss_order", gauss_order)
-        object.__setattr__(self, "segment_table", segment_table(segs, dim))
+        object.__setattr__(self, "segment_table", table)
 
     @staticmethod
     def _realize_cells(dim, cells, order):
@@ -240,19 +243,17 @@ class BaseMeasureND:
     def from_axis_measure(cls, mu: BaseMeasure1D, dim: int = 2, axis: int = 0) -> "BaseMeasureND":
         """Embed a 1-D measure on a coordinate axis of R^dim."""
         def lift(t):
-            p = np.zeros(dim)
-            p[axis] = t
+            p = np.zeros((len(t), dim))
+            p[:, axis] = t
             return p
 
-        atoms = [(lift(p), w) for p, w in zip(mu.atom_positions, mu.atom_weights)]
-        segments = [(lift(lo), lift(hi), dens) for lo, hi, dens in mu.pieces]
-        return cls(dim, atoms=atoms, segments=segments)
+        return cls(dim, atoms=list(zip(lift(mu.atom_positions), mu.atom_weights)),
+                   segments=zip(lift(mu.pieces[:, 0]), lift(mu.pieces[:, 1]), mu.pieces[:, 2]))
 
     def total_mass(self) -> float:
-        tot = float(np.sum(self.atom_weights)) + float(np.sum(self.node_weights))
-        for dens, ln in zip(self.segment_table.denss.tolist(), self.segment_table.lengths.tolist()):
-            tot += dens * ln
-        return tot
+        t = self.segment_table
+        return _sum_in_order(float(np.sum(self.atom_weights)) + float(np.sum(self.node_weights)),
+                             t.denss * t.lengths)
 
     def affine_rank(self) -> int:
         """Rank of the support's affine hull, from atoms, cell centers and segment ends."""
@@ -260,8 +261,8 @@ class BaseMeasureND:
         if self.cells.size:
             n = self.dim
             pts.append(0.5 * (self.cells[:, :n] + self.cells[:, n:2 * n]))
-        for p0, p1, _ in self.segments:
-            pts.append(np.stack([p0, p1]))
+        t = self.segment_table
+        pts.append(np.stack([t.p0s, t.p1s], axis=1).reshape(-1, self.dim))  # p0, p1, p0, ...
         allp = np.concatenate(pts)
         if len(allp) < 2:
             return 0
@@ -269,21 +270,22 @@ class BaseMeasureND:
         return int(np.linalg.matrix_rank(centered, tol=1e-9))
 
     def ball_mass(self, center, r: float) -> float:
-        """Mass of the closed ball B(center, r) (cells via their realized nodes)."""
-        c = np.asarray(center, dtype=float)
+        """Mass of the closed ball B(center, r) (cells via their realized nodes), refused
+        unless ``center`` is a point of the measure's dimension and ``r`` finite and
+        positive.  Each segment adds its density times the chord the ball cuts from it."""
+        c = as_point(center, self.dim)
+        r = require_positive("radius", r)
         tot = 0.0
         for pts, wts in ((self.atom_points, self.atom_weights), (self.node_points, self.node_weights)):
             if pts.size:
                 tot += float(np.sum(wts[np.linalg.norm(pts - c, axis=1) <= r]))
         t = self.segment_table
-        for p0, u, ln, dens in zip(t.p0s, t.us, t.lengths.tolist(), t.denss.tolist()):
-            t0 = float((c - p0) @ u)
-            h2 = float(np.sum((c - p0) ** 2)) - t0 * t0
-            if h2 > r * r:
-                continue
-            half = math.sqrt(max(r * r - h2, 0.0))
-            tot += dens * max(0.0, min(ln, t0 + half) - max(0.0, t0 - half))
-        return tot
+        rel = c - t.p0s
+        t0 = _rowdot(rel, t.us)     # the parameter of the foot of c on each segment's line
+        h2 = np.sum(rel ** 2, axis=1) - t0 * t0
+        half = np.sqrt(np.maximum(r * r - h2, 0.0))
+        chord = np.maximum(0.0, np.minimum(t.lengths, t0 + half) - np.maximum(0.0, t0 - half))
+        return _sum_in_order(tot, np.where(h2 > r * r, 0.0, t.denss * chord))
 
     def atoms_on_segment(self, x, y) -> np.ndarray:
         """Indices of the atoms on the closed segment [x, y]; ``[x, x]`` is the point x."""
@@ -301,8 +303,9 @@ class BaseMeasureND:
         cells = self.cells.copy()
         if cells.size:
             cells[:, -1] *= factor
-        segments = [(p0, p1, dens * factor) for p0, p1, dens in self.segments]
-        return BaseMeasureND(self.dim, atoms=atoms, cells=cells, segments=segments,
+        t = self.segment_table
+        return BaseMeasureND(self.dim, atoms=atoms, cells=cells,
+                             segments=zip(t.p0s, t.p1s, t.denss * factor),
                              gauss_order=self.gauss_order)
 
 

@@ -442,6 +442,14 @@ ROWS_OF_ANOTHER_LENGTH = {
     "1-D atom of three fields": ("atoms", lambda: BaseMeasure1D(atoms=[(0.5, 1.0, 7.0)])),
     "2-D atom of three fields": ("atoms", lambda: BaseMeasureND(2, atoms=[((0, 0), 1.0, 7.0)])),
     "cells of four": ("cells", lambda: BaseMeasureND(2, cells=[(0, 0, 1, 1), (1, 1, 2, 2)])),
+    # these three once failed unpacking a row or as float() of a pair
+    "segment of two fields": ("segments", lambda: BaseMeasureND(2, segments=[((0, 0), (1, 0))])),
+    "segment of four fields": ("segments", lambda: BaseMeasureND(
+        2, segments=[((0, 0), (1, 0), 1.0, 7.0)])),
+    "a segment density pair": ("segment densities", lambda: BaseMeasureND(
+        2, segments=[((0, 0), (1, 0), (1.0, 2.0))])),
+    "3-D segment endpoints in 2-D": ("segment endpoints", lambda: BaseMeasureND(
+        2, segments=[((0, 0, 0), (1, 0, 0), 1.0)])),
 }
 
 
@@ -453,6 +461,7 @@ def test_measure_rows_of_another_length_refused(case):
 
 
 _ATOMS = BaseMeasureND(2, atoms=[((0.0, 1.0), 1.0), ((1.0, 0.0), 1.0), ((0.5, 0.5), 2.0)])
+_SEGMENT = BaseMeasureND(2, segments=[((0.0, 0.0), (1.0, 0.0), 1.5)])
 BAD_MEASURE_INPUTS = {
     "zero gauss_order": ("gauss_order", ValueError, lambda: BaseMeasureND(
         2, cells=[(0.0, 0.0, 1.0, 1.0, 1.0)], gauss_order=0)),
@@ -463,13 +472,122 @@ BAD_MEASURE_INPUTS = {
         _ATOMS, (-1.0, -1.0), (1.0, 1.0), count=2.5)),
     "3-D region on a 2-D measure": ("dimension 2", DimensionMismatchError, lambda: doubling_ratio(
         _ATOMS, (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))),
+    "negative segment density": ("nonnegative", ValueError, lambda: BaseMeasureND(
+        2, segments=[((0.0, 0.0), (1.0, 0.0), 1.0), ((1.0, 0.0), (2.0, 0.0), -1.0)])),
+    "degenerate segment": ("degenerate density segment", ValueError, lambda: BaseMeasureND(
+        2, segments=[((0.0, 0.0), (1.0, 0.0), 1.0), ((0.5, 0.5), (0.5, 0.5), 1.0)])),
+    "NaN ball centre": ("finite", ValueError, lambda: _SEGMENT.ball_mass((math.nan, 0.0), 1.0)),
+    "NaN ball radius": ("radius", ValueError, lambda: _SEGMENT.ball_mass((0.5, 0.0), math.nan)),
+    "negative ball radius": ("radius", ValueError, lambda: _SEGMENT.ball_mass((0.5, 0.0), -1.0)),
+    "3-D ball centre": ("dimension 2", DimensionMismatchError, lambda: _SEGMENT.ball_mass(
+        (0.5, 0.0, 0.0), 1.0)),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_MEASURE_INPUTS))
 def test_measure_inputs_refused_by_name(case):
     # numpy once refused a zero gauss_order as "deg must be a positive integer",
-    # a zero count as empty inner balls, and a 3-D region with a broadcast error
+    # a zero count as empty inner balls, and a 3-D region or ball centre with a
+    # broadcast error; a NaN centre, a NaN radius and radius -1 each once gave
+    # _SEGMENT's full mass 1.5
     key, error, build = BAD_MEASURE_INPUTS[case]
     with pytest.raises(error, match=key):
         build()
+
+
+# ---------------------------------------------------------------------------
+# the segment table: one copy of the segments, and the ball chords over it
+# against the per-segment loop they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_ball_mass(mu, center, r):
+    """``BaseMeasureND.ball_mass`` as a loop over the segments, one chord at a time."""
+    c = np.asarray(center, dtype=float)
+    tot = 0.0
+    for pts, wts in ((mu.atom_points, mu.atom_weights), (mu.node_points, mu.node_weights)):
+        if pts.size:
+            tot += float(np.sum(wts[np.linalg.norm(pts - c, axis=1) <= r]))
+    t = mu.segment_table
+    for p0, u, ln, dens in zip(t.p0s, t.us, t.lengths.tolist(), t.denss.tolist()):
+        t0 = float((c - p0) @ u)
+        h2 = float(np.sum((c - p0) ** 2)) - t0 * t0
+        if h2 > r * r:
+            continue
+        half = math.sqrt(max(r * r - h2, 0.0))
+        tot += dens * max(0.0, min(ln, t0 + half) - max(0.0, t0 - half))
+    return tot
+
+
+def _ref_total_mass(mu):
+    tot = float(np.sum(mu.atom_weights)) + float(np.sum(mu.node_weights))
+    for dens, ln in zip(mu.segment_table.denss.tolist(), mu.segment_table.lengths.tolist()):
+        tot += dens * ln
+    return tot
+
+
+def _rotated_lebesgue(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return BaseMeasureND(2, segments=[(rot @ (-30.0, 0.0), rot @ (30.0, 0.0), 1.0)])
+
+
+BALL_MEASURES = {
+    "ba_inv_sqrt axis segments": lambda: BaseMeasureND.from_axis_measure(inv_sqrt_density()),
+    "rotated ba_lebesgue segment": lambda: _rotated_lebesgue(0.3),
+    "atoms, cells and segments": lambda: BaseMeasureND(
+        2, atoms=[((0.25, 0.5), 2.0), ((-0.5, 0.1), 0.5)],
+        cells=[(-1.0, -1.0, 0.0, 0.0, 1.5), (0.0, 0.0, 0.5, 1.0, 0.25)],
+        segments=[((0.0, 0.0), (1.0, 0.7), 1.5), ((-0.3, 0.9), (0.2, -0.4), 0.75),
+                  ((0.1, 0.1), (0.1, 0.6), 2.0)]),
+    "3-D oblique segments": lambda: BaseMeasureND(
+        3, segments=[((0.0, 0.0, 0.0), (0.3, 0.7, 0.2), 1.25), ((0.5, -0.2, 0.1), (-0.4, 0.6, 0.9), 0.5)]),
+}
+
+
+@pytest.mark.parametrize("name", list(BALL_MEASURES))
+def test_ball_mass_matches_per_segment_loop_bits(name):
+    mu = BALL_MEASURES[name]()
+    rng = np.random.default_rng(61)
+    t = mu.segment_table
+    lo, hi = np.minimum(t.p0s, t.p1s).min(axis=0) - 0.5, np.maximum(t.p0s, t.p1s).max(axis=0) + 0.5
+    balls = [(lo + rng.random(mu.dim) * (hi - lo), float(np.exp(rng.uniform(-5.0, 1.0))))
+             for _ in range(200)]
+    # on a segment's line (h2 == 0), at a start point, tangent to a segment and
+    # covering every segment whole
+    p0, p1 = t.p0s[0], t.p1s[0]
+    cover = (0.5 * (lo + hi), 10.0 * float(np.max(hi - lo)))
+    balls += [(p0 + 0.25 * (p1 - p0), 0.1), (p0 - 0.5 * (p1 - p0), 0.75), (p0, 0.3), cover]
+    if name == "ba_inv_sqrt axis segments":
+        balls += [((0.5, 0.5), 0.5), ((0.25, -0.125), 0.125)]     # tangent: h2 == r * r
+    for c, r in balls:
+        assert mu.ball_mass(c, r).hex() == _ref_ball_mass(mu, c, r).hex(), (c, r)
+    assert mu.ball_mass(*cover) == pytest.approx(mu.total_mass(), rel=1e-12)
+    assert mu.total_mass().hex() == _ref_total_mass(mu).hex()
+    assert mu.scaled(1.7).total_mass().hex() == _ref_total_mass(mu.scaled(1.7)).hex()
+
+
+def test_segments_are_read_only_views_of_the_segment_table():
+    mu = BaseMeasureND.from_axis_measure(inv_sqrt_density(pieces=8))
+    t = mu.segment_table
+    assert len(mu.segments) == len(t.lengths) == 8
+    for k, (p0, p1, dens) in enumerate(mu.segments):
+        assert np.shares_memory(p0, t.p0s) and np.shares_memory(p1, t.p1s)
+        assert p0.tolist() == t.p0s[k].tolist() and p1.tolist() == t.p1s[k].tolist()
+        assert not p0.flags.writeable and not p1.flags.writeable
+        assert type(dens) is float and dens == t.denss[k]
+    with pytest.raises(ValueError):
+        mu.segments[0][0][0] = 1.0
+
+
+def test_segments_from_a_generator_build_the_same_table():
+    rows = [((0.0, 0.0), (1.0, 0.5), 1.5), ((1.0, 0.5), (2.0, 0.0), 0.25)]
+    table = BaseMeasureND(2, segments=rows).segment_table
+    again = BaseMeasureND(2, segments=(row for row in rows)).segment_table
+    assert _same_bits(table, again) and len(table.lengths) == 2
+
+
+def test_inv_sqrt_staircase_keeps_the_scalar_loop_bits():
+    edges = np.linspace(0.0, 1.0, 1025)
+    ref = [(lo, hi, 2.0 * (math.sqrt(hi) - math.sqrt(lo)) / (hi - lo))
+           for lo, hi in zip(edges[:-1], edges[1:])]
+    assert inv_sqrt_density().pieces.tobytes() == np.array(ref).tobytes()
