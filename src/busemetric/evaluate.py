@@ -666,12 +666,30 @@ class MonteCarlo(Backend):
 def _angle_sums(w, a, sin_t):
     """Per threshold t, the sums over the samples that carry mass of ``w * (a >= sin_t[t])``
     and of its square (a miss would add an exact +0.0), ``w`` their masses and ``a`` their
-    ``|vd|``.  The row values are 0 or 1, so ``w`` and its square weigh them exactly."""
+    ``|vd|``.  The row values are 0 or 1, so ``w`` and its square weigh them exactly.
 
-    def fill(start, stop, out, tmp):
-        np.greater_equal(a[start:stop, None], sin_t, out=out)
+    With the thresholds ranked by a stable sort, sample k's row is 1 exactly where
+    ``rank[t] < j[k]``, ``j[k]`` the count of thresholds <= ``a[k]``; so ``j`` is counted
+    once and each block of rows is copied from the table ``steps[j, t] = rank[t] < j``.
+    The table has (W + 1) x W entries for W thresholds and stays within one block:
+    wider threshold sets go in column groups of two or more, each with its own table
+    and counts, and a column's in-order sum is the same in any group."""
+    # the largest W with (W + 1) W <= ANGLE_BLOCK_ELEMENTS
+    widest = (math.isqrt(4 * arcs.ANGLE_BLOCK_ELEMENTS + 1) - 1) // 2
+    weights = [w, w * w]
+    groups = []
+    for cols in np.array_split(sin_t, -(-len(sin_t) // widest)):
+        order = np.argsort(cols, kind="stable")
+        rank = np.argsort(order)
+        steps = (rank < np.arange(len(cols) + 1)[:, None]).astype(float)
+        j = np.searchsorted(cols[order], a, side="right")
 
-    return arcs.threshold_sums([w, w * w], sin_t, fill)
+        def fill(start, stop, out, tmp):
+            # j lies in [0, W], so "clip" never clips: it lets take write to out unbuffered
+            np.take(steps, j[start:stop], axis=0, out=out, mode="clip")
+
+        groups.append(arcs.threshold_sums(weights, cols, fill))
+    return [np.concatenate(sums) for sums in zip(*groups)]
 
 
 def _sample_positions(mu, rng: np.random.Generator, size: int) -> np.ndarray:

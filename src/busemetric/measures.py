@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import SegmentTable, _gl, _rowdot, segment_table
+from .arcs import ANGLE_BLOCK_ELEMENTS, SegmentTable, _gl, _rowdot, segment_table
 from .geometry import (DegenerateConfigurationError, DimensionMismatchError, as_point,
                        points_on_segments, require_int, require_positive)
 
@@ -107,20 +107,40 @@ class BaseMeasure1D:
         return float(self.mass_many([s], [t])[0])
 
     def mass_many(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Vectorized mass((s_i, t_i]), refused unless s_i <= t_i on every row."""
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
+        """Vectorized mass((s_i, t_i]), refused unless s_i <= t_i on every row.
+
+        Each row's sum starts from +0.0 plus the atoms' mass and adds the pieces'
+        density integrals in order.  The rows go a bounded block at a time into one
+        (pieces, rows) array, every piece's integral written in place at once, and the
+        piece rows are added one in-place add each: ``np.add.reduce`` would sum a
+        one-row block's pieces pairwise."""
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
         if np.any(s > t):
             raise ValueError("need s <= t")
-        out = np.zeros(s.shape)
+        shape, s, t = s.shape, s.ravel(), t.ravel()
+        out = np.zeros(len(s))
         if self.atom_positions.size:
-            pos = np.sort(self.atom_positions)
-            wcum = np.concatenate([[0.0], np.cumsum(self.atom_weights[np.argsort(self.atom_positions, kind="stable")])])
-            out += wcum[np.searchsorted(pos, t, side="right")] - wcum[np.searchsorted(pos, s, side="right")]
-        for lo, hi, dens in self.pieces:
-            out += dens * (np.clip(np.minimum(t, hi) - lo, 0.0, None)
-                           - np.clip(np.minimum(s, hi) - lo, 0.0, None))
-        return out
+            order = np.argsort(self.atom_positions, kind="stable")
+            pos = self.atom_positions[order]
+            wcum = np.concatenate([[0.0], np.cumsum(self.atom_weights[order])])
+            out += (wcum[np.searchsorted(pos, t, side="right")]
+                    - wcum[np.searchsorted(pos, s, side="right")])
+        lo, hi, dens = self.pieces.T[:, :, None]
+        rows = max(ANGLE_BLOCK_ELEMENTS // max(len(self.pieces), 1), 1)
+        upper, lower = np.empty((2, len(self.pieces), min(rows, len(s))))
+        for start in range(0, len(s), rows):
+            stop = min(start + rows, len(s))
+            terms, below = upper[:, :stop - start], lower[:, :stop - start]
+            for part, ends in ((terms, t[start:stop]), (below, s[start:stop])):
+                np.minimum(ends, hi, out=part)
+                part -= lo
+                np.maximum(part, 0.0, out=part)
+            terms -= below
+            terms *= dens
+            sums = out[start:stop]
+            for piece in terms:
+                sums += piece
+        return out.reshape(shape)
 
     def support_bounds(self) -> tuple[float, float]:
         los, his = [], []

@@ -1614,6 +1614,79 @@ def test_threshold_sums_match_the_one_shot_forms_bits(width):
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
 
+def _ref_angle_sums(w, a, sin_t):
+    """The broadcast-compare fill the step table replaces: each block compares its
+    samples with every threshold, in the same blocks and in-order sums."""
+
+    def fill(start, stop, out, tmp):
+        np.greater_equal(a[start:stop, None], sin_t, out=out)
+
+    return arcs.threshold_sums([w, w * w], sin_t, fill)
+
+
+def _step_thresholds(width, rng):
+    """``width`` sines of unsorted, repeated and negative angles, some past pi / 2
+    (where sin is not monotone in the angle), with +0.0 and -0.0 among them."""
+    repeats = (width - 2) // 4
+    taus = np.r_[rng.uniform(-0.5, math.pi + 0.5, width - 2 - repeats),
+                 rng.choice([0.3, 1.2, math.pi - 0.3, 2.0], repeats)]
+    sin_t = np.r_[np.sin(taus), 0.0, -0.0]
+    return rng.permutation(sin_t)
+
+
+def _step_samples(rows, sin_t, rng):
+    """|vd| values in [0, 1], a third of them exactly at a threshold, with 0.0 and
+    1 + 2**-52 (past every threshold) among them."""
+    a = rng.random(rows)
+    at = rng.random(rows) < 1 / 3
+    a[at] = np.abs(rng.choice(sin_t, np.count_nonzero(at)))
+    a[:min(rows, 4)] = [0.0, 1.0 + 2.0 ** -52, 1.0, sin_t.max()][:min(rows, 4)]
+    return a
+
+
+@pytest.mark.parametrize("width", [2, 3, 100, 255, 256, 300, 1000])
+def test_angle_sums_match_the_broadcast_compare_bits(width):
+    # the 0/1 step table gives each sample the row the compare gave it, so each
+    # column's in-order sums keep their bits; 256 thresholds and more go in column
+    # groups, each with its own table
+    rng = np.random.default_rng(width)
+    sin_t = _step_thresholds(width, rng)
+    assert len(sin_t) == width
+    # 3000 rows run past a block boundary of every column group as well
+    for rows in _block_row_counts(width) + [3_000]:
+        w = rng.uniform(0.1, 2.0, rows)
+        a = _step_samples(rows, sin_t, rng)
+        got = evaluate._angle_sums(w, a, sin_t)
+        ref = _ref_angle_sums(w, a, sin_t)
+        assert [g.shape for g in got] == [(width,), (width,)]
+        assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
+
+
+def test_angle_sums_count_a_sample_at_its_threshold():
+    # a sample exactly at a threshold crosses it (a >= sin t); repeated and equal
+    # thresholds, +0.0 against -0.0 among them, count alike
+    sin_t = np.array([0.5, -0.0, 0.25, 0.5, 0.0, 1.0])
+    a = np.array([0.5, 0.0, 0.25, 1.0, 1.0 + 2.0 ** -52])
+    w = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    angle, angle_sq = evaluate._angle_sums(w, a, sin_t)
+    assert angle.tolist() == [25.0, 31.0, 29.0, 25.0, 31.0, 24.0]
+    assert angle_sq.tolist() == [321.0, 341.0, 337.0, 321.0, 341.0, 320.0]
+
+
+def test_angle_sums_hold_wide_threshold_sets_in_bounded_memory():
+    # 1000 thresholds never build the (rows, 1000) matrix: the working set is the
+    # two block buffers of threshold_sums and one step table, plus the counts and
+    # the squared weights
+    rng = np.random.default_rng(4)
+    rows = 5_000
+    sin_t = _step_thresholds(1000, rng)
+    w = rng.uniform(0.1, 2.0, rows)
+    a = _step_samples(rows, sin_t, rng)
+    peak = _peak_bytes(lambda: evaluate._angle_sums(w, a, sin_t))
+    block = arcs.ANGLE_BLOCK_ELEMENTS * 8
+    assert peak < 3.1 * block + 2 * 8 * rows < rows * len(sin_t) * 8 / 10
+
+
 # ---------------------------------------------------------------------------
 # the closed-form position pair on coordinate columns: the row forms it replaces
 # ---------------------------------------------------------------------------
